@@ -20,6 +20,11 @@ def example_file() -> pathlib.Path:
     return DATA_DIR / "example6.efl"
 
 
+@pytest.fixture
+def gap_n8_file() -> pathlib.Path:
+    return DATA_DIR / "gap_n8.efl"
+
+
 @pytest.fixture(scope="session")
 def corpus500():
     return random_corpus(500)

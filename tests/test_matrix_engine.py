@@ -12,7 +12,9 @@ from efl.generators import (
     gen_disjoint,
     gen_random,
 )
-from efl.instance import Instance, clique_degree
+from efl.export import serialize_instance
+from efl.greedy import run_greedy
+from efl.instance import Instance, clique_degree, core_subgraph, parse_instance
 from efl.matrix_engine import (
     DISJOINT,
     UNASSIGNED,
@@ -30,7 +32,7 @@ from efl.matrix_engine import (
     replay_trace,
     run_matrix_method,
 )
-from efl.oracle import verify_proper
+from efl.oracle import chromatic_number_exact, verify_proper
 from support import instances
 
 # the matrix states the method walks through on the bundled example,
@@ -358,3 +360,73 @@ class TestTraceProperties:
             assert report.proper and report.max_color <= inst.n
         else:
             assert result.reason in ("budget-exhausted", "stuck-no-repair")
+
+
+GAP_N8_TRACE = """
+ASSIGN m3 1
+ASSIGN m7 2
+ASSIGN m16 2
+ASSIGN m14 1
+ASSIGN m22 3
+ASSIGN m19 4
+ASSIGN m24 5
+ASSIGN m20 6
+ASSIGN m21 7
+ASSIGN m9 3
+ASSIGN m12 4
+ASSIGN m2 5
+ASSIGN m5 7
+ASSIGN m4 6
+ASSIGN m15 4
+ASSIGN m8 5
+ASSIGN m17 1
+ASSIGN m13 6
+ASSIGN m10 8
+ASSIGN m6 2
+ASSIGN m23 3
+ASSIGN m1 8
+REPAIR m24 5 8
+SKIP m20
+SKIP m3
+SKIP m5
+REPAIR m15 4 7
+ASSIGN m11 4
+SKIP m20
+REPAIR m21 7 5
+SKIP m20
+SKIP m3
+SKIP m5
+SKIP m7
+SKIP m8
+SKIP m10
+SKIP m23
+REPAIR m1 8 7
+SKIP m20
+SKIP m3
+SKIP m5
+SKIP m7
+SKIP m8
+SKIP m10
+SKIP m23
+SKIP m11
+""".strip()
+
+
+class TestKnownGaps:
+    def test_gap_n8_stuck_although_colorable(self, gap_n8_file):
+        """Records a known gap of the escalation, not intended behaviour.
+
+        ``gap_n8.efl`` is ``gen_random(8, 28, 241)``: 24 core vertices, with
+        m3 and m7 in three cliques each.  The fan-and-path escalation only
+        handles vertices in two cliques, so the engine gets stuck and the
+        greedy fails, although the core is 7-colorable.  A repair stage that
+        closes the gap must flip this test.
+        """
+        inst = parse_instance(gap_n8_file.read_text())
+        assert serialize_instance(inst) == serialize_instance(gen_random(8, 28, 241))
+        result = run_matrix_method(inst, EngineConfig(trace_enabled=True))
+        assert result.reason == "stuck-no-repair"
+        assert len(result.trace) == 46
+        assert render_trace(result.trace) == GAP_N8_TRACE
+        assert run_greedy(inst).reason == "no-color-available"
+        assert chromatic_number_exact(core_subgraph(inst)) == 7 <= inst.n

@@ -1,7 +1,8 @@
 """Watch the intersection-matrix method color the bundled example step by step.
 
 Every assignment writes one color into the whole cell block of a shared
-vertex; the snapshots show the matrix growing toward its final state.
+vertex; the snapshots, replayed from the event trace, show the matrix growing
+toward its final state.
 """
 
 from efl import (
@@ -13,6 +14,7 @@ from efl import (
     initial_matrix,
     matrix_to_coloring,
     render_trace,
+    replay_trace,
     run_matrix_method,
     verify_proper,
 )
@@ -23,10 +25,10 @@ print(initial_matrix(inst).render())
 print()
 
 result = run_matrix_method(inst, EngineConfig(trace_enabled=True))
-for event in result.trace:
+for k, event in enumerate(result.trace):
     if isinstance(event, Assigned):
         print(f"assign color {event.color} to {event.vertex}:")
-        print(event.snapshot.render())
+        print(replay_trace(inst, result.trace[: k + 1], initial_matrix(inst)).render())
         print()
 
 core = matrix_to_coloring(inst, result.final_matrix)

@@ -59,6 +59,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
+    if args.method == "greedy" and args.budget is not None:
+        raise ParseError("--budget applies to --method matrix only")
     inst = _read_instance(args.file)
     if args.method == "matrix":
         cfg = EngineConfig(repair_budget=args.budget, trace_enabled=args.trace)

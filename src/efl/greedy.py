@@ -1,7 +1,8 @@
 """Greedy degree-ordered coloring and the two sufficient-condition checkers.
 
 The greedy procedure colors core vertices in non-increasing clique degree,
-giving each the least color unused in all of its cliques so far.  The two
+giving each the least color unused in all of its cliques so far; it runs the
+matrix engine's coloring loop with repair switched off.  The two
 checkers test the per-clique core-vertex counts that guarantee this greedy
 succeeds: at most sqrt(n) core vertices per clique, or, for every d in 2..n,
 at most ceil((n+d-1)/d) vertices of clique degree >= d per clique.
@@ -15,12 +16,10 @@ from typing import Optional
 
 from .instance import Instance, require_valid
 from .matrix_engine import (
-    REASON_INTERNAL_VERIFICATION,
-    REASON_NO_COLOR_AVAILABLE,
     STATUS_FAILED,
     STATUS_SUCCESS,
     ColoringResult,
-    extend_to_full,
+    color_cover,
 )
 
 
@@ -46,37 +45,18 @@ class HypothesisReport:
 def run_greedy(inst: Instance) -> ColoringResult:
     """Color core vertices greedily in non-increasing clique degree.
 
-    Ties break on the lexicographically smallest incidence tuple.  Fails with
+    This is the matrix method's loop with repair switched off: ties break on
+    the lexicographically smallest incidence tuple, and the run fails with
     ``no-color-available`` when some vertex finds all n colors used in its
     cliques; otherwise the core coloring is extended to a verified total one.
+    The result carries no trace and no matrix.
     """
-    require_valid(inst)
-    n = inst.n
-    inc = {v: ix for v, ix in inst.incidence_map.items() if len(ix) > 1}
-    order = sorted(inc, key=lambda v: (-len(inc[v]), inc[v]))
-    used_in_clique: list[set[int]] = [set() for _ in range(n + 1)]
-    core: dict[str, int] = {}
-    all_colors = set(range(1, n + 1))
-    for v in order:
-        blocked = set()
-        for i in inc[v]:
-            blocked |= used_in_clique[i]
-        free = all_colors - blocked
-        if not free:
-            return ColoringResult(status=STATUS_FAILED, reason=REASON_NO_COLOR_AVAILABLE)
-        c = min(free)
-        core[v] = c
-        for i in inc[v]:
-            used_in_clique[i].add(c)
-
-    total = extend_to_full(inst, core)
-
-    from .oracle import verify_proper
-
-    report = verify_proper(inst, total)
-    if not report.proper or report.max_color > n:
-        return ColoringResult(status=STATUS_FAILED, reason=REASON_INTERNAL_VERIFICATION)
-    return ColoringResult(status=STATUS_SUCCESS, coloring=total)
+    _, total, reason = color_cover(inst, None, None)
+    return ColoringResult(
+        status=STATUS_SUCCESS if reason is None else STATUS_FAILED,
+        reason=reason,
+        coloring=total,
+    )
 
 
 def _core_counts(inst: Instance, min_degree: int) -> list[int]:

@@ -1,11 +1,20 @@
 """The intersection-matrix coloring method.
 
-The working state is a symmetric n-by-n matrix over clique pairs: a cell is
+The method's picture is a symmetric n-by-n matrix over clique pairs: a cell is
 DISJOINT when the two cliques miss each other (and on the diagonal), UNASSIGNED
 while their shared vertex has no color yet, and otherwise carries that color.
 Core vertices are processed in non-increasing clique degree; a degree-k vertex
 receives the least color that does not already appear at least k-1 times in any
 of its incident rows, written into every cell of its block.
+
+The engine keeps that matrix implicitly as per-row color ownership:
+``rows[i][c]`` is the core vertex colored c in clique i.  A colored vertex w
+of clique degree d fills d-1 cells of each of its rows, and under the
+non-increasing order every colored vertex has degree at least k when a
+degree-k vertex is placed.  So every color present in a row already appears
+at least k-1 times there, and the paper's threshold test equals "color owned in
+the row".  :func:`blocked_colors` keeps the paper's form as the reference the
+tests compare against, and the final matrix is built once from the coloring.
 
 When all n colors are blocked, a repair pass recolors previously placed
 vertices to free one.  Plain one-vertex recolors alone provably cannot finish
@@ -13,9 +22,11 @@ tight instances (on the dense family the deterministic least-color choice ends
 up flipping a single vertex back and forth), so the repair escalates: first the
 scan of single legal recolors, then, for a stuck vertex shared by exactly two
 cliques, a fan-and-alternating-path recoloring in the style of the constructive
-proof of Vizing's theorem, planned on a scratch matrix and committed only when
-it verifiably frees a color.  Every recolor counts against a budget; runs that
-exhaust it, or that find no applicable repair, fail loudly with their trace.
+proof of Vizing's theorem, planned on a scratch copy of the row state and
+committed only when it verifiably frees a color.  Every recolor counts against
+a budget; runs that exhaust it, or that find no applicable repair, fail loudly
+with their trace.  With repair switched off the same loop is the
+degree-ordered greedy of :mod:`efl.greedy`.
 
 On success the core coloring extends clique by clique to a total n-coloring:
 inside each clique the private (degree-1) vertices absorb the unused colors.
@@ -159,7 +170,6 @@ class EngineConfig:
 class Assigned:
     vertex: str
     color: int
-    snapshot: Optional[ColorMatrix] = None
 
 
 @dataclass(frozen=True)
@@ -167,7 +177,6 @@ class RepairRecolored:
     vertex: str
     old_color: int
     new_color: int
-    snapshot: Optional[ColorMatrix] = None
 
 
 @dataclass(frozen=True)
@@ -227,60 +236,78 @@ class ColoringResult:
         return self.status == STATUS_SUCCESS
 
 
-def _fan_path_plan(
-    matrix: ColorMatrix,
+def _free_colors(rows: list[dict[int, str]], ix: Sequence[int], palette: set[int]) -> set[int]:
+    """Colors of the palette owned in none of the rows ``ix``."""
+    return palette.difference(*(rows[i] for i in ix))
+
+
+def _recolor(
+    rows: list[dict[int, str]],
+    color: dict[str, int],
     inc: dict[str, tuple[int, ...]],
-    owner: dict[tuple[int, int], str],
+    v: str,
+    x: int,
+) -> None:
+    """Give core vertex v color x in every row it meets.
+
+    A row entry is dropped only while v still owns it: inside a path swap the
+    vertex written just before v may already have taken over v's old color in
+    the row they share.
+    """
+    old = color.get(v)
+    for i in inc[v]:
+        row = rows[i]
+        if row.get(old) == v:
+            del row[old]
+        row[x] = v
+    color[v] = x
+
+
+def _fan_path_plan(
+    rows: list[dict[int, str]],
+    color: dict[str, int],
+    inc: dict[str, tuple[int, ...]],
     u: str,
     n: int,
 ) -> Optional[list[tuple[str, int]]]:
     """Plan a recolor sequence freeing a common color for a stuck 2-clique vertex.
 
-    Works on a scratch copy: builds a fan of same-row vertices, inverts one
-    two-colored alternating path, rotates the fan, and only returns the write
-    list if the result verifiably leaves a color free in both of the stuck
-    vertex's rows while keeping every row conflict-free.  All participants must
-    sit in exactly two cliques; anything else aborts the plan.
+    Works on a scratch copy of the row state: builds a fan of same-row
+    vertices, inverts one two-colored alternating path, rotates the fan, and
+    only returns the write list if the result verifiably leaves a color free in
+    both of the stuck vertex's rows while keeping every row conflict-free.  All
+    participants must sit in exactly two cliques; anything else aborts the plan.
     """
     row_a, row_b = inc[u]
-    work = matrix.copy()
+    work = [dict(r) for r in rows]
+    work_color = dict(color)
     writes: list[tuple[str, int]] = []
     palette = set(range(1, n + 1))
 
-    def row_colors(r: int) -> set[int]:
-        return {x for x in work.row(r) if x > 0}
-
     def free(r: int) -> list[int]:
-        return sorted(palette - row_colors(r))
+        return sorted(_free_colors(work, (r,), palette))
 
-    def holder(r: int, color: int) -> Optional[str]:
-        for j0, x in enumerate(work.row(r)):
-            if x == color:
-                j = j0 + 1
-                return owner.get((min(r, j), max(r, j)))
-        return None
+    def across(w: str, r: int) -> int:
+        return inc[w][0] if inc[w][1] == r else inc[w][1]
 
-    def write(v: str, color: int) -> None:
-        work.set_block(inc[v], color)
-        writes.append((v, color))
+    def write(v: str, x: int) -> None:
+        _recolor(work, work_color, inc, v, x)
+        writes.append((v, x))
 
     # maximal fan from row_b: each next row is reached through a 2-clique
-    # vertex of row_a whose color is free at the previous fan row
+    # vertex of row_a (its spoke) whose color is free at the previous fan row
     fan = [row_b]
+    spokes: list[str] = []
     while True:
-        step = None
         for cand in free(fan[-1]):
-            w = holder(row_a, cand)
-            if w is None or len(inc[w]) != 2:
+            w = work[row_a].get(cand)
+            if w is None or len(inc[w]) != 2 or across(w, row_a) in fan:
                 continue
-            other = inc[w][0] if inc[w][1] == row_a else inc[w][1]
-            if other in fan:
-                continue
-            step = other
+            fan.append(across(w, row_a))
+            spokes.append(w)
             break
-        if step is None:
+        else:
             break
-        fan.append(step)
 
     free_a = free(row_a)
     free_last = free(fan[-1])
@@ -294,187 +321,136 @@ def _fan_path_plan(
         # then swap the two colors along it
         path: list[tuple[str, int]] = []
         r, expect = row_a, d
-        while True:
-            w = holder(r, expect)
-            if w is None:
-                break
+        while (w := work[r].get(expect)) is not None:
             if len(inc[w]) != 2 or len(path) > n:
                 return None
             path.append((w, expect))
-            r = inc[w][0] if inc[w][1] == r else inc[w][1]
+            r = across(w, r)
             expect = c if expect == d else d
         for w, had in path:
             write(w, c if had == d else d)
 
-    target = None
-    for idx, f in enumerate(fan):
-        if d in free(f):
-            target = idx
-            break
+    target = next((idx for idx, f in enumerate(fan) if d in free(f)), None)
     if target is None:
         return None
     if target >= 1:
-        members: list[str] = []
-        olds: list[int] = []
-        for idx in range(1, target + 1):
-            w = owner.get((min(row_a, fan[idx]), max(row_a, fan[idx])))
-            if w is None or len(inc[w]) != 2:
-                return None
-            members.append(w)
-            olds.append(work.get(min(row_a, fan[idx]), max(row_a, fan[idx])))
+        members = spokes[:target]
+        olds = [work_color[w] for w in members]
         # rotate the fan prefix in reverse so every intermediate state is proper
-        if d in row_colors(fan[target]) or d in row_colors(row_a):
+        if d in work[fan[target]] or d in work[row_a]:
             return None
         write(members[-1], d)
         for idx in range(target - 1, 0, -1):
             shifted = olds[idx]
-            if shifted in row_colors(fan[idx]) or shifted in row_colors(row_a):
+            if shifted in work[fan[idx]] or shifted in work[row_a]:
                 return None
             write(members[idx - 1], shifted)
 
     if not set(free(row_a)) & set(free(row_b)):
         return None
-    for r in range(1, n + 1):
-        seen: dict[int, Optional[str]] = {}
-        for j0, x in enumerate(work.row(r)):
-            if x > 0:
-                v = owner.get((min(r, j0 + 1), max(r, j0 + 1)))
-                if x in seen and seen[x] != v:
-                    return None
-                seen[x] = v
+    # conflict-free: every colored vertex still owns its color in each row
+    if any(work[i].get(x) != v for v, x in work_color.items() for i in inc[v]):
+        return None
     return writes
 
 
-def run_matrix_method(inst: Instance, config: Optional[EngineConfig] = None) -> ColoringResult:
-    """Color the core through the matrix, then extend to a total coloring.
+def color_cover(
+    inst: Instance, repair_budget: Optional[int], trace: Optional[list[TraceEvent]]
+) -> tuple[dict[str, int], Optional[dict[str, int]], Optional[str]]:
+    """The one coloring loop behind both methods: ``(core, total, reason)``.
 
-    All free choices are pinned for determinism: the next vertex is always the
-    one with the lexicographically smallest incidence tuple among the highest
-    remaining clique degree; written colors are always the least available.
-    The repair scan walks previously placed vertices meeting the stuck vertex's
-    cliques in the same incidence order, skipping fully blocked ones; after a
-    successful recolor the scan restarts with skips forgotten, but a vertex is
-    recolored at most once per stuck episode.  When the scan runs dry the
+    Core vertices are colored in non-increasing clique degree, ties broken on
+    the lexicographically smallest incidence tuple, each with the least color
+    owned in none of its rows.  ``repair_budget=None`` switches repair off: a
+    vertex with all n colors blocked then fails the run with
+    ``no-color-available``.  Otherwise the repair scan walks the owners in the
+    stuck vertex's rows in incidence order, skipping fully blocked ones; after
+    a successful recolor the scan restarts with skips forgotten, but a vertex
+    is recolored at most once per stuck episode.  When the scan runs dry the
     fan-and-path escalation takes over; every write counts against the budget.
+    On success the core coloring is extended and certified by ``verify_proper``
+    with at most n colors; ``total`` is None exactly when ``reason`` is set.
     """
+    from .oracle import verify_proper  # local import: oracle depends on instance only
+
     require_valid(inst)
-    cfg = config or EngineConfig()
     n = inst.n
-    budget = cfg.repair_budget if cfg.repair_budget is not None else n * n
-    matrix = ColorMatrix.for_instance(inst)
-    trace: Optional[list[TraceEvent]] = [] if cfg.trace_enabled else None
-
+    palette = set(range(1, n + 1))
     inc = {v: ix for v, ix in inst.incidence_map.items() if len(ix) > 1}
-    owner: dict[tuple[int, int], str] = {}
-    for v, ix in inc.items():
-        for p in range(len(ix)):
-            for q in range(p + 1, len(ix)):
-                owner[(ix[p], ix[q])] = v
-    pending: dict[int, list[str]] = {}
-    for v, ix in inc.items():
-        pending.setdefault(len(ix), []).append(v)
-    for vs in pending.values():
-        vs.sort(key=lambda v: inc[v])
-
-    placed: list[str] = []
+    rows: list[dict[int, str]] = [{} for _ in range(n + 1)]  # 1-based cliques
+    core: dict[str, int] = {}
     budget_used = 0
 
     def record(ev: TraceEvent) -> None:
         if trace is not None:
             trace.append(ev)
 
-    def snapshot() -> Optional[ColorMatrix]:
-        return matrix.copy() if cfg.trace_enabled else None
+    def repair_step(u: str, recolored_this_episode: set[str]) -> Optional[str]:
+        """Make one repair step for stuck u; returns the reason if the run must fail."""
+        nonlocal budget_used
+        if repair_budget is None:
+            return REASON_NO_COLOR_AVAILABLE
+        owners = {v for i in inc[u] for v in rows[i].values()}
+        for v in sorted(owners - recolored_this_episode, key=inc.__getitem__):
+            free_v = _free_colors(rows, inc[v], palette)
+            if not free_v:
+                record(RepairSkipped(v))
+                continue
+            if budget_used >= repair_budget:
+                record(BudgetExhausted())
+                return REASON_BUDGET_EXHAUSTED
+            x = min(free_v)
+            record(RepairRecolored(v, core[v], x))
+            _recolor(rows, core, inc, v, x)
+            budget_used += 1
+            recolored_this_episode.add(v)
+            return None
+        plan = _fan_path_plan(rows, core, inc, u, n) if len(inc[u]) == 2 else None
+        if not plan:
+            return REASON_STUCK_NO_REPAIR
+        if budget_used + len(plan) > repair_budget:
+            record(BudgetExhausted())
+            return REASON_BUDGET_EXHAUSTED
+        for v, x in plan:
+            record(RepairRecolored(v, core[v], x))
+            _recolor(rows, core, inc, v, x)
+        budget_used += len(plan)
+        return None
 
-    def fail(reason: str) -> ColoringResult:
-        return ColoringResult(
-            status=STATUS_FAILED, reason=reason, final_matrix=matrix, trace=trace
-        )
+    for u in sorted(inc, key=lambda v: (-len(inc[v]), inc[v])):
+        recolored_this_episode: set[str] = set()
+        while not (free_u := _free_colors(rows, inc[u], palette)):
+            reason = repair_step(u, recolored_this_episode)
+            if reason is not None:
+                return core, None, reason
+        x = min(free_u)
+        _recolor(rows, core, inc, u, x)
+        record(Assigned(u, x))
 
-    all_colors = set(range(1, n + 1))
-
-    while True:
-        degrees = [d for d, vs in pending.items() if vs]
-        if not degrees:
-            break
-        k = max(degrees)
-        queue = pending[k]
-        while queue:
-            u = queue[0]
-            rows_u = inc[u]
-            recolored_this_episode: set[str] = set()
-            failure: Optional[str] = None
-            while True:
-                blocked = set()
-                for i in rows_u:
-                    blocked |= blocked_colors(matrix, i, k - 1)
-                if len(blocked) < n:
-                    x = min(all_colors - blocked)
-                    matrix.set_block(rows_u, x)
-                    record(Assigned(u, x, snapshot()))
-                    break
-                # all n colors blocked: recolor one previously placed vertex
-                rows_u_set = set(rows_u)
-                eligible = sorted(
-                    (
-                        v
-                        for v in placed
-                        if v not in recolored_this_episode and rows_u_set & set(inc[v])
-                    ),
-                    key=lambda v: inc[v],
-                )
-                recolored = False
-                for v in eligible:
-                    rows_v = inc[v]
-                    blocked_v = set()
-                    for i in rows_v:
-                        blocked_v |= blocked_colors(matrix, i, k - 1)
-                    if len(blocked_v) >= n:
-                        record(RepairSkipped(v))
-                        continue
-                    if budget_used >= budget:
-                        record(BudgetExhausted())
-                        return fail(REASON_BUDGET_EXHAUSTED)
-                    x = min(all_colors - blocked_v)
-                    old = matrix.get(rows_v[0], rows_v[1])
-                    matrix.set_block(rows_v, x)
-                    budget_used += 1
-                    recolored_this_episode.add(v)
-                    record(RepairRecolored(v, old, x, snapshot()))
-                    recolored = True
-                    break
-                if recolored:
-                    continue
-                plan = (
-                    _fan_path_plan(matrix, inc, owner, u, n) if k == 2 else None
-                )
-                if not plan:
-                    failure = REASON_STUCK_NO_REPAIR
-                    break
-                if budget_used + len(plan) > budget:
-                    record(BudgetExhausted())
-                    failure = REASON_BUDGET_EXHAUSTED
-                    break
-                for v, x in plan:
-                    old = matrix.get(inc[v][0], inc[v][1])
-                    matrix.set_block(inc[v], x)
-                    budget_used += 1
-                    record(RepairRecolored(v, old, x, snapshot()))
-            if failure is not None:
-                return fail(failure)
-            queue.pop(0)
-            placed.append(u)
-
-    core = matrix_to_coloring(inst, matrix)
     total = extend_to_full(inst, core)
-
-    from .oracle import verify_proper  # local import: oracle depends on instance only
-
     report = verify_proper(inst, total)
     if not report.proper or report.max_color > n:
-        return fail(REASON_INTERNAL_VERIFICATION)
+        return core, None, REASON_INTERNAL_VERIFICATION
+    return core, total, None
+
+
+def run_matrix_method(inst: Instance, config: Optional[EngineConfig] = None) -> ColoringResult:
+    """Color the core by the matrix method with repair, then extend to a total coloring.
+
+    All free choices are pinned for determinism (see :func:`color_cover`).
+    The final matrix is built once from the core coloring, on failure too.
+    """
+    cfg = config or EngineConfig()
+    budget = cfg.repair_budget if cfg.repair_budget is not None else inst.n * inst.n
+    trace: Optional[list[TraceEvent]] = [] if cfg.trace_enabled else None
+    core, total, reason = color_cover(inst, budget, trace)
+    matrix = ColorMatrix.for_instance(inst)
+    inc = inst.incidence_map
+    for v, x in core.items():
+        matrix.set_block(inc[v], x)
     return ColoringResult(
-        status=STATUS_SUCCESS,
+        status=STATUS_SUCCESS if reason is None else STATUS_FAILED,
+        reason=reason,
         coloring=total,
         final_matrix=matrix,
         trace=trace,

@@ -72,6 +72,15 @@ class TestColor:
         assert code == 1
         assert "reason: budget-exhausted" in out
 
+    @pytest.mark.parametrize("budget", ["-5", "3"])
+    def test_budget_rejected_for_greedy(self, capsys, example_file, budget):
+        code, out, err = run_cli(
+            capsys, "color", str(example_file), "--method", "greedy", "--budget", budget
+        )
+        assert code == 2
+        assert out == ""
+        assert "--budget" in err
+
     def test_trace_output(self, capsys, example_file):
         code, out, _ = run_cli(
             capsys, "color", str(example_file), "--method", "matrix", "--trace"

@@ -165,8 +165,14 @@ class TestGoldenRun:
         assert [(e.vertex, e.color) for e in result.trace] == list(EXAMPLE_ASSIGNMENTS)
 
     def test_snapshot_sequence(self, example):
+        # snapshots are derived: the state after event k replays trace[:k+1]
         result = run_matrix_method(example, EngineConfig(trace_enabled=True))
-        snaps = [e.snapshot for e in result.trace if isinstance(e, Assigned)]
+        start = initial_matrix(example)
+        snaps = [
+            replay_trace(example, result.trace[: k + 1], start)
+            for k, e in enumerate(result.trace)
+            if isinstance(e, Assigned)
+        ]
         assert len(snaps) == 6
         for snap, text in zip(snaps, GOLDEN_STATES):
             assert snap == ColorMatrix.from_text(text)
@@ -326,30 +332,46 @@ class TestTraceProperties:
     @given(inst=instances(max_n=7))
     def test_snapshots_stay_block_consistent(self, inst):
         result = run_matrix_method(inst, EngineConfig(trace_enabled=True))
-        for event in result.trace:
-            snapshot = getattr(event, "snapshot", None)
-            if snapshot is not None:
+        start = initial_matrix(inst)
+        for k, event in enumerate(result.trace):
+            if isinstance(event, (Assigned, RepairRecolored)):
+                snapshot = replay_trace(inst, result.trace[: k + 1], start)
                 matrix_to_coloring(inst, snapshot)  # must not raise
 
     @settings(max_examples=40, deadline=None)
     @given(inst=instances(max_n=7))
     def test_threshold_matches_colors_in_use_at_assignment(self, inst):
-        # when a degree-k vertex is colored, every color in its rows already
-        # appears at least k-1 times there, so the threshold test equals the
-        # plain colors-in-use test
+        # while a degree-k vertex is placed, every color in the rows of it and
+        # of each vertex recolored for it already appears at least k-1 times
+        # there, so the threshold test equals the plain colors-in-use test
         result = run_matrix_method(inst, EngineConfig(trace_enabled=True))
         matrix = initial_matrix(inst)
         inc = inst.incidence_map
+        order = sorted(
+            (v for v, ix in inc.items() if len(ix) > 1),
+            key=lambda v: (-len(inc[v]), inc[v]),
+        )
+        assigned = 0
         for event in result.trace:
-            if isinstance(event, Assigned):
-                k = len(inc[event.vertex])
+            if isinstance(event, (Assigned, RepairRecolored)):
+                k = len(inc[order[assigned]])
                 for row in inc[event.vertex]:
                     assert blocked_colors(matrix, row, k - 1) == blocked_colors(
                         matrix, row, 1
                     )
-            if isinstance(event, (Assigned, RepairRecolored)):
+                assigned += isinstance(event, Assigned)
                 color = event.color if isinstance(event, Assigned) else event.new_color
                 matrix.set_block(inc[event.vertex], color)
+
+    @settings(max_examples=40, deadline=None)
+    @given(inst=instances(max_n=8))
+    def test_greedy_is_engine_without_repair(self, inst):
+        result = run_matrix_method(inst, EngineConfig(trace_enabled=True))
+        greedy = run_greedy(inst)
+        repaired = any(isinstance(e, (RepairRecolored, RepairSkipped)) for e in result.trace)
+        assert greedy.ok == (not repaired)
+        if greedy.ok:
+            assert greedy.coloring == result.coloring
 
     @settings(max_examples=30, deadline=None)
     @given(inst=instances(max_n=7))

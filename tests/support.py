@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from efl.generators import gen_dense, gen_disjoint, gen_random
+from efl.generators import GenSpec, build_random, gen_dense, gen_disjoint, gen_random
 from efl.instance import Instance
 
 
@@ -69,14 +69,19 @@ def brute_chromatic(order: list[str], adj: dict[str, set[str]]) -> int:
     raise AssertionError("unreachable: |V| colors always suffice")
 
 
-def random_corpus(count: int = 500) -> list[Instance]:
-    """The seeded 500-instance corpus with n in 3..10 used across the suite."""
+def corpus_specs(count: int = 500) -> list[GenSpec]:
+    """Generator parameters of the seeded corpus: n in 3..10, extension 20 %."""
     out = []
     for i in range(count):
         n = 3 + i % 8
         merges = (7 * i + 3) % (n * (n - 1) // 2 + 1)
-        out.append(gen_random(n, merges, seed=100000 + i))
+        out.append(GenSpec(kind="random", n=n, seed=100000 + i, merges=merges))
     return out
+
+
+def random_corpus(count: int = 500) -> list[Instance]:
+    """The seeded 500-instance corpus used across the suite."""
+    return [build_random(spec).instance for spec in corpus_specs(count)]
 
 
 @st.composite

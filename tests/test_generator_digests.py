@@ -1,0 +1,51 @@
+"""Byte-identity pins for the seeded random generator.
+
+Each digest is the sha256 over, per spec in order, the serialized instance and
+the ``merges_done,extensions_done`` counts of :func:`build_random`.  The values
+were computed once and must never be updated to follow a code change: a
+mismatch means the generator's output moved, and with it every corpus, fixture
+and benchmark instance built from a seed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import Iterable
+
+from efl.export import serialize_instance
+from efl.generators import GenSpec, build_random
+from support import corpus_specs
+
+
+def _digest(specs: Iterable[GenSpec]) -> str:
+    h = hashlib.sha256()
+    for spec in specs:
+        built = build_random(spec)
+        h.update(serialize_instance(built.instance).encode("utf-8"))
+        h.update(f"{built.merges_done},{built.extensions_done}".encode("utf-8"))
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _grid() -> Iterable[GenSpec]:
+    """n 2..16 with 0, C(n,2)//3 and C(n,2) merges, extension 0, 50 and 100 %, seeds 1 and 2."""
+    for n in range(2, 17):
+        full = n * (n - 1) // 2
+        for merges in (0, full // 3, full):
+            for ext in (0, 50, 100):
+                for seed in (1, 2):
+                    yield GenSpec(
+                        kind="random", n=n, seed=seed, merges=merges, extension_percent=ext
+                    )
+
+
+def test_corpus500():
+    assert _digest(corpus_specs(500)) == (
+        "9f3bbc0bba227a285683c4979eaff0e12ba3a1d4825e32c1b054d3f9ab0cf2e6"
+    )
+
+
+def test_grid():
+    assert _digest(_grid()) == (
+        "25bf41410d8a1724af766810b2114be5bbc524d238d3eb7f23c33e1bb7eb29df"
+    )

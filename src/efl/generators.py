@@ -44,7 +44,6 @@ class GenSpec:
     seed: int = 0
     merges: int = 0
     extension_percent: int = 20
-    debug_validate: bool = False  # validate after every move; for generator debugging
 
     def __post_init__(self):
         if self.kind not in ("disjoint", "dense", "random"):
@@ -98,11 +97,16 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     """Grow a random linear cover from disjoint cliques by identifying vertices.
 
     Each merge picks a disjoint clique pair and fuses one private vertex of
-    each into a fresh vertex ``m<counter>``.  After a successful merge, with
-    probability ``extension_percent``/100 an existing shared vertex is pushed
-    into one more clique that currently misses all of its cliques, raising its
-    clique degree.  Generation stops after ``merges`` successful merges or
+    each into a fresh vertex ``m<k>``, k counting the merges.  After a merge,
+    with probability ``extension_percent``/100 an existing shared vertex is
+    pushed into one more clique that currently misses all of its cliques,
+    raising its clique degree.  Generation stops after ``merges`` merges or
     when no legal move remains; the result always validates.
+
+    Every move replaces a private vertex, so private lists only shrink (and
+    stay sorted), two cliques that meet never stop meeting, and the shared
+    vertices are exactly the ``m<k>``.  The state below is therefore updated
+    in place, never rebuilt.
     """
     if spec.kind != "random":
         raise ValueError("build_random requires a GenSpec of kind 'random'")
@@ -111,75 +115,54 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     cliques: list[list[str]] = [
         [f"v{i}_{j}" for j in range(1, n + 1)] for i in range(1, n + 1)
     ]
-    incidence: dict[str, set[int]] = {
-        t: {i + 1} for i, members in enumerate(cliques) for t in members
-    }
+    # 1-based per clique: its private tokens in sorted order, the cliques it meets
+    private: list[list[str]] = [[]] + [sorted(members) for members in cliques]
+    meets: list[set[int]] = [set() for _ in range(n + 1)]
+    incidence: dict[str, set[int]] = {}  # shared vertices only
 
-    def privates(ci: int) -> list[str]:
-        return sorted(t for t in cliques[ci - 1] if len(incidence[t]) == 1)
-
-    def replace(ci: int, old: str, new: str) -> None:
-        members = cliques[ci - 1]
+    def put(c: int, old: str, new: str) -> None:
+        """Replace the private token ``old`` of clique c by ``new``."""
+        members = cliques[c - 1]
         members[members.index(old)] = new
-        incidence[old].discard(ci)
-        if not incidence[old]:
-            del incidence[old]
-        incidence.setdefault(new, set()).add(ci)
-
-    def checkpoint() -> None:
-        if spec.debug_validate:
-            snapshot = Instance(n, [tuple(c) for c in cliques])
-            if not snapshot.is_valid:
-                raise AssertionError(
-                    "generator broke linearity mid-run: "
-                    + "; ".join(v.message for v in snapshot.validation.violations)
-                )
+        private[c].remove(old)
+        owners = incidence.setdefault(new, set())
+        for k in owners:
+            meets[k].add(c)
+            meets[c].add(k)
+        owners.add(c)
 
     merges_done = 0
     extensions_done = 0
-    counter = 0
     while merges_done < spec.merges:
-        sets = [set(c) for c in cliques]
         candidates = [
             (i, j)
             for i in range(1, n + 1)
+            if private[i]
             for j in range(i + 1, n + 1)
-            if not (sets[i - 1] & sets[j - 1]) and privates(i) and privates(j)
+            if private[j] and j not in meets[i]
         ]
         if not candidates:
             break
         i, j = candidates[rng.below(len(candidates))]
-        pi = privates(i)
-        pj = privates(j)
-        a = pi[rng.below(len(pi))]
-        b = pj[rng.below(len(pj))]
-        counter += 1
-        fresh = f"m{counter}"
-        replace(i, a, fresh)
-        replace(j, b, fresh)
+        a = private[i][rng.below(len(private[i]))]
+        b = private[j][rng.below(len(private[j]))]
         merges_done += 1
-        checkpoint()
+        fresh = f"m{merges_done}"
+        put(i, a, fresh)
+        put(j, b, fresh)
 
         if rng.below(100) < spec.extension_percent:
-            sets = [set(c) for c in cliques]
-            ext_candidates: list[tuple[str, int]] = []
-            for v in sorted(t for t, ix in incidence.items() if len(ix) > 1):
-                owned = incidence[v]
-                for c in range(1, n + 1):
-                    if c in owned:
-                        continue
-                    if not privates(c):
-                        continue
-                    if any(sets[c - 1] & sets[k - 1] for k in owned):
-                        continue
-                    ext_candidates.append((v, c))
+            # a clique holding v meets v's other cliques, so it never qualifies
+            ext_candidates = [
+                (v, c)
+                for v in sorted(incidence)
+                for c in range(1, n + 1)
+                if private[c] and incidence[v].isdisjoint(meets[c])
+            ]
             if ext_candidates:
                 v, c = ext_candidates[rng.below(len(ext_candidates))]
-                pc = privates(c)
-                gone = pc[rng.below(len(pc))]
-                replace(c, gone, v)
+                put(c, private[c][rng.below(len(private[c]))], v)
                 extensions_done += 1
-                checkpoint()
 
     return RandomBuildResult(
         instance=Instance(n, [tuple(c) for c in cliques]),

@@ -76,10 +76,14 @@ class Instance:
 
     @cached_property
     def incidence_map(self) -> dict[VertexId, tuple[int, ...]]:
-        """For every vertex, the ascending 1-based indices of its cliques."""
+        """For every vertex, the ascending 1-based indices of its cliques.
+
+        Vertices appear in input order (first clique, then position), so
+        iterating the map does not depend on string hashing.
+        """
         found: dict[VertexId, list[int]] = {}
-        for i, members in enumerate(self.clique_sets, start=1):
-            for token in members:
+        for i, members in enumerate(self.cliques, start=1):
+            for token in dict.fromkeys(members):
                 found.setdefault(token, []).append(i)
         return {t: tuple(ix) for t, ix in found.items()}
 

@@ -67,15 +67,12 @@ class ColorMatrix:
 
     @classmethod
     def for_instance(cls, inst: Instance) -> "ColorMatrix":
+        """DISJOINT everywhere but the blocks over shared vertices, which are UNASSIGNED."""
         n = inst.n
-        sets = inst.clique_sets
-        rows = [[DISJOINT] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if sets[i] & sets[j]:
-                    rows[i][j] = UNASSIGNED
-                    rows[j][i] = UNASSIGNED
-        return cls(n, rows)
+        matrix = cls(n, [[DISJOINT] * n for _ in range(n)])
+        for ix in inst.incidence_map.values():
+            matrix.set_block(ix, UNASSIGNED)
+        return matrix
 
     @classmethod
     def from_text(cls, text: str) -> "ColorMatrix":
@@ -444,10 +441,10 @@ def run_matrix_method(inst: Instance, config: Optional[EngineConfig] = None) -> 
     budget = cfg.repair_budget if cfg.repair_budget is not None else inst.n * inst.n
     trace: Optional[list[TraceEvent]] = [] if cfg.trace_enabled else None
     core, total, reason = color_cover(inst, budget, trace)
-    matrix = ColorMatrix.for_instance(inst)
-    inc = inst.incidence_map
-    for v, x in core.items():
-        matrix.set_block(inc[v], x)
+    n = inst.n
+    matrix = ColorMatrix(n, [[DISJOINT] * n for _ in range(n)])
+    for v, ix in inst.incidence_map.items():
+        matrix.set_block(ix, core.get(v, UNASSIGNED))
     return ColoringResult(
         status=STATUS_SUCCESS if reason is None else STATUS_FAILED,
         reason=reason,

@@ -19,6 +19,7 @@ from efl.generators import (
     example_instance,
     gen_dense,
     gen_disjoint,
+    gen_random,
 )
 from efl.greedy import check_sy1, check_sy2_all, run_greedy
 from efl.instance import core_subgraph, degree_profile, intersecting_pair_count
@@ -182,6 +183,15 @@ def test_criterion_7_scale_smoke():
         ok = ok and len(degree_profile(inst).degree_of) == len(inst.vertices)
         ok = ok and intersecting_pair_count(inst) == 1225
     _report(7, "scale-smoke", ok)
+
+
+def test_criterion_9_generator_scale():
+    # full C(n,2) merges at n = 40: a generator that rebuilds its state after
+    # every move took about 14 s on a 2.1 GHz Xeon
+    start = time.perf_counter()
+    inst = gen_random(40, 780, seed=1)
+    elapsed = time.perf_counter() - start
+    _report(9, "generator-scale", elapsed < 5.0 and inst.is_valid)
 
 
 def test_criterion_8_determinism(capsys, tmp_path, example_file):

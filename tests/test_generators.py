@@ -114,13 +114,14 @@ class TestRandom:
 
     @settings(max_examples=40)
     @given(
-        n=st.integers(min_value=2, max_value=9),
+        n=st.integers(min_value=2, max_value=12),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
+        extension_percent=st.sampled_from([0, 20, 50, 80, 100]),
         data=st.data(),
     )
-    def test_always_validates(self, n, seed, data):
+    def test_always_validates(self, n, seed, extension_percent, data):
         merges = data.draw(st.integers(min_value=0, max_value=n * (n - 1) // 2))
-        inst = gen_random(n, merges, seed)
+        inst = gen_random(n, merges, seed, extension_percent=extension_percent)
         assert validate(inst).ok
 
     def test_genspec_validation(self):
@@ -130,11 +131,6 @@ class TestRandom:
             GenSpec(kind="weird", n=4)
         with pytest.raises(ValueError):
             gen_random(1, 0, 0)
-
-    def test_debug_mode_checks_every_move(self):
-        for seed in range(4):
-            spec = GenSpec(kind="random", n=6, seed=seed, merges=12, debug_validate=True)
-            assert validate(build_random(spec).instance).ok
 
     def test_build_random_needs_random_kind(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,19 @@ def _grid() -> Iterable[GenSpec]:
                     )
 
 
+def _grid_large() -> Iterable[GenSpec]:
+    """n 17..40 (the benchmark grows covers up to n = 20) with C(n,2)//3 and C(n,2)
+    merges, extension 20 and 80 %, seeds 1 and 2."""
+    for n in (17, 20, 25, 32, 40):
+        full = n * (n - 1) // 2
+        for merges in (full // 3, full):
+            for ext in (20, 80):
+                for seed in (1, 2):
+                    yield GenSpec(
+                        kind="random", n=n, seed=seed, merges=merges, extension_percent=ext
+                    )
+
+
 def test_corpus500():
     assert _digest(corpus_specs(500)) == (
         "9f3bbc0bba227a285683c4979eaff0e12ba3a1d4825e32c1b054d3f9ab0cf2e6"
@@ -48,4 +61,10 @@ def test_corpus500():
 def test_grid():
     assert _digest(_grid()) == (
         "25bf41410d8a1724af766810b2114be5bbc524d238d3eb7f23c33e1bb7eb29df"
+    )
+
+
+def test_grid_large():
+    assert _digest(_grid_large()) == (
+        "9ca5d79c5dd11616acc9df9403e230498dca4e6572be7795f2611b1e29fa4eed"
     )

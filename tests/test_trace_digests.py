@@ -74,3 +74,17 @@ def test_corpus500_greedy(corpus500):
     assert _digest(_greedy_parts(results)) == (
         "d4568c8c144bddc88f835f5246aecbdde2c6dfa3c4b2e60930ef301bbe8f5bf7"
     )
+
+
+def test_dense_51_to_64():
+    results = (run_matrix_method(gen_dense(n), TRACED) for n in range(51, 65))
+    assert _digest(_engine_parts(results)) == (
+        "afdd89f29cd8472219099684098bacd06c587092be1ce6191bdf78fce92db65b"
+    )
+
+
+def test_dense_51_to_64_greedy():
+    results = (run_greedy(gen_dense(n)) for n in range(51, 65))
+    assert _digest(_greedy_parts(results)) == (
+        "a44fa0174de014aa9a3fdcca58ae9f86ad3926c02bc3f9feec118e3afb99a810"
+    )

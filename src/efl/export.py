@@ -51,14 +51,12 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
             lines.append(f'  "{v}";')
         else:
             lines.append(f'  "{v}" [color="{_dot_color(coloring[v])}", style=filled];')
-    seen: set[tuple[str, str]] = set()
+    # a valid cover is linear and repeats no token, so each vertex pair lies
+    # in at most one clique and no edge is written twice
     for members in inst.cliques:
-        group = sorted(set(members))
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                edge = (group[a], group[b])
-                if edge not in seen:
-                    seen.add(edge)
-                    lines.append(f'  "{edge[0]}" -- "{edge[1]}";')
+        group = sorted(members)
+        for a, u in enumerate(group):
+            for w in group[a + 1 :]:
+                lines.append(f'  "{u}" -- "{w}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

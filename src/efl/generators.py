@@ -3,11 +3,14 @@
 The random generator is driven by SplitMix64, a widely documented 64-bit
 pseudorandom generator whose seed is its full state.  Identical generator
 parameters therefore reproduce identical instances on any platform, which the
-test corpora rely on.
+test corpora rely on.  The random generator holds its clique sets as int masks
+(bit c for clique c) and picks each move as the k-th set bit over them, never
+building the list of candidate moves that the draw indexes.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .instance import Instance
@@ -93,6 +96,13 @@ def gen_dense(n: int) -> Instance:
     return Instance(n, cliques)
 
 
+def _nth_bit(mask: int, k: int) -> int:
+    """Index of the k-th (0-based) set bit of mask, counting from the lowest."""
+    for _ in range(k):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
 def build_random(spec: GenSpec) -> RandomBuildResult:
     """Grow a random linear cover from disjoint cliques by identifying vertices.
 
@@ -105,8 +115,18 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
 
     Every move replaces a private vertex, so private lists only shrink (and
     stay sorted), two cliques that meet never stop meeting, and the shared
-    vertices are exactly the ``m<k>``.  The state below is therefore updated
-    in place, never rebuilt.
+    vertices are exactly the ``m<k>``.  A clique meets each other clique in at
+    most one vertex, so at most n-1 of its n vertices are shared and every
+    clique keeps a private vertex.  The state is therefore updated in place,
+    never rebuilt.  Clique sets are int masks with bit c for clique c
+    (1-based): ``meets[c]`` holds the cliques c meets.  The merge candidates
+    of row i are the cliques above i missing from ``meets[i]``, C(n, 2) minus
+    the meeting pairs over all rows; the extension candidates of a shared
+    vertex v are the cliques met by none of v's owners.  A draw walks the rows
+    in ascending order (shared tokens in sorted order), subtracting candidate
+    counts, and takes the k-th set bit of the row it lands in.  So every draw
+    picks the move that a full candidate list would hold at the same index,
+    and no such list is built.
     """
     if spec.kind != "random":
         raise ValueError("build_random requires a GenSpec of kind 'random'")
@@ -115,53 +135,72 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     cliques: list[list[str]] = [
         [f"v{i}_{j}" for j in range(1, n + 1)] for i in range(1, n + 1)
     ]
-    # 1-based per clique: its private tokens in sorted order, the cliques it meets
     private: list[list[str]] = [[]] + [sorted(members) for members in cliques]
-    meets: list[set[int]] = [set() for _ in range(n + 1)]
-    incidence: dict[str, set[int]] = {}  # shared vertices only
+    full = ((1 << n) - 1) << 1  # every clique
+    meets = [0] * (n + 1)
+    meeting = 0  # clique pairs that meet
+    owners: dict[str, list[int]] = {}  # shared vertices only
+    shared: list[str] = []  # the keys of owners in sorted order
 
     def put(c: int, old: str, new: str) -> None:
-        """Replace the private token ``old`` of clique c by ``new``."""
+        """Replace the private token ``old`` of clique c by ``new``.
+
+        c misses every clique holding ``new``, so each pair it joins is new.
+        """
+        nonlocal meeting
         members = cliques[c - 1]
         members[members.index(old)] = new
         private[c].remove(old)
-        owners = incidence.setdefault(new, set())
-        for k in owners:
-            meets[k].add(c)
-            meets[c].add(k)
-        owners.add(c)
+        holders = owners[new]
+        for k in holders:
+            meets[k] |= 1 << c
+            meets[c] |= 1 << k
+        meeting += len(holders)
+        holders.append(c)
 
     merges_done = 0
     extensions_done = 0
     while merges_done < spec.merges:
-        candidates = [
-            (i, j)
-            for i in range(1, n + 1)
-            if private[i]
-            for j in range(i + 1, n + 1)
-            if private[j] and j not in meets[i]
-        ]
-        if not candidates:
+        total = n * (n - 1) // 2 - meeting
+        if not total:
             break
-        i, j = candidates[rng.below(len(candidates))]
+        k = rng.below(total)
+        later = full  # the rows after row i
+        for i in range(1, n + 1):
+            later &= later - 1
+            partners = later & ~meets[i]
+            if k < (count := partners.bit_count()):
+                break
+            k -= count
+        j = _nth_bit(partners, k)
         a = private[i][rng.below(len(private[i]))]
         b = private[j][rng.below(len(private[j]))]
         merges_done += 1
         fresh = f"m{merges_done}"
+        owners[fresh] = []
+        insort(shared, fresh)
         put(i, a, fresh)
         put(j, b, fresh)
 
         if rng.below(100) < spec.extension_percent:
             # a clique holding v meets v's other cliques, so it never qualifies
-            ext_candidates = [
-                (v, c)
-                for v in sorted(incidence)
-                for c in range(1, n + 1)
-                if private[c] and incidence[v].isdisjoint(meets[c])
-            ]
-            if ext_candidates:
-                v, c = ext_candidates[rng.below(len(ext_candidates))]
-                put(c, private[c][rng.below(len(private[c]))], v)
+            targets = []
+            total = 0
+            for v in shared:
+                met = 0
+                for o in owners[v]:
+                    met |= meets[o]
+                missed = full & ~met
+                targets.append(missed)
+                total += missed.bit_count()
+            if total:
+                k = rng.below(total)
+                t = 0
+                while k >= (count := targets[t].bit_count()):
+                    k -= count
+                    t += 1
+                c = _nth_bit(targets[t], k)
+                put(c, private[c][rng.below(len(private[c]))], shared[t])
                 extensions_done += 1
 
     return RandomBuildResult(

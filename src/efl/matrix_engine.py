@@ -8,13 +8,16 @@ receives the least color that does not already appear at least k-1 times in any
 of its incident rows, written into every cell of its block.
 
 The engine keeps that matrix implicitly as per-row color ownership:
-``rows[i][c]`` is the core vertex colored c in clique i.  A colored vertex w
-of clique degree d fills d-1 cells of each of its rows, and under the
-non-increasing order every colored vertex has degree at least k when a
-degree-k vertex is placed.  So every color present in a row already appears
-at least k-1 times there, and the paper's threshold test equals "color owned in
-the row".  :func:`blocked_colors` keeps the paper's form as the reference the
-tests compare against, and the final matrix is built once from the coloring.
+``rows[i][c]`` is the core vertex colored c in clique i, and the int mask
+``used[i]`` has bit c set exactly while color c is owned in row i.  The colors
+free for a vertex are ``full & ~(used[i] | used[j] | ...)`` over its rows,
+and the least of them is the lowest set bit.  A colored vertex w of clique
+degree d fills d-1 cells of each of its rows, and under the non-increasing
+order every colored vertex has degree at least k when a degree-k vertex is
+placed.  So every color present in a row already appears at least k-1 times
+there, and the paper's threshold test equals "color owned in the row".
+:func:`blocked_colors` keeps the paper's form as the reference the tests
+compare against, and the final matrix is built once from the coloring.
 
 When all n colors are blocked, a repair pass recolors previously placed
 vertices to free one.  Plain one-vertex recolors alone provably cannot finish
@@ -233,13 +236,32 @@ class ColoringResult:
         return self.status == STATUS_SUCCESS
 
 
-def _free_colors(rows: list[dict[int, str]], ix: Sequence[int], palette: set[int]) -> set[int]:
-    """Colors of the palette owned in none of the rows ``ix``."""
-    return palette.difference(*(rows[i] for i in ix))
+def _free_mask(used: list[int], ix: Sequence[int], full: int) -> int:
+    """Colors of ``full`` owned in none of the rows ``ix``, as a mask (bit c for color c)."""
+    taken = 0
+    for i in ix:
+        taken |= used[i]
+    return full & ~taken
+
+
+def _least(mask: int) -> int:
+    """The least color of a non-empty color mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _colors(mask: int) -> list[int]:
+    """The colors of a color mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _recolor(
     rows: list[dict[int, str]],
+    used: list[int],
     color: dict[str, int],
     inc: dict[str, tuple[int, ...]],
     v: str,
@@ -249,19 +271,23 @@ def _recolor(
 
     A row entry is dropped only while v still owns it: inside a path swap the
     vertex written just before v may already have taken over v's old color in
-    the row they share.
+    the row they share.  ``used[i]`` keeps bit c set exactly while c is owned
+    in row i.
     """
     old = color.get(v)
     for i in inc[v]:
         row = rows[i]
         if row.get(old) == v:
             del row[old]
+            used[i] &= ~(1 << old)
         row[x] = v
+        used[i] |= 1 << x
     color[v] = x
 
 
 def _fan_path_plan(
     rows: list[dict[int, str]],
+    used: list[int],
     color: dict[str, int],
     inc: dict[str, tuple[int, ...]],
     u: str,
@@ -277,18 +303,19 @@ def _fan_path_plan(
     """
     row_a, row_b = inc[u]
     work = [dict(r) for r in rows]
+    work_used = list(used)
     work_color = dict(color)
     writes: list[tuple[str, int]] = []
-    palette = set(range(1, n + 1))
+    full = ((1 << n) - 1) << 1
 
-    def free(r: int) -> list[int]:
-        return sorted(_free_colors(work, (r,), palette))
+    def free(r: int) -> int:
+        return full & ~work_used[r]
 
     def across(w: str, r: int) -> int:
         return inc[w][0] if inc[w][1] == r else inc[w][1]
 
     def write(v: str, x: int) -> None:
-        _recolor(work, work_color, inc, v, x)
+        _recolor(work, work_used, work_color, inc, v, x)
         writes.append((v, x))
 
     # maximal fan from row_b: each next row is reached through a 2-clique
@@ -296,7 +323,7 @@ def _fan_path_plan(
     fan = [row_b]
     spokes: list[str] = []
     while True:
-        for cand in free(fan[-1]):
+        for cand in _colors(free(fan[-1])):
             w = work[row_a].get(cand)
             if w is None or len(inc[w]) != 2 or across(w, row_a) in fan:
                 continue
@@ -310,10 +337,10 @@ def _fan_path_plan(
     free_last = free(fan[-1])
     if not free_a or not free_last:
         return None
-    c = free_a[0]
-    d = free_last[0]
+    c = _least(free_a)
+    d = _least(free_last)
 
-    if d not in free_a:
+    if not free_a >> d & 1:
         # read-only walk of the maximal c/d-alternating path from row_a,
         # then swap the two colors along it
         path: list[tuple[str, int]] = []
@@ -327,7 +354,7 @@ def _fan_path_plan(
         for w, had in path:
             write(w, c if had == d else d)
 
-    target = next((idx for idx, f in enumerate(fan) if d in free(f)), None)
+    target = next((idx for idx, f in enumerate(fan) if free(f) >> d & 1), None)
     if target is None:
         return None
     if target >= 1:
@@ -343,7 +370,7 @@ def _fan_path_plan(
                 return None
             write(members[idx - 1], shifted)
 
-    if not set(free(row_a)) & set(free(row_b)):
+    if not free(row_a) & free(row_b):
         return None
     # conflict-free: every colored vertex still owns its color in each row
     if any(work[i].get(x) != v for v, x in work_color.items() for i in inc[v]):
@@ -372,9 +399,10 @@ def color_cover(
 
     require_valid(inst)
     n = inst.n
-    palette = set(range(1, n + 1))
+    full = ((1 << n) - 1) << 1  # every color 1..n
     inc = {v: ix for v, ix in inst.incidence_map.items() if len(ix) > 1}
     rows: list[dict[int, str]] = [{} for _ in range(n + 1)]  # 1-based cliques
+    used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
     core: dict[str, int] = {}
     budget_used = 0
 
@@ -389,20 +417,20 @@ def color_cover(
             return REASON_NO_COLOR_AVAILABLE
         owners = {v for i in inc[u] for v in rows[i].values()}
         for v in sorted(owners - recolored_this_episode, key=inc.__getitem__):
-            free_v = _free_colors(rows, inc[v], palette)
+            free_v = _free_mask(used, inc[v], full)
             if not free_v:
                 record(RepairSkipped(v))
                 continue
             if budget_used >= repair_budget:
                 record(BudgetExhausted())
                 return REASON_BUDGET_EXHAUSTED
-            x = min(free_v)
+            x = _least(free_v)
             record(RepairRecolored(v, core[v], x))
-            _recolor(rows, core, inc, v, x)
+            _recolor(rows, used, core, inc, v, x)
             budget_used += 1
             recolored_this_episode.add(v)
             return None
-        plan = _fan_path_plan(rows, core, inc, u, n) if len(inc[u]) == 2 else None
+        plan = _fan_path_plan(rows, used, core, inc, u, n) if len(inc[u]) == 2 else None
         if not plan:
             return REASON_STUCK_NO_REPAIR
         if budget_used + len(plan) > repair_budget:
@@ -410,18 +438,18 @@ def color_cover(
             return REASON_BUDGET_EXHAUSTED
         for v, x in plan:
             record(RepairRecolored(v, core[v], x))
-            _recolor(rows, core, inc, v, x)
+            _recolor(rows, used, core, inc, v, x)
         budget_used += len(plan)
         return None
 
     for u in sorted(inc, key=lambda v: (-len(inc[v]), inc[v])):
         recolored_this_episode: set[str] = set()
-        while not (free_u := _free_colors(rows, inc[u], palette)):
+        while not (free_u := _free_mask(used, inc[u], full)):
             reason = repair_step(u, recolored_this_episode)
             if reason is not None:
                 return core, None, reason
-        x = min(free_u)
-        _recolor(rows, core, inc, u, x)
+        x = _least(free_u)
+        _recolor(rows, used, core, inc, u, x)
         record(Assigned(u, x))
 
     total = extend_to_full(inst, core)

@@ -3,14 +3,23 @@
 The oracles here deliberately ignore the library's own data paths: core edges
 come from a direct pairwise incidence scan, properness from an all-pairs scan,
 and chromatic numbers from plain fixed-order backtracking with no ordering
-heuristics, bounds, or symmetry breaking beyond feasibility.
+heuristics, bounds, or symmetry breaking beyond feasibility.  The random
+generator's reference builds every candidate list in full before each draw.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from efl.generators import GenSpec, build_random, gen_dense, gen_disjoint, gen_random
+from efl.generators import (
+    GenSpec,
+    RandomBuildResult,
+    SplitMix64,
+    build_random,
+    gen_dense,
+    gen_disjoint,
+    gen_random,
+)
 from efl.instance import Instance
 
 
@@ -67,6 +76,71 @@ def brute_chromatic(order: list[str], adj: dict[str, set[str]]) -> int:
         if brute_k_colorable(order, adj, k):
             return k
     raise AssertionError("unreachable: |V| colors always suffice")
+
+
+def reference_build_random(spec: GenSpec) -> RandomBuildResult:
+    """:func:`efl.generators.build_random` with every candidate list built in full.
+
+    Merge candidates are the clique pairs (i, j), i < j, both with a private
+    vertex, that do not meet; extension candidates are the pairs (v, c), v a
+    shared vertex in sorted order, c a clique with a private vertex that meets
+    none of v's cliques.  Each draw indexes the list, so the library must pick
+    the same move from the same SplitMix64 stream.
+    """
+    n = spec.n
+    rng = SplitMix64(spec.seed)
+    cliques = [[f"v{i}_{j}" for j in range(1, n + 1)] for i in range(1, n + 1)]
+    private: list[list[str]] = [[]] + [sorted(members) for members in cliques]
+    meets: list[set[int]] = [set() for _ in range(n + 1)]
+    incidence: dict[str, set[int]] = {}  # shared vertices only
+
+    def put(c: int, old: str, new: str) -> None:
+        members = cliques[c - 1]
+        members[members.index(old)] = new
+        private[c].remove(old)
+        owners = incidence.setdefault(new, set())
+        for k in owners:
+            meets[k].add(c)
+            meets[c].add(k)
+        owners.add(c)
+
+    merges_done = 0
+    extensions_done = 0
+    while merges_done < spec.merges:
+        candidates = [
+            (i, j)
+            for i in range(1, n + 1)
+            if private[i]
+            for j in range(i + 1, n + 1)
+            if private[j] and j not in meets[i]
+        ]
+        if not candidates:
+            break
+        i, j = candidates[rng.below(len(candidates))]
+        a = private[i][rng.below(len(private[i]))]
+        b = private[j][rng.below(len(private[j]))]
+        merges_done += 1
+        fresh = f"m{merges_done}"
+        put(i, a, fresh)
+        put(j, b, fresh)
+
+        if rng.below(100) < spec.extension_percent:
+            ext_candidates = [
+                (v, c)
+                for v in sorted(incidence)
+                for c in range(1, n + 1)
+                if private[c] and incidence[v].isdisjoint(meets[c])
+            ]
+            if ext_candidates:
+                v, c = ext_candidates[rng.below(len(ext_candidates))]
+                put(c, private[c][rng.below(len(private[c]))], v)
+                extensions_done += 1
+
+    return RandomBuildResult(
+        instance=Instance(n, [tuple(c) for c in cliques]),
+        merges_done=merges_done,
+        extensions_done=extensions_done,
+    )
 
 
 def corpus_specs(count: int = 500) -> list[GenSpec]:

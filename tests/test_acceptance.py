@@ -194,6 +194,16 @@ def test_criterion_9_generator_scale():
     _report(9, "generator-scale", elapsed < 5.0 and inst.is_valid)
 
 
+def test_generator_scale_n60():
+    # full C(n,2) merges at n = 60: a generator that builds every candidate
+    # list before each draw took about 1.7 s on a 2.1 GHz Xeon
+    start = time.perf_counter()
+    valid = gen_random(60, 1770, seed=1).is_valid
+    elapsed = time.perf_counter() - start
+    assert valid
+    assert elapsed < 5.0, f"gen_random(60, 1770) and its validation took {elapsed:.2f} s"
+
+
 def test_criterion_8_determinism(capsys, tmp_path, example_file):
     commands = [
         ["trace-example"],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efl.export import serialize_instance
 from efl.generators import (
     GenSpec,
     SplitMix64,
@@ -22,6 +23,7 @@ from efl.instance import (
     shared_vertex,
     validate,
 )
+from support import reference_build_random
 
 
 class TestSplitMix64:
@@ -123,6 +125,28 @@ class TestRandom:
         merges = data.draw(st.integers(min_value=0, max_value=n * (n - 1) // 2))
         inst = gen_random(n, merges, seed, extension_percent=extension_percent)
         assert validate(inst).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=24),
+        seed=st.one_of(
+            st.sampled_from([0, 2**64 - 1]), st.integers(min_value=0, max_value=2**64 - 1)
+        ),
+        extension_percent=st.integers(min_value=0, max_value=100),
+        data=st.data(),
+    )
+    def test_matches_reference(self, n, seed, extension_percent, data):
+        merges = data.draw(st.integers(min_value=0, max_value=n * (n - 1) // 2))
+        spec = GenSpec(
+            kind="random", n=n, seed=seed, merges=merges, extension_percent=extension_percent
+        )
+        got = build_random(spec)
+        want = reference_build_random(spec)
+        assert serialize_instance(got.instance) == serialize_instance(want.instance)
+        assert (got.merges_done, got.extensions_done) == (
+            want.merges_done,
+            want.extensions_done,
+        )
 
     def test_genspec_validation(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_color(args: argparse.Namespace) -> int:
     if args.method == "greedy" and args.budget is not None:
         raise ParseError("--budget applies to --method matrix only")
+    if args.method == "greedy" and args.trace:
+        raise ParseError("--trace applies to --method matrix only")
     inst = _read_instance(args.file)
     if args.method == "matrix":
         cfg = EngineConfig(repair_budget=args.budget, trace_enabled=args.trace)
@@ -207,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="color an instance with n colors")
     p.add_argument("file")
     p.add_argument("--method", choices=("matrix", "greedy"), required=True)
-    p.add_argument("--trace", action="store_true", help="print the engine event log")
+    p.add_argument(
+        "--trace", action="store_true", help="print the engine event log (matrix only)"
+    )
     p.add_argument("--budget", type=int, default=None, help="repair budget (matrix only)")
     p.add_argument("--out", choices=("text", "structured"), default="text")
     p.add_argument("--dot", metavar="FILE", default=None, help="write a colored DOT file")

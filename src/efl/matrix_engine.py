@@ -26,9 +26,10 @@ up flipping a single vertex back and forth), so the repair escalates: first the
 scan of single legal recolors, then, for a stuck vertex shared by exactly two
 cliques, a fan-and-alternating-path recoloring in the style of the constructive
 proof of Vizing's theorem, planned on a scratch copy of the row state and
-committed only when it verifiably frees a color.  Every recolor counts against
-a budget; runs that exhaust it, or that find no applicable repair, fail loudly
-with their trace.  With repair switched off the same loop is the
+kept only when it verifiably frees a color.  Each stage only plans a list of
+writes; one commit step charges every write against a budget, records it and
+applies it.  Runs that exhaust the budget, or that find no applicable repair,
+fail loudly with their trace.  With repair switched off the same loop is the
 degree-ordered greedy of :mod:`efl.greedy`.
 
 On success the core coloring extends clique by clique to a total n-coloring:
@@ -67,15 +68,6 @@ class ColorMatrix:
     def __init__(self, n: int, rows: Sequence[Sequence[int]]):
         self.n = n
         self._rows = [list(r) for r in rows]
-
-    @classmethod
-    def for_instance(cls, inst: Instance) -> "ColorMatrix":
-        """DISJOINT everywhere but the blocks over shared vertices, which are UNASSIGNED."""
-        n = inst.n
-        matrix = cls(n, [[DISJOINT] * n for _ in range(n)])
-        for ix in inst.incidence_map.values():
-            matrix.set_block(ix, UNASSIGNED)
-        return matrix
 
     @classmethod
     def from_text(cls, text: str) -> "ColorMatrix":
@@ -137,10 +129,20 @@ class ColorMatrix:
         return f"ColorMatrix(n={self.n})"
 
 
+def _block_matrix(inst: Instance, core: dict[str, int]) -> ColorMatrix:
+    """DISJOINT but for the blocks over shared vertices, which hold the core
+    color, or UNASSIGNED for a vertex without one."""
+    n = inst.n
+    matrix = ColorMatrix(n, [[DISJOINT] * n for _ in range(n)])
+    for v, ix in inst.incidence_map.items():
+        matrix.set_block(ix, core.get(v, UNASSIGNED))
+    return matrix
+
+
 def initial_matrix(inst: Instance) -> ColorMatrix:
     """The intersection matrix: DISJOINT exactly on the diagonal and empty pairs."""
     require_valid(inst)
-    return ColorMatrix.for_instance(inst)
+    return _block_matrix(inst, {})
 
 
 def blocked_colors(matrix: ColorMatrix, i: int, threshold: int) -> set[int]:
@@ -370,6 +372,7 @@ def _fan_path_plan(
                 return None
             write(members[idx - 1], shifted)
 
+    # a guard: by the fan argument some color is always free in both rows here
     if not free(row_a) & free(row_b):
         return None
     # conflict-free: every colored vertex still owns its color in each row
@@ -387,13 +390,15 @@ def color_cover(
     the lexicographically smallest incidence tuple, each with the least color
     owned in none of its rows.  ``repair_budget=None`` switches repair off: a
     vertex with all n colors blocked then fails the run with
-    ``no-color-available``.  Otherwise the repair scan walks the owners in the
-    stuck vertex's rows in incidence order, skipping fully blocked ones; after
-    a successful recolor the scan restarts with skips forgotten, but a vertex
-    is recolored at most once per stuck episode.  When the scan runs dry the
-    fan-and-path escalation takes over; every write counts against the budget.
-    On success the core coloring is extended and certified by ``verify_proper``
-    with at most n colors; ``total`` is None exactly when ``reason`` is set.
+    ``no-color-available``.  Otherwise each repair stage only plans a list of
+    ``(vertex, color)`` writes, and one commit charges the budget, records and
+    writes it.  The first stage scans the owners in the stuck vertex's rows in
+    incidence order, skipping fully blocked ones, and plans the least free
+    color of the first one not yet tried in this stuck episode; after each
+    commit the scan restarts with skips forgotten.  When the scan runs dry the
+    fan-and-path plan takes over for a vertex in two cliques.  On success the
+    core coloring is extended and certified by ``verify_proper`` with at most
+    n colors; ``total`` is None exactly when ``reason`` is set.
     """
     from .oracle import verify_proper  # local import: oracle depends on instance only
 
@@ -410,44 +415,39 @@ def color_cover(
         if trace is not None:
             trace.append(ev)
 
-    def repair_step(u: str, recolored_this_episode: set[str]) -> Optional[str]:
-        """Make one repair step for stuck u; returns the reason if the run must fail."""
-        nonlocal budget_used
-        if repair_budget is None:
-            return REASON_NO_COLOR_AVAILABLE
-        owners = {v for i in inc[u] for v in rows[i].values()}
-        for v in sorted(owners - recolored_this_episode, key=inc.__getitem__):
-            free_v = _free_mask(used, inc[v], full)
-            if not free_v:
-                record(RepairSkipped(v))
-                continue
-            if budget_used >= repair_budget:
-                record(BudgetExhausted())
-                return REASON_BUDGET_EXHAUSTED
-            x = _least(free_v)
-            record(RepairRecolored(v, core[v], x))
-            _recolor(rows, used, core, inc, v, x)
-            budget_used += 1
-            recolored_this_episode.add(v)
-            return None
-        plan = _fan_path_plan(rows, used, core, inc, u, n) if len(inc[u]) == 2 else None
-        if not plan:
-            return REASON_STUCK_NO_REPAIR
-        if budget_used + len(plan) > repair_budget:
-            record(BudgetExhausted())
-            return REASON_BUDGET_EXHAUSTED
-        for v, x in plan:
-            record(RepairRecolored(v, core[v], x))
-            _recolor(rows, used, core, inc, v, x)
-        budget_used += len(plan)
-        return None
-
     for u in sorted(inc, key=lambda v: (-len(inc[v]), inc[v])):
-        recolored_this_episode: set[str] = set()
+        neighbors: Optional[list[str]] = None
         while not (free_u := _free_mask(used, inc[u], full)):
-            reason = repair_step(u, recolored_this_episode)
-            if reason is not None:
-                return core, None, reason
+            if repair_budget is None:
+                return core, None, REASON_NO_COLOR_AVAILABLE
+            if neighbors is None:
+                # a recolor never moves a vertex out of a row, so u's colored
+                # neighbors stay the same for the whole stuck episode
+                neighbors = sorted(
+                    {v for i in inc[u] for v in rows[i].values()}, key=inc.__getitem__
+                )
+                tried: set[str] = set()
+            plan = None
+            for v in neighbors:
+                if v in tried:
+                    continue
+                free_v = _free_mask(used, inc[v], full)
+                if free_v:
+                    tried.add(v)
+                    plan = [(v, _least(free_v))]
+                    break
+                record(RepairSkipped(v))
+            if plan is None and len(inc[u]) == 2:
+                plan = _fan_path_plan(rows, used, core, inc, u, n)
+            if not plan:
+                return core, None, REASON_STUCK_NO_REPAIR
+            if budget_used + len(plan) > repair_budget:
+                record(BudgetExhausted())
+                return core, None, REASON_BUDGET_EXHAUSTED
+            for v, x in plan:
+                record(RepairRecolored(v, core[v], x))
+                _recolor(rows, used, core, inc, v, x)
+            budget_used += len(plan)
         x = _least(free_u)
         _recolor(rows, used, core, inc, u, x)
         record(Assigned(u, x))
@@ -469,15 +469,11 @@ def run_matrix_method(inst: Instance, config: Optional[EngineConfig] = None) -> 
     budget = cfg.repair_budget if cfg.repair_budget is not None else inst.n * inst.n
     trace: Optional[list[TraceEvent]] = [] if cfg.trace_enabled else None
     core, total, reason = color_cover(inst, budget, trace)
-    n = inst.n
-    matrix = ColorMatrix(n, [[DISJOINT] * n for _ in range(n)])
-    for v, ix in inst.incidence_map.items():
-        matrix.set_block(ix, core.get(v, UNASSIGNED))
     return ColoringResult(
         status=STATUS_SUCCESS if reason is None else STATUS_FAILED,
         reason=reason,
         coloring=total,
-        final_matrix=matrix,
+        final_matrix=_block_matrix(inst, core),
         trace=trace,
     )
 

@@ -70,33 +70,12 @@ def _greedy_clique_size(order: list[str], adj: dict[str, set[str]]) -> int:
     return len(clique)
 
 
-def _dsatur_upper_bound(order: list[str], adj: dict[str, set[str]]) -> int:
-    colors: dict[str, int] = {}
-    neighbor_colors: dict[str, set[int]] = {v: set() for v in order}
-    uncolored = set(order)
-    while uncolored:
-        v = min(
-            uncolored,
-            key=lambda u: (-len(neighbor_colors[u]), -len(adj[u]), u),
-        )
-        c = 1
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        uncolored.discard(v)
-        for u in adj[v]:
-            if u in uncolored:
-                neighbor_colors[u].add(c)
-    return max(colors.values(), default=0)
-
-
 def _k_colorable(order: list[str], adj: dict[str, set[str]], k: int) -> bool:
     """Exhaustive saturation-ordered search for a proper k-coloring.
 
     Color symmetry is broken by never opening more than one fresh color at a
     time; the search is complete, so a False answer proves infeasibility.
     """
-    colors: dict[str, int] = {}
     neighbor_colors: dict[str, set[int]] = {v: set() for v in order}
     uncolored = set(order)
 
@@ -111,7 +90,6 @@ def _k_colorable(order: list[str], adj: dict[str, set[str]], k: int) -> bool:
         for c in range(1, limit + 1):
             if c in neighbor_colors[v]:
                 continue
-            colors[v] = c
             uncolored.discard(v)
             touched = []
             for u in adj[v]:
@@ -123,7 +101,6 @@ def _k_colorable(order: list[str], adj: dict[str, set[str]], k: int) -> bool:
             for u in touched:
                 neighbor_colors[u].discard(c)
             uncolored.add(v)
-            del colors[v]
         return False
 
     return step(0)
@@ -132,9 +109,11 @@ def _k_colorable(order: list[str], adj: dict[str, set[str]], k: int) -> bool:
 def chromatic_number_exact(core: CoreGraph, vertex_limit: int = 40) -> int:
     """Exact chromatic number of a core graph by branch and bound.
 
-    A greedy clique gives the lower bound, DSATUR the upper; candidate counts
-    are closed by complete saturation-ordered search.  Deterministic, and
-    refuses cores above ``vertex_limit`` vertices.
+    Starting at a greedy clique's size, each candidate count k is closed by
+    complete saturation-ordered search until one succeeds.  Once k reaches the
+    DSATUR color count the search's first descent is DSATUR itself and
+    succeeds without backtracking, so no separate upper bound is computed.
+    Deterministic, and refuses cores above ``vertex_limit`` vertices.
     """
     order = list(core.vertices)
     if len(order) > vertex_limit:
@@ -144,12 +123,10 @@ def chromatic_number_exact(core: CoreGraph, vertex_limit: int = 40) -> int:
     if not order:
         return 0
     adj = core.adjacency()
-    lower = _greedy_clique_size(order, adj)
-    upper = _dsatur_upper_bound(order, adj)
-    for k in range(lower, upper):
-        if _k_colorable(order, adj, k):
-            return k
-    return upper
+    k = _greedy_clique_size(order, adj)
+    while not _k_colorable(order, adj, k):
+        k += 1
+    return k
 
 
 def is_n_colorable(inst: Instance, vertex_limit: int = 40) -> bool:

@@ -81,6 +81,14 @@ class TestColor:
         assert out == ""
         assert "--budget" in err
 
+    def test_trace_rejected_for_greedy(self, capsys, example_file):
+        code, out, err = run_cli(
+            capsys, "color", str(example_file), "--method", "greedy", "--trace"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--trace applies to --method matrix only" in err
+
     def test_trace_output(self, capsys, example_file):
         code, out, _ = run_cli(
             capsys, "color", str(example_file), "--method", "matrix", "--trace"

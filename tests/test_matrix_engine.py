@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -24,6 +26,8 @@ from efl.matrix_engine import (
     EngineConfig,
     RepairRecolored,
     RepairSkipped,
+    _fan_path_plan,
+    _recolor,
     blocked_colors,
     extend_to_full,
     initial_matrix,
@@ -382,6 +386,85 @@ class TestTraceProperties:
             assert report.proper and report.max_color <= inst.n
         else:
             assert result.reason in ("budget-exhausted", "stuck-no-repair")
+
+
+def _stuck_state(inst: Instance, rng: random.Random):
+    """A random proper partial core coloring in the engine's row form, built so
+    that a random two-clique vertex u is stuck; None if u keeps a free color.
+
+    u's neighbors are colored first, each preferring a color still free in
+    u's rows; the rest of the core follows, and a vertex with every color
+    blocked stays uncolored.
+    """
+    n = inst.n
+    inc = {v: ix for v, ix in inst.incidence_map.items() if len(ix) > 1}
+    pairs = [v for v, ix in inc.items() if len(ix) == 2]
+    if not pairs:
+        return None
+    u = rng.choice(pairs)
+    rows: list[dict[int, str]] = [{} for _ in range(n + 1)]
+    used = [0] * (n + 1)
+    color: dict[str, int] = {}
+
+    def free(ix):
+        return [c for c in range(1, n + 1) if not any(used[i] >> c & 1 for i in ix)]
+
+    near = [v for v in inc if v != u and set(inc[v]) & set(inc[u])]
+    rest = [v for v in inc if v != u and v not in near]
+    rng.shuffle(near)
+    rng.shuffle(rest)
+    for v in near + rest:
+        legal = free(inc[v])
+        fresh = [c for c in legal if c in free(inc[u])]
+        if legal:
+            _recolor(rows, used, color, inc, v, rng.choice(fresh or legal))
+    if free(inc[u]):
+        return None
+    return rows, used, color, inc, u
+
+
+class TestFanPathPlan:
+    """The escalation on random stuck states, not only on states an engine run
+    reaches.  A plan that is returned must free a color in both of u's rows and
+    leave every row conflict-free."""
+
+    @staticmethod
+    def _plans(extension_percent: int, seeds: int):
+        for seed in range(seeds):
+            rng = random.Random(seed)
+            n = rng.randint(4, 10)
+            inst = gen_random(n, n * (n - 1) // 2, seed, extension_percent)
+            state = _stuck_state(inst, rng)
+            if state is None:
+                continue
+            rows, used, color, inc, u = state
+            plan = _fan_path_plan(rows, used, color, inc, u, n)
+            if plan is not None:
+                assert all(v in color for v, _ in plan)
+                for v, x in plan:
+                    _recolor(rows, used, color, inc, v, x)
+                full = ((1 << n) - 1) << 1
+                assert full & ~(used[inc[u][0]] | used[inc[u][1]])
+                for i in range(1, n + 1):
+                    assert used[i] == sum(1 << c for c in rows[i])
+                assert all(rows[i].get(x) == v for v, x in color.items() for i in inc[v])
+            yield plan
+
+    def test_two_clique_covers_never_abort(self):
+        # with every shared vertex in two cliques the cover is a graph on the
+        # n cliques of maximum degree at most n-1 (a clique meets each other
+        # clique at most once), so n colors suffice by Vizing's argument and
+        # the fan-and-path plan exists
+        plans = list(self._plans(0, 300))
+        assert len(plans) == 300
+        assert None not in plans
+        assert max(len(p) for p in plans) >= 8  # long paths and fan rotations occur
+
+    def test_mixed_covers_plan_or_abort(self):
+        plans = list(self._plans(50, 300))
+        assert len(plans) >= 100
+        assert any(p is None for p in plans)
+        assert any(p is not None and len(p) >= 3 for p in plans)
 
 
 GAP_N8_TRACE = """

@@ -4,7 +4,8 @@ The oracles here deliberately ignore the library's own data paths: core edges
 come from a direct pairwise incidence scan, properness from an all-pairs scan,
 and chromatic numbers from plain fixed-order backtracking with no ordering
 heuristics, bounds, or symmetry breaking beyond feasibility.  The random
-generator's reference builds every candidate list in full before each draw.
+generator's reference builds every candidate list in full before each draw,
+and the exact-χ reference is the earlier set-based saturation search.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from efl.generators import (
     gen_disjoint,
     gen_random,
 )
-from efl.instance import Instance
+from efl.instance import CoreGraph, Instance
 
 
 def brute_core_edges(inst: Instance) -> set[tuple[str, str]]:
@@ -76,6 +77,57 @@ def brute_chromatic(order: list[str], adj: dict[str, set[str]]) -> int:
         if brute_k_colorable(order, adj, k):
             return k
     raise AssertionError("unreachable: |V| colors always suffice")
+
+
+def reference_chromatic(core: CoreGraph) -> int:
+    """:func:`efl.oracle.chromatic_number_exact` on sets, without a vertex limit.
+
+    k starts at a greedy clique's size and rises until a saturation-ordered
+    search (saturation, then degree, then token; least color first; at most
+    one fresh color per step) finds a proper k-coloring.
+    """
+    order = list(core.vertices)
+    if not order:
+        return 0
+    adj = core.adjacency()
+    clique: list[str] = []
+    for v in sorted(order, key=lambda v: (-len(adj[v]), v)):
+        if all(v in adj[u] for u in clique):
+            clique.append(v)
+
+    def k_colorable(k: int) -> bool:
+        neighbor_colors: dict[str, set[int]] = {v: set() for v in order}
+        uncolored = set(order)
+
+        def step(used: int) -> bool:
+            if not uncolored:
+                return True
+            v = min(
+                uncolored,
+                key=lambda u: (-len(neighbor_colors[u]), -len(adj[u]), u),
+            )
+            for c in range(1, min(k, used + 1) + 1):
+                if c in neighbor_colors[v]:
+                    continue
+                uncolored.discard(v)
+                touched = []
+                for u in adj[v]:
+                    if u in uncolored and c not in neighbor_colors[u]:
+                        neighbor_colors[u].add(c)
+                        touched.append(u)
+                if step(max(used, c)):
+                    return True
+                for u in touched:
+                    neighbor_colors[u].discard(c)
+                uncolored.add(v)
+            return False
+
+        return step(0)
+
+    k = len(clique)
+    while not k_colorable(k):
+        k += 1
+    return k
 
 
 def reference_build_random(spec: GenSpec) -> RandomBuildResult:

@@ -3,11 +3,11 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from efl.errors import CoreSizeLimitError, IncompleteColoringError
-from efl.generators import gen_dense, gen_disjoint
+from efl.generators import gen_dense, gen_disjoint, gen_random
 from efl.instance import core_subgraph
 from efl.matrix_engine import run_matrix_method
 from efl.oracle import (
@@ -17,7 +17,7 @@ from efl.oracle import (
     theorem_identity,
     verify_proper,
 )
-from support import brute_chromatic, brute_is_proper, instances
+from support import brute_chromatic, brute_is_proper, instances, reference_chromatic
 
 
 class TestVerifyProper:
@@ -101,6 +101,21 @@ class TestChromaticNumberExact:
             return
         expected = brute_chromatic(list(core.vertices), core.adjacency())
         assert chromatic_number_exact(core) == expected
+
+    # Cores above 28 vertices are skipped: near-dense n = 9 cores of 29..35
+    # vertices take the set-based reference seconds to minutes each.
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=10),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        extension=st.integers(min_value=0, max_value=100),
+    )
+    def test_matches_reference(self, n, data, seed, extension):
+        merges = data.draw(st.integers(min_value=0, max_value=n * (n - 1) // 2))
+        core = core_subgraph(gen_random(n, merges, seed, extension))
+        assume(len(core.vertices) <= 28)
+        assert chromatic_number_exact(core) == reference_chromatic(core)
 
 
 class TestIsNColorable:

@@ -14,7 +14,7 @@ vertices induce the core graph, which is all that matters for n-coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -126,12 +126,33 @@ class CoreGraph:
     """Subgraph induced by the vertices of clique degree greater than one.
 
     Two core vertices are adjacent exactly when their incidence lists meet,
-    i.e. when some clique contains both.
+    i.e. when some clique contains both.  Only the vertices and their
+    incidence lists are stored; the edge list is derived on first use, so a
+    core that is refused for its size never builds it.
     """
 
     vertices: tuple[VertexId, ...]
-    edges: tuple[tuple[VertexId, VertexId], ...]
-    incidence: dict[VertexId, tuple[int, ...]] = field(default_factory=dict)
+    incidence: dict[VertexId, tuple[int, ...]]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
+        """Sorted pairs (u, v), u < v, of core vertices sharing a clique."""
+        rows: dict[int, list[VertexId]] = {}
+        for v in self.vertices:
+            for c in self.incidence[v]:
+                rows.setdefault(c, []).append(v)
+        # core vertices inside one clique are pairwise adjacent; the union
+        # over cliques is exactly the pairs with intersecting incidence lists
+        return tuple(
+            sorted(
+                {
+                    (group[a], group[b])
+                    for group in rows.values()
+                    for a in range(len(group))
+                    for b in range(a + 1, len(group))
+                }
+            )
+        )
 
     def adjacency(self) -> dict[VertexId, set[VertexId]]:
         adj: dict[VertexId, set[VertexId]] = {v: set() for v in self.vertices}
@@ -293,20 +314,7 @@ def core_subgraph(inst: Instance) -> CoreGraph:
     require_valid(inst)
     inc = inst.incidence_map
     core = sorted(v for v, ix in inc.items() if len(ix) > 1)
-    core_set = set(core)
-    edges: set[tuple[VertexId, VertexId]] = set()
-    # core vertices inside one clique are pairwise adjacent; the union over
-    # cliques is exactly the pairs with intersecting incidence lists
-    for members in inst.clique_sets:
-        group = sorted(t for t in members if t in core_set)
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                edges.add((group[a], group[b]))
-    return CoreGraph(
-        vertices=tuple(core),
-        edges=tuple(sorted(edges)),
-        incidence={v: inc[v] for v in core},
-    )
+    return CoreGraph(vertices=tuple(core), incidence={v: inc[v] for v in core})
 
 
 def degree_profile(inst: Instance) -> DegreeProfile:

@@ -2,7 +2,10 @@
 and the combinatorial identity and bound that every legal cover must satisfy.
 
 The exact solver is deliberately independent of both coloring engines so that
-their successes can be cross-checked against it.
+their successes can be cross-checked against it.  It works on int bitmasks
+over the core vertices (bit i for ``core.vertices[i]``) and starts its search
+at the best of three lower bounds: a greedy clique, the largest clique row and
+the packing bound.
 """
 
 from __future__ import annotations
@@ -61,70 +64,134 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
     )
 
 
-def _greedy_clique_size(order: list[str], adj: dict[str, set[str]]) -> int:
-    by_degree = sorted(order, key=lambda v: (-len(adj[v]), v))
-    clique: list[str] = []
+def _core_masks(core: CoreGraph) -> tuple[list[int], list[int]]:
+    """Row masks and adjacency masks, bit i for ``core.vertices[i]``.
+
+    A row mask holds the core vertices of one clique, which are pairwise
+    adjacent; a vertex's adjacency mask is the OR of its rows minus itself.
+    """
+    rows: dict[int, int] = {}
+    for i, v in enumerate(core.vertices):
+        for c in core.incidence[v]:
+            rows[c] = rows.get(c, 0) | 1 << i
+    adj = []
+    for i, v in enumerate(core.vertices):
+        mask = 0
+        for c in core.incidence[v]:
+            mask |= rows[c]
+        adj.append(mask & ~(1 << i))
+    return list(rows.values()), adj
+
+
+def _greedy_clique_size(adj: list[int], by_degree: list[int]) -> int:
+    clique = 0
     for v in by_degree:
-        if all(v in adj[u] for u in clique):
-            clique.append(v)
-    return len(clique)
+        if adj[v] & clique == clique:
+            clique |= 1 << v
+    return clique.bit_count()
 
 
-def _k_colorable(order: list[str], adj: dict[str, set[str]], k: int) -> bool:
+def _packing_bound(core: CoreGraph, row_count: int) -> int:
+    """⌈|core| / α⌉, α the most core vertices whose clique lists fit in the rows.
+
+    A color class holds pairwise non-adjacent core vertices, whose clique
+    lists are pairwise disjoint, so its degrees sum to at most ``row_count``;
+    the largest such class takes the smallest degrees first.
+    """
+    alpha = total = 0
+    for d in sorted(len(core.incidence[v]) for v in core.vertices):
+        total += d
+        if total > row_count:
+            break
+        alpha += 1
+    return -(-len(core.vertices) // alpha)
+
+
+def _k_colorable(adj: list[int], by_degree: list[int], k: int) -> bool:
     """Exhaustive saturation-ordered search for a proper k-coloring.
 
-    Color symmetry is broken by never opening more than one fresh color at a
-    time; the search is complete, so a False answer proves infeasibility.
+    The next vertex has the most distinct colors among its neighbours, then
+    the highest degree, then the least token (``by_degree`` lists vertices by
+    degree, then token).  Colors are tried least first, and color symmetry is
+    broken by never opening more than one fresh color at a time; the search
+    is complete, so a False answer proves infeasibility.  Bit c of ``seen[u]``
+    marks color c at a colored neighbour of u.
     """
-    neighbor_colors: dict[str, set[int]] = {v: set() for v in order}
-    uncolored = set(order)
+    seen = [0] * len(adj)
+    saturation = [0] * len(adj)
 
-    def step(used: int) -> bool:
+    def step(uncolored: int, used: int) -> bool:
         if not uncolored:
             return True
-        v = min(
-            uncolored,
-            key=lambda u: (-len(neighbor_colors[u]), -len(adj[u]), u),
-        )
-        limit = min(k, used + 1)
-        for c in range(1, limit + 1):
-            if c in neighbor_colors[v]:
-                continue
-            uncolored.discard(v)
+        best = -1
+        v = 0
+        for u in by_degree:
+            if uncolored >> u & 1 and saturation[u] > best:
+                v, best = u, saturation[u]
+        uncolored ^= 1 << v
+        free = ~seen[v] & ((2 << min(k, used + 1)) - 2)
+        while free:
+            bit = free & -free
+            free ^= bit
             touched = []
-            for u in adj[v]:
-                if u in uncolored and c not in neighbor_colors[u]:
-                    neighbor_colors[u].add(c)
+            rest = adj[v] & uncolored
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                if not seen[u] & bit:
+                    seen[u] |= bit
+                    saturation[u] += 1
                     touched.append(u)
-            if step(max(used, c)):
+            if step(uncolored, max(used, bit.bit_length() - 1)):
                 return True
             for u in touched:
-                neighbor_colors[u].discard(c)
-            uncolored.add(v)
+                seen[u] ^= bit
+                saturation[u] -= 1
         return False
 
-    return step(0)
+    return step((1 << len(adj)) - 1, 0)
+
+
+def _search_setup(
+    core: CoreGraph, vertex_limit: int
+) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """Adjacency masks, the search order and lower bounds on χ, after the limit check.
+
+    The bounds are a greedy clique, the largest row (the core vertices of one
+    clique) and the packing bound; an empty core has none.
+    """
+    count = len(core.vertices)
+    if count > vertex_limit:
+        raise CoreSizeLimitError(
+            f"core has {count} vertices, above the limit {vertex_limit}"
+        )
+    if not count:
+        return [], [], ()
+    rows, adj = _core_masks(core)
+    by_degree = sorted(range(count), key=lambda v: -adj[v].bit_count())
+    bounds = (
+        _greedy_clique_size(adj, by_degree),
+        max(row.bit_count() for row in rows),
+        _packing_bound(core, len(rows)),
+    )
+    return adj, by_degree, bounds
 
 
 def chromatic_number_exact(core: CoreGraph, vertex_limit: int = 40) -> int:
     """Exact chromatic number of a core graph by branch and bound.
 
-    Starting at a greedy clique's size, each candidate count k is closed by
-    complete saturation-ordered search until one succeeds.  Once k reaches the
-    DSATUR color count the search's first descent is DSATUR itself and
-    succeeds without backtracking, so no separate upper bound is computed.
-    Deterministic, and refuses cores above ``vertex_limit`` vertices.
+    Adjacency and search state are int bitmasks over the core vertices.
+    Starting at the best of three lower bounds (greedy clique, largest row,
+    packing), each candidate count k is closed by complete saturation-ordered
+    search until one succeeds.  Once k reaches the DSATUR color count the
+    search's first descent is DSATUR itself and succeeds without
+    backtracking, so no separate upper bound is computed.  Deterministic, and
+    refuses cores above ``vertex_limit`` vertices before any edge is built.
     """
-    order = list(core.vertices)
-    if len(order) > vertex_limit:
-        raise CoreSizeLimitError(
-            f"core has {len(order)} vertices, above the limit {vertex_limit}"
-        )
-    if not order:
-        return 0
-    adj = core.adjacency()
-    k = _greedy_clique_size(order, adj)
-    while not _k_colorable(order, adj, k):
+    adj, by_degree, bounds = _search_setup(core, vertex_limit)
+    k = max(bounds, default=0)
+    while adj and not _k_colorable(adj, by_degree, k):
         k += 1
     return k
 
@@ -134,10 +201,13 @@ def is_n_colorable(inst: Instance, vertex_limit: int = 40) -> bool:
 
     Equivalent to the core being n-colorable: a proper n-coloring of the core
     leaves every clique with enough unused colors for its private vertices.
+    A lower bound above n answers no; otherwise one search with k = n decides.
     """
     require_valid(inst)
-    core = core_subgraph(inst)
-    return chromatic_number_exact(core, vertex_limit) <= inst.n
+    adj, by_degree, bounds = _search_setup(core_subgraph(inst), vertex_limit)
+    if max(bounds, default=0) > inst.n:
+        return False
+    return not adj or _k_colorable(adj, by_degree, inst.n)
 
 
 class IdentityResult(NamedTuple):

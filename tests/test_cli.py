@@ -140,6 +140,14 @@ class TestChromatic:
         assert code == 3
         assert "limit" in err
 
+    def test_dense100_refused_at_default_limit(self, capsys, tmp_path):
+        path = tmp_path / "dense100.efl"
+        path.write_text(serialize_instance(gen_dense(100)))
+        code, out, err = run_cli(capsys, "chromatic", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: core has 4950 vertices, above the limit 40\n"
+
 
 class TestStats:
     def test_example(self, capsys, example_file):

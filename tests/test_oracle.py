@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from efl.errors import CoreSizeLimitError, IncompleteColoringError
 from efl.generators import gen_dense, gen_disjoint, gen_random
-from efl.instance import core_subgraph
+from efl.instance import core_subgraph, parse_instance
 from efl.matrix_engine import run_matrix_method
 from efl.oracle import (
     chromatic_number_exact,
     corollary_bound_check,
+    _search_setup,
     is_n_colorable,
     theorem_identity,
     verify_proper,
@@ -89,6 +90,13 @@ class TestChromaticNumberExact:
         with pytest.raises(CoreSizeLimitError):
             chromatic_number_exact(core, vertex_limit=10)
 
+    def test_refused_before_edges_built(self):
+        core = core_subgraph(gen_dense(8))
+        with pytest.raises(CoreSizeLimitError):
+            chromatic_number_exact(core, vertex_limit=27)
+        assert "edges" not in vars(core)
+        assert chromatic_number_exact(core, vertex_limit=28) == 7
+
     def test_deterministic(self):
         core = core_subgraph(gen_dense(6))
         assert chromatic_number_exact(core) == chromatic_number_exact(core)
@@ -118,6 +126,29 @@ class TestChromaticNumberExact:
         assert chromatic_number_exact(core) == reference_chromatic(core)
 
 
+class TestLowerBounds:
+    """The three bounds the search starts from: greedy clique, row, packing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=instances(max_n=6))
+    def test_each_bound_at_most_chi(self, inst):
+        core = core_subgraph(inst)
+        assume(len(core.vertices) <= 12)
+        _, _, bounds = _search_setup(core, vertex_limit=12)
+        chi = brute_chromatic(list(core.vertices), core.adjacency())
+        assert len(bounds) == (3 if core.vertices else 0)
+        assert all(bound <= chi for bound in bounds)
+
+    def test_packing_bound_is_dense_chi(self):
+        # the dense core is the line graph of K_n: chi = n - [n even]
+        for n in range(3, 13):
+            core = core_subgraph(gen_dense(n))
+            _, _, (clique, row, packing) = _search_setup(core, len(core.vertices))
+            assert packing == n - (n % 2 == 0)
+            assert row == n - 1
+            assert clique <= packing
+
+
 class TestIsNColorable:
     def test_example(self, example):
         assert is_n_colorable(example)
@@ -127,6 +158,17 @@ class TestIsNColorable:
 
     def test_disjoint(self):
         assert is_n_colorable(gen_disjoint(6))
+
+    def test_limit_enforced(self):
+        with pytest.raises(CoreSizeLimitError):
+            is_n_colorable(gen_dense(8), vertex_limit=27)
+        assert is_n_colorable(gen_dense(8), vertex_limit=28)
+
+    def test_agrees_with_chromatic_number(self, corpus500, gap_n8_file):
+        gap = parse_instance(gap_n8_file.read_text(encoding="utf-8"))
+        for inst in [*corpus500, gap]:
+            chi = chromatic_number_exact(core_subgraph(inst))
+            assert is_n_colorable(inst) == (chi <= inst.n)
 
 
 class TestTheoremIdentity:

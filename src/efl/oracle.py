@@ -191,7 +191,7 @@ def chromatic_number_exact(core: CoreGraph, vertex_limit: int = 40) -> int:
     """
     adj, by_degree, bounds = _search_setup(core, vertex_limit)
     k = max(bounds, default=0)
-    while adj and not _k_colorable(adj, by_degree, k):
+    while not _k_colorable(adj, by_degree, k):
         k += 1
     return k
 
@@ -207,7 +207,7 @@ def is_n_colorable(inst: Instance, vertex_limit: int = 40) -> bool:
     adj, by_degree, bounds = _search_setup(core_subgraph(inst), vertex_limit)
     if max(bounds, default=0) > inst.n:
         return False
-    return not adj or _k_colorable(adj, by_degree, inst.n)
+    return _k_colorable(adj, by_degree, inst.n)
 
 
 class IdentityResult(NamedTuple):

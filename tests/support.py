@@ -5,7 +5,8 @@ come from a direct pairwise incidence scan, properness from an all-pairs scan,
 and chromatic numbers from plain fixed-order backtracking with no ordering
 heuristics, bounds, or symmetry breaking beyond feasibility.  The random
 generator's reference builds every candidate list in full before each draw,
-and the exact-χ reference is the earlier set-based saturation search.
+the exact-χ reference is the earlier set-based saturation search, and the
+properness reference is the earlier sort-and-group :func:`verify_proper`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from efl.generators import (
     gen_disjoint,
     gen_random,
 )
+from efl.errors import IncompleteColoringError
 from efl.instance import CoreGraph, Instance
+from efl.oracle import VerifyReport
 
 
 def brute_core_edges(inst: Instance) -> set[tuple[str, str]]:
@@ -46,6 +49,35 @@ def brute_is_proper(inst: Instance, coloring: dict[str, int]) -> bool:
                 if coloring[group[a]] == coloring[group[b]]:
                     return False
     return True
+
+
+def reference_verify_proper(inst: Instance, coloring: dict[str, int]) -> VerifyReport:
+    """:func:`efl.oracle.verify_proper` sorting and grouping every clique.
+
+    Conflicts list, clique by clique, every same-colored pair as
+    (clique, u, v, color), by ascending color and then token.
+    """
+    missing = [v for v in inst.vertices if v not in coloring]
+    if missing:
+        raise IncompleteColoringError(
+            f"coloring is missing {len(missing)} vertices, e.g. '{missing[0]}'"
+        )
+    conflicts: list[tuple[int, str, str, int]] = []
+    for i, members in enumerate(inst.clique_sets, start=1):
+        by_color: dict[int, list[str]] = {}
+        for v in sorted(members):
+            by_color.setdefault(coloring[v], []).append(v)
+        for color, group in sorted(by_color.items()):
+            for a in range(len(group)):
+                for b in range(a + 1, len(group)):
+                    conflicts.append((i, group[a], group[b], color))
+    used = {coloring[v] for v in inst.vertices}
+    return VerifyReport(
+        proper=not conflicts,
+        conflicts=tuple(conflicts),
+        colors_used=len(used),
+        max_color=max(used),
+    )
 
 
 def brute_k_colorable(order: list[str], adj: dict[str, set[str]], k: int) -> bool:

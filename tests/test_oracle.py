@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +19,13 @@ from efl.oracle import (
     theorem_identity,
     verify_proper,
 )
-from support import brute_chromatic, brute_is_proper, instances, reference_chromatic
+from support import (
+    brute_chromatic,
+    brute_is_proper,
+    instances,
+    reference_chromatic,
+    reference_verify_proper,
+)
 
 
 class TestVerifyProper:
@@ -64,6 +71,26 @@ class TestVerifyProper:
         )
         coloring = dict(zip(inst.vertices, colors))
         assert verify_proper(inst, coloring).proper == brute_is_proper(inst, coloring)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        inst=instances(max_n=9),
+        seed=st.integers(min_value=0, max_value=2**32),
+        changes=st.integers(min_value=0, max_value=6),
+        palette=st.integers(min_value=1, max_value=12),
+    )
+    def test_matches_reference(self, inst, seed, changes, palette):
+        # start from the engine's coloring (proper) or from random colors, then
+        # overwrite a few vertices, so proper and improper cliques both occur
+        rng = random.Random(seed)
+        result = run_matrix_method(inst)
+        if result.ok and rng.random() < 0.7:
+            coloring = dict(result.coloring)
+        else:
+            coloring = {v: rng.randint(1, palette) for v in inst.vertices}
+        for v in rng.sample(inst.vertices, min(changes, len(inst.vertices))):
+            coloring[v] = rng.randint(1, palette)
+        assert verify_proper(inst, coloring) == reference_verify_proper(inst, coloring)
 
 
 class TestChromaticNumberExact:

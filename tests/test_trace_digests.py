@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable
 
+import pytest
+
 from efl.generators import gen_dense
 from efl.greedy import run_greedy
 from efl.matrix_engine import ColoringResult, EngineConfig, render_trace, run_matrix_method
@@ -88,3 +90,27 @@ def test_dense_51_to_64_greedy():
     assert _digest(_greedy_parts(results)) == (
         "a44fa0174de014aa9a3fdcca58ae9f86ad3926c02bc3f9feec118e3afb99a810"
     )
+
+
+@pytest.mark.parametrize("family", ["dense", "corpus", "budget3"])
+def test_traced_and_untraced_agree(family, corpus500):
+    # the engine builds trace events only when tracing; everything else it
+    # returns must not depend on that
+    if family == "dense":
+        cases = [(gen_dense(n), None) for n in range(2, 65)]
+    elif family == "corpus":
+        cases = [(inst, None) for inst in corpus500]
+    else:
+        cases = [(gen_dense(n), 3) for n in range(5, 21)]
+    for inst, budget in cases:
+        plain = run_matrix_method(inst, EngineConfig(repair_budget=budget))
+        traced = run_matrix_method(
+            inst, EngineConfig(repair_budget=budget, trace_enabled=True)
+        )
+        assert plain.trace is None and traced.trace is not None
+        assert (plain.status, plain.reason) == (traced.status, traced.reason)
+        assert plain.final_matrix == traced.final_matrix
+        if plain.coloring is None:
+            assert traced.coloring is None
+        else:
+            assert list(plain.coloring.items()) == list(traced.coloring.items())

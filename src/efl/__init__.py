@@ -62,7 +62,6 @@ from .matrix_engine import (
     EngineConfig,
     RepairRecolored,
     RepairSkipped,
-    blocked_colors,
     extend_to_full,
     initial_matrix,
     matrix_to_coloring,

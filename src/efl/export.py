@@ -45,18 +45,22 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
                 f"refusing to export an improper coloring: clique {first[0]} "
                 f"has '{first[1]}' and '{first[2]}' both colored {first[3]}"
             )
+    quoted = {v: f'"{v}"' for v in inst.vertices}
     lines = ["graph cover {"]
-    for v in inst.vertices:
-        if coloring is None:
-            lines.append(f'  "{v}";')
-        else:
-            lines.append(f'  "{v}" [color="{_dot_color(coloring[v])}", style=filled];')
+    if coloring is None:
+        lines.extend(f"  {q};" for q in quoted.values())
+    else:
+        lines.extend(
+            f"  {q} [color=\"{_dot_color(coloring[v])}\", style=filled];"
+            for v, q in quoted.items()
+        )
     # a valid cover is linear and repeats no token, so each vertex pair lies
-    # in at most one clique and no edge is written twice
+    # in at most one clique and no edge is written twice; the edges from one
+    # vertex to the later members of its clique form one run of lines
     for members in inst.cliques:
-        group = sorted(members)
-        for a, u in enumerate(group):
-            for w in group[a + 1 :]:
-                lines.append(f'  "{u}" -- "{w}";')
+        group = [quoted[v] for v in sorted(members)]
+        for a in range(len(group) - 1):
+            head = f"  {group[a]} -- "
+            lines.append(head + (";\n" + head).join(group[a + 1 :]) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,8 +16,8 @@ degree d fills d-1 cells of each of its rows, and under the non-increasing
 order every colored vertex has degree at least k when a degree-k vertex is
 placed.  So every color present in a row already appears at least k-1 times
 there, and the paper's threshold test equals "color owned in the row".
-:func:`blocked_colors` keeps the paper's form as the reference the tests
-compare against, and the final matrix is built once from the coloring.
+The tests keep the paper's form as a reference to compare against, and the
+final matrix is built once from the coloring.
 
 When all n colors are blocked, a repair pass recolors previously placed
 vertices to free one.  Plain one-vertex recolors alone provably cannot finish
@@ -28,9 +28,13 @@ cliques, a fan-and-alternating-path recoloring in the style of the constructive
 proof of Vizing's theorem, planned on a scratch copy of the row state and
 kept only when it verifiably frees a color.  Each stage only plans a list of
 writes; one commit step charges every write against a budget, records it and
-applies it.  Runs that exhaust the budget, or that find no applicable repair,
-fail loudly with their trace.  With repair switched off the same loop is the
-degree-ordered greedy of :mod:`efl.greedy`.
+applies it.  The scan is memoized per stuck episode: an owner found fully
+blocked is not tested again until a commit writes into one of its rows, and
+its ``SKIP`` events are still those of a scan restarted after every commit.
+Trace events are built only when a trace is asked for.  Runs that exhaust the
+budget, or that find no applicable repair, fail loudly with their trace.  With
+repair switched off the same loop is the degree-ordered greedy of
+:mod:`efl.greedy`.
 
 On success the core coloring extends clique by clique to a total n-coloring:
 inside each clique the private (degree-1) vertices absorb the unused colors.
@@ -145,17 +149,6 @@ def initial_matrix(inst: Instance) -> ColorMatrix:
     return _block_matrix(inst, {})
 
 
-def blocked_colors(matrix: ColorMatrix, i: int, threshold: int) -> set[int]:
-    """Colors appearing at least ``threshold`` times in row i."""
-    if threshold < 1:
-        raise ValueError("threshold must be at least 1")
-    counts: dict[int, int] = {}
-    for x in matrix.row(i):
-        if x > 0:
-            counts[x] = counts.get(x, 0) + 1
-    return {color for color, c in counts.items() if c >= threshold}
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Run parameters; ``repair_budget`` defaults to n^2 at run time."""
@@ -251,8 +244,8 @@ def _least(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _colors(mask: int) -> list[int]:
-    """The colors of a color mask, ascending."""
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask (colors, or ranks), ascending."""
     out = []
     while mask:
         low = mask & -mask
@@ -302,12 +295,41 @@ def _fan_path_plan(
     only returns the write list if the result verifiably leaves a color free in
     both of the stuck vertex's rows while keeping every row conflict-free.  All
     participants must sit in exactly two cliques; anything else aborts the plan.
+
+    Read the rows as nodes and each 2-clique core vertex as an edge between
+    its two rows, colored by its color.  Spoke s_j of the fan is the row_a
+    edge to fan row j, and its color e_j is free at fan row j-1.  On a
+    conflict-free start whose masks mirror the rows, only the "participant in
+    more than two cliques" exit can fire; the other guards stay as checks:
+
+    - ``not free_a or not free_last``: a clique meets each other clique at
+      most once, so a row holds at most n-1 shared vertices, and row_a also
+      holds the uncolored u.
+    - ``len(path) > n``: each row owns c and d at most once and row_a lacks
+      c, so the c/d path from row_a never revisits a row.
+    - ``target is None``: with d free at row_a nothing changes at the fan.
+      Otherwise the maximal fan makes d the color of a spoke s_j, so d is
+      free at fan rows j-1 and last.  The path ends at one of them at most,
+      and the other still has d free after the swap.
+    - The rotation checks and the closing "free in both rows" check: d is
+      free at fan row ``target`` by its choice and at row_a after the swap.
+      Spoke s_(i+1) has just left its color in row_a, and that color is free
+      at fan row i: it is e_(i+1) with its status untouched by the swap, or,
+      when s_(i+1) was the path's first edge, c, freed at fan row i by the
+      path ending there (row i comes before ``target``).  With i = 0 this is
+      the color the rotation frees in both of u's rows.
+    - The final ownership check: every write takes a color free in its rows
+      or, inside the path, one that the next path vertex gives up.  A write
+      changes only its vertex's rows, and there only the entries of its old
+      and new color, so a vertex neither written nor overwritten keeps its
+      ownership; checking the touched vertices equals checking them all.
     """
     row_a, row_b = inc[u]
     work = [dict(r) for r in rows]
     work_used = list(used)
     work_color = dict(color)
     writes: list[tuple[str, int]] = []
+    touched: list[str] = []
     full = ((1 << n) - 1) << 1
 
     def free(r: int) -> int:
@@ -317,6 +339,9 @@ def _fan_path_plan(
         return inc[w][0] if inc[w][1] == r else inc[w][1]
 
     def write(v: str, x: int) -> None:
+        # v and every vertex that owned x in one of v's rows before the write
+        touched.append(v)
+        touched.extend(work[i][x] for i in inc[v] if x in work[i])
         _recolor(work, work_used, work_color, inc, v, x)
         writes.append((v, x))
 
@@ -325,7 +350,7 @@ def _fan_path_plan(
     fan = [row_b]
     spokes: list[str] = []
     while True:
-        for cand in _colors(free(fan[-1])):
+        for cand in _bits(free(fan[-1])):
             w = work[row_a].get(cand)
             if w is None or len(inc[w]) != 2 or across(w, row_a) in fan:
                 continue
@@ -372,13 +397,21 @@ def _fan_path_plan(
                 return None
             write(members[idx - 1], shifted)
 
-    # a guard: by the fan argument some color is always free in both rows here
     if not free(row_a) & free(row_b):
         return None
-    # conflict-free: every colored vertex still owns its color in each row
-    if any(work[i].get(x) != v for v, x in work_color.items() for i in inc[v]):
+    if not _owns_colors(work, work_color, inc, touched):
         return None
     return writes
+
+
+def _owns_colors(
+    rows: list[dict[int, str]],
+    color: dict[str, int],
+    inc: dict[str, tuple[int, ...]],
+    vertices: Sequence[str],
+) -> bool:
+    """Whether each of ``vertices`` owns its color in every row it meets."""
+    return all(rows[i].get(color[v]) == v for v in vertices for i in inc[v])
 
 
 def color_cover(
@@ -393,12 +426,24 @@ def color_cover(
     ``no-color-available``.  Otherwise each repair stage only plans a list of
     ``(vertex, color)`` writes, and one commit charges the budget, records and
     writes it.  The first stage scans the owners in the stuck vertex's rows in
-    incidence order, skipping fully blocked ones, and plans the least free
-    color of the first one not yet tried in this stuck episode; after each
-    commit the scan restarts with skips forgotten.  When the scan runs dry the
-    fan-and-path plan takes over for a vertex in two cliques.  On success the
-    core coloring is extended and certified by ``verify_proper`` with at most
-    n colors; ``total`` is None exactly when ``reason`` is set.
+    incidence order and plans the least free color of the first one that is
+    neither fully blocked nor already tried in this stuck episode.  When the
+    scan runs dry the fan-and-path plan takes over for a vertex in two
+    cliques.  On success the core coloring is extended and certified by
+    ``verify_proper`` with at most n colors; ``total`` is None exactly when
+    ``reason`` is set.
+
+    The scan is memoized.  Each core vertex has a rank, its position in
+    incidence order, and ``members[i]`` holds the rank bits of the colored
+    vertices of row i.  Within a stuck episode ``tried`` and ``blocked`` are
+    rank masks; a vertex found fully blocked stays in ``blocked`` until a
+    commit writes a vertex sharing one of its rows, as only such a write can
+    change the colors owned in its rows.  Each scan therefore tests only the
+    ranks in neither mask, ascending.  The blocked ranks below the chosen one
+    (all of them when the scan runs dry) are exactly the vertices a scan
+    restarted from the lowest rank would test and pass over, so the ``SKIP``
+    events equal those of re-testing every owner after each commit.  Trace
+    events are built only when ``trace`` is a list.
     """
     from .oracle import verify_proper  # local import: oracle depends on instance only
 
@@ -408,49 +453,63 @@ def color_cover(
     inc = {v: ix for v, ix in inst.incidence_map.items() if len(ix) > 1}
     rows: list[dict[int, str]] = [{} for _ in range(n + 1)]  # 1-based cliques
     used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
+    by_rank = sorted(inc, key=inc.__getitem__)
+    bit = {v: 1 << r for r, v in enumerate(by_rank)}
+    members = [0] * (n + 1)  # members[i]: the ranks colored in row i, as a mask
     core: dict[str, int] = {}
     budget_used = 0
-
-    def record(ev: TraceEvent) -> None:
-        if trace is not None:
-            trace.append(ev)
+    tracing = trace is not None
 
     for u in sorted(inc, key=lambda v: (-len(inc[v]), inc[v])):
-        neighbors: Optional[list[str]] = None
-        while not (free_u := _free_mask(used, inc[u], full)):
+        ix_u = inc[u]
+        neighbors = None
+        while not (free_u := _free_mask(used, ix_u, full)):
             if repair_budget is None:
                 return core, None, REASON_NO_COLOR_AVAILABLE
             if neighbors is None:
                 # a recolor never moves a vertex out of a row, so u's colored
                 # neighbors stay the same for the whole stuck episode
-                neighbors = sorted(
-                    {v for i in inc[u] for v in rows[i].values()}, key=inc.__getitem__
-                )
-                tried: set[str] = set()
+                neighbors = 0
+                for i in ix_u:
+                    neighbors |= members[i]
+                tried = blocked = 0
             plan = None
-            for v in neighbors:
-                if v in tried:
-                    continue
+            below = -1  # the ranks a successful scan passed over
+            todo = neighbors & ~(tried | blocked)
+            while todo:
+                low = todo & -todo
+                v = by_rank[low.bit_length() - 1]
                 free_v = _free_mask(used, inc[v], full)
                 if free_v:
-                    tried.add(v)
+                    tried |= low
                     plan = [(v, _least(free_v))]
+                    below = low - 1
                     break
-                record(RepairSkipped(v))
-            if plan is None and len(inc[u]) == 2:
+                blocked |= low
+                todo ^= low
+            if tracing:
+                trace.extend(RepairSkipped(by_rank[r]) for r in _bits(blocked & below))
+            if plan is None and len(ix_u) == 2:
                 plan = _fan_path_plan(rows, used, core, inc, u, n)
             if not plan:
                 return core, None, REASON_STUCK_NO_REPAIR
             if budget_used + len(plan) > repair_budget:
-                record(BudgetExhausted())
+                if tracing:
+                    trace.append(BudgetExhausted())
                 return core, None, REASON_BUDGET_EXHAUSTED
             for v, x in plan:
-                record(RepairRecolored(v, core[v], x))
+                if tracing:
+                    trace.append(RepairRecolored(v, core[v], x))
                 _recolor(rows, used, core, inc, v, x)
+                for i in inc[v]:
+                    blocked &= ~members[i]
             budget_used += len(plan)
         x = _least(free_u)
         _recolor(rows, used, core, inc, u, x)
-        record(Assigned(u, x))
+        for i in ix_u:
+            members[i] |= bit[u]
+        if tracing:
+            trace.append(Assigned(u, x))
 
     total = extend_to_full(inst, core)
     report = verify_proper(inst, total)

@@ -39,15 +39,20 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
     """Check that every clique carries pairwise distinct colors.
 
     The coloring must be total on the instance's vertex universe.  Conflicts
-    list every same-colored pair within a clique as (clique, u, v, color).
+    list every same-colored pair within a clique as (clique, u, v, color),
+    clique by clique, by ascending color and then token.  Only a clique
+    whose colors repeat is sorted and grouped.
     """
     missing = [v for v in inst.vertices if v not in coloring]
     if missing:
         raise IncompleteColoringError(
             f"coloring is missing {len(missing)} vertices, e.g. '{missing[0]}'"
         )
+    color_of = coloring.__getitem__
     conflicts: list[tuple[int, str, str, int]] = []
     for i, members in enumerate(inst.clique_sets, start=1):
+        if len(set(map(color_of, members))) == len(members):
+            continue
         by_color: dict[int, list[str]] = {}
         for v in sorted(members):
             by_color.setdefault(coloring[v], []).append(v)
@@ -55,7 +60,7 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
             for a in range(len(group)):
                 for b in range(a + 1, len(group)):
                     conflicts.append((i, group[a], group[b], color))
-    used = {coloring[v] for v in inst.vertices}
+    used = set(map(color_of, inst.vertices))
     return VerifyReport(
         proper=not conflicts,
         conflicts=tuple(conflicts),

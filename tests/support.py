@@ -7,6 +7,9 @@ heuristics, bounds, or symmetry breaking beyond feasibility.  The random
 generator's reference builds every candidate list in full before each draw,
 the exact-χ reference is the earlier set-based saturation search, and the
 properness reference is the earlier sort-and-group :func:`verify_proper`.
+``blocked_colors`` is the paper's "appears at least k-1 times in the row"
+rule, read off a matrix, and ``reference_owns_colors`` the fan plan's earlier
+check over every colored core vertex.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from efl.generators import (
 )
 from efl.errors import IncompleteColoringError
 from efl.instance import CoreGraph, Instance
+from efl.matrix_engine import ColorMatrix
 from efl.oracle import VerifyReport
 
 
@@ -49,6 +53,25 @@ def brute_is_proper(inst: Instance, coloring: dict[str, int]) -> bool:
                 if coloring[group[a]] == coloring[group[b]]:
                     return False
     return True
+
+
+def blocked_colors(matrix: ColorMatrix, i: int, threshold: int) -> set[int]:
+    """The paper's rule: the colors appearing at least ``threshold`` times in row i."""
+    if threshold < 1:
+        raise ValueError("threshold must be at least 1")
+    counts: dict[int, int] = {}
+    for x in matrix.row(i):
+        if x > 0:
+            counts[x] = counts.get(x, 0) + 1
+    return {color for color, c in counts.items() if c >= threshold}
+
+
+def reference_owns_colors(
+    rows: list[dict[int, str]], color: dict[str, int], inc: dict[str, tuple[int, ...]]
+) -> bool:
+    """The fan plan's earlier closing check, over every colored core vertex:
+    each still owns its color in each of its rows."""
+    return all(rows[i].get(x) == v for v, x in color.items() for i in inc[v])
 
 
 def reference_verify_proper(inst: Instance, coloring: dict[str, int]) -> VerifyReport:

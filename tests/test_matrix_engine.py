@@ -14,6 +14,7 @@ from efl.generators import (
     gen_disjoint,
     gen_random,
 )
+from efl import matrix_engine
 from efl.export import serialize_instance
 from efl.greedy import run_greedy
 from efl.instance import Instance, clique_degree, core_subgraph, parse_instance
@@ -28,7 +29,6 @@ from efl.matrix_engine import (
     RepairSkipped,
     _fan_path_plan,
     _recolor,
-    blocked_colors,
     extend_to_full,
     initial_matrix,
     matrix_to_coloring,
@@ -37,7 +37,7 @@ from efl.matrix_engine import (
     run_matrix_method,
 )
 from efl.oracle import chromatic_number_exact, verify_proper
-from support import instances
+from support import blocked_colors, instances, reference_owns_colors
 
 # the matrix states the method walks through on the bundled example,
 # one per assignment
@@ -465,6 +465,56 @@ class TestFanPathPlan:
         assert len(plans) >= 100
         assert any(p is None for p in plans)
         assert any(p is not None and len(p) >= 3 for p in plans)
+
+
+def _checked_ownership(monkeypatch) -> list[bool]:
+    """Route the fan plan's closing check through a comparison with the full
+    scan of every colored vertex; returns the list of answers given."""
+    answers: list[bool] = []
+    local = matrix_engine._owns_colors
+
+    def both(rows, color, inc, vertices):
+        answer = local(rows, color, inc, vertices)
+        assert answer == reference_owns_colors(rows, color, inc)
+        answers.append(answer)
+        return answer
+
+    monkeypatch.setattr(matrix_engine, "_owns_colors", both)
+    return answers
+
+
+class TestFanPlanOwnershipCheck:
+    """The plan's closing check looks only at the vertices its writes wrote
+    or overwrote; from a conflict-free start that answers like a scan of
+    every colored vertex."""
+
+    def test_agrees_with_full_scan(self, monkeypatch):
+        answers = _checked_ownership(monkeypatch)
+        for extension_percent in (0, 50):
+            list(TestFanPathPlan._plans(extension_percent, 300))
+        random_states = len(answers)
+        for n in range(10, 31):
+            assert run_matrix_method(gen_dense(n)).ok
+        assert random_states >= 300 and len(answers) > random_states
+        assert all(answers)
+
+    def test_abort_when_a_write_takes_a_bystanders_color(self, monkeypatch):
+        # the core of dense(4) with b1_2 stuck in rows 1 and 2; b3_4 is uncolored
+        n = 4
+        inc = {v: ix for v, ix in gen_dense(n).incidence_map.items() if len(ix) > 1}
+        rows: list[dict[int, str]] = [{} for _ in range(n + 1)]
+        used = [0] * (n + 1)
+        color: dict[str, int] = {}
+        for v, x in (("b1_4", 1), ("b1_3", 2), ("b2_4", 3), ("b2_3", 4)):
+            _recolor(rows, used, color, inc, v, x)
+        assert _fan_path_plan(rows, used, color, inc, "b1_2", n) is not None
+        # row 1's mask hides the color 2 that bystander b1_3 owns there, so
+        # color 2 looks free at row 1 and the path writes it to b1_4,
+        # taking row 1's entry for color 2 away from b1_3
+        used[1] &= ~(1 << 2)
+        answers = _checked_ownership(monkeypatch)
+        assert _fan_path_plan(rows, used, color, inc, "b1_2", n) is None
+        assert answers == [False]
 
 
 GAP_N8_TRACE = """

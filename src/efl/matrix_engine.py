@@ -474,7 +474,7 @@ def color_cover(
                     neighbors |= members[i]
                 tried = blocked = 0
             plan = None
-            below = -1  # the ranks a successful scan passed over
+            below = -1  # the ranks below the chosen one; all while none is chosen
             todo = neighbors & ~(tried | blocked)
             while todo:
                 low = todo & -todo

@@ -8,11 +8,14 @@ generator's reference builds every candidate list in full before each draw,
 the exact-χ reference is the earlier set-based saturation search, and the
 properness reference is the earlier sort-and-group :func:`verify_proper`.
 ``blocked_colors`` is the paper's "appears at least k-1 times in the row"
-rule, read off a matrix, and ``reference_owns_colors`` the fan plan's earlier
-check over every colored core vertex.
+rule, read off a matrix, ``reference_owns_colors`` the fan plan's earlier
+check over every colored core vertex, and ``reference_fan_path_plan`` the fan
+plan with every guard it once carried.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from hypothesis import strategies as st
 
@@ -27,7 +30,7 @@ from efl.generators import (
 )
 from efl.errors import IncompleteColoringError
 from efl.instance import CoreGraph, Instance
-from efl.matrix_engine import ColorMatrix
+from efl.matrix_engine import ColorMatrix, _bits, _least, _owns_colors, _recolor
 from efl.oracle import VerifyReport
 
 
@@ -72,6 +75,99 @@ def reference_owns_colors(
     """The fan plan's earlier closing check, over every colored core vertex:
     each still owns its color in each of its rows."""
     return all(rows[i].get(x) == v for v, x in color.items() for i in inc[v])
+
+
+def reference_fan_path_plan(
+    rows: list[dict[int, str]],
+    used: list[int],
+    color: dict[str, int],
+    inc: dict[str, tuple[int, ...]],
+    u: str,
+    n: int,
+) -> Optional[list[tuple[str, int]]]:
+    """The fan-and-path plan as it stood with every guard in place.
+
+    The library's plan must return exactly this plan, or None where this
+    returns None, on every state whose row masks mirror its rows.
+    """
+    row_a, row_b = inc[u]
+    work = [dict(r) for r in rows]
+    work_used = list(used)
+    work_color = dict(color)
+    writes: list[tuple[str, int]] = []
+    touched: list[str] = []
+    full = ((1 << n) - 1) << 1
+
+    def free(r: int) -> int:
+        return full & ~work_used[r]
+
+    def across(w: str, r: int) -> int:
+        return inc[w][0] if inc[w][1] == r else inc[w][1]
+
+    def write(v: str, x: int) -> None:
+        # v and every vertex that owned x in one of v's rows before the write
+        touched.append(v)
+        touched.extend(work[i][x] for i in inc[v] if x in work[i])
+        _recolor(work, work_used, work_color, inc, v, x)
+        writes.append((v, x))
+
+    # maximal fan from row_b: each next row is reached through a 2-clique
+    # vertex of row_a (its spoke) whose color is free at the previous fan row
+    fan = [row_b]
+    spokes: list[str] = []
+    while True:
+        for cand in _bits(free(fan[-1])):
+            w = work[row_a].get(cand)
+            if w is None or len(inc[w]) != 2 or across(w, row_a) in fan:
+                continue
+            fan.append(across(w, row_a))
+            spokes.append(w)
+            break
+        else:
+            break
+
+    free_a = free(row_a)
+    free_last = free(fan[-1])
+    if not free_a or not free_last:
+        return None
+    c = _least(free_a)
+    d = _least(free_last)
+
+    if not free_a >> d & 1:
+        # read-only walk of the maximal c/d-alternating path from row_a,
+        # then swap the two colors along it
+        path: list[tuple[str, int]] = []
+        r, expect = row_a, d
+        while (w := work[r].get(expect)) is not None:
+            if len(inc[w]) != 2 or len(path) > n:
+                return None
+            path.append((w, expect))
+            r = across(w, r)
+            expect = c if expect == d else d
+        for w, had in path:
+            write(w, c if had == d else d)
+
+    target = next((idx for idx, f in enumerate(fan) if free(f) >> d & 1), None)
+    if target is None:
+        return None
+    if target >= 1:
+        members = spokes[:target]
+        olds = [work_color[w] for w in members]
+        # rotate the fan prefix in reverse so every intermediate state is proper
+        if d in work[fan[target]] or d in work[row_a]:
+            return None
+        write(members[-1], d)
+        for idx in range(target - 1, 0, -1):
+            shifted = olds[idx]
+            if shifted in work[fan[idx]] or shifted in work[row_a]:
+                return None
+            write(members[idx - 1], shifted)
+
+    if not free(row_a) & free(row_b):
+        return None
+    if not _owns_colors(work, work_color, inc, touched):
+        return None
+    return writes
 
 
 def reference_verify_proper(inst: Instance, coloring: dict[str, int]) -> VerifyReport:

@@ -37,7 +37,12 @@ from efl.matrix_engine import (
     run_matrix_method,
 )
 from efl.oracle import chromatic_number_exact, verify_proper
-from support import blocked_colors, instances, reference_owns_colors
+from support import (
+    blocked_colors,
+    instances,
+    reference_fan_path_plan,
+    reference_owns_colors,
+)
 
 # the matrix states the method walks through on the bundled example,
 # one per assignment
@@ -407,7 +412,10 @@ def _stuck_state(inst: Instance, rng: random.Random):
     color: dict[str, int] = {}
 
     def free(ix):
-        return [c for c in range(1, n + 1) if not any(used[i] >> c & 1 for i in ix)]
+        taken = 0
+        for i in ix:
+            taken |= used[i]
+        return [c for c in range(1, n + 1) if not taken >> c & 1]
 
     near = [v for v in inc if v != u and set(inc[v]) & set(inc[u])]
     rest = [v for v in inc if v != u and v not in near]
@@ -415,7 +423,8 @@ def _stuck_state(inst: Instance, rng: random.Random):
     rng.shuffle(rest)
     for v in near + rest:
         legal = free(inc[v])
-        fresh = [c for c in legal if c in free(inc[u])]
+        free_u = free(inc[u])
+        fresh = [c for c in legal if c in free_u]
         if legal:
             _recolor(rows, used, color, inc, v, rng.choice(fresh or legal))
     if free(inc[u]):
@@ -515,6 +524,65 @@ class TestFanPlanOwnershipCheck:
         answers = _checked_ownership(monkeypatch)
         assert _fan_path_plan(rows, used, color, inc, "b1_2", n) is None
         assert answers == [False]
+
+
+def _random_stuck_states(seeds: int):
+    """``(n, rng, state)`` for every stuck state ``_stuck_state`` builds on
+    ``gen_random(n, C(n,2), seed, extension)``, n 4..12, extension 0/20/50/100 %."""
+    for n in range(4, 13):
+        for extension_percent in (0, 20, 50, 100):
+            for seed in range(seeds):
+                rng = random.Random(seed)
+                inst = gen_random(n, n * (n - 1) // 2, seed, extension_percent)
+                state = _stuck_state(inst, rng)
+                if state is not None:
+                    yield n, rng, state
+
+
+class TestFanPlanReference:
+    """The plan equals the one that carried every guard, on every state whose
+    row masks mirror its rows, and stays safe on states where they do not."""
+
+    def test_random_stuck_states(self):
+        states = 0
+        for n, _, (rows, used, color, inc, u) in _random_stuck_states(400):
+            expected = reference_fan_path_plan(rows, used, color, inc, u, n)
+            assert _fan_path_plan(rows, used, color, inc, u, n) == expected
+            states += 1
+        assert states >= 5000
+
+    def test_dense_runs(self, monkeypatch):
+        plans = []
+        local = matrix_engine._fan_path_plan
+
+        def both(rows, used, color, inc, u, n):
+            expected = reference_fan_path_plan(rows, used, color, inc, u, n)
+            plan = local(rows, used, color, inc, u, n)
+            assert plan == expected
+            plans.append(plan)
+            return plan
+
+        monkeypatch.setattr(matrix_engine, "_fan_path_plan", both)
+        for n in range(10, 31):
+            assert run_matrix_method(gen_dense(n)).ok
+        assert len(plans) >= 20 and None not in plans
+
+    def test_safe_when_a_mask_hides_an_owned_color(self):
+        # one row's mask drops a color the row owns, so the plan sees that
+        # color as free there; whatever it returns must keep every colored
+        # vertex owning its color in each of its rows
+        plans = 0
+        for n, rng, (rows, used, color, inc, u) in _random_stuck_states(100):
+            i = rng.choice([i for i in range(1, n + 1) if rows[i]])
+            used[i] &= ~(1 << rng.choice(sorted(rows[i])))
+            plan = _fan_path_plan(rows, used, color, inc, u, n)
+            if plan is None:
+                continue
+            plans += 1
+            for v, x in plan:
+                _recolor(rows, used, color, inc, v, x)
+            assert reference_owns_colors(rows, color, inc)
+        assert plans >= 500
 
 
 GAP_N8_TRACE = """

@@ -290,39 +290,47 @@ def _fan_path_plan(
 ) -> Optional[list[tuple[str, int]]]:
     """Plan a recolor sequence freeing a common color for a stuck 2-clique vertex.
 
-    Works on a scratch copy of the row state: builds a fan of same-row
-    vertices, inverts one two-colored alternating path, rotates the fan, and
-    only returns the write list if the result verifiably leaves a color free in
-    both of the stuck vertex's rows while keeping every row conflict-free.  All
-    participants must sit in exactly two cliques; anything else aborts the plan.
-
     Read the rows as nodes and each 2-clique core vertex as an edge between
-    its two rows, colored by its color.  Spoke s_j of the fan is the row_a
-    edge to fan row j, and its color e_j is free at fan row j-1.  On a
-    conflict-free start whose masks mirror the rows, only the "participant in
-    more than two cliques" exit can fire; the other guards stay as checks:
+    its two rows, colored by its color.  On a scratch copy of the row state
+    the plan takes the steps of the fan argument for Vizing's theorem
+    (Misra and Gries 1992):
 
-    - ``not free_a or not free_last``: a clique meets each other clique at
-      most once, so a row holds at most n-1 shared vertices, and row_a also
-      holds the uncolored u.
-    - ``len(path) > n``: each row owns c and d at most once and row_a lacks
-      c, so the c/d path from row_a never revisits a row.
-    - ``target is None``: with d free at row_a nothing changes at the fan.
-      Otherwise the maximal fan makes d the color of a spoke s_j, so d is
-      free at fan rows j-1 and last.  The path ends at one of them at most,
-      and the other still has d free after the swap.
-    - The rotation checks and the closing "free in both rows" check: d is
-      free at fan row ``target`` by its choice and at row_a after the swap.
-      Spoke s_(i+1) has just left its color in row_a, and that color is free
-      at fan row i: it is e_(i+1) with its status untouched by the swap, or,
-      when s_(i+1) was the path's first edge, c, freed at fan row i by the
-      path ending there (row i comes before ``target``).  With i = 0 this is
-      the color the rotation frees in both of u's rows.
-    - The final ownership check: every write takes a color free in its rows
-      or, inside the path, one that the next path vertex gives up.  A write
-      changes only its vertex's rows, and there only the entries of its old
-      and new color, so a vertex neither written nor overwritten keeps its
-      ownership; checking the touched vertices equals checking them all.
+    1. Grow a maximal fan from row_b.  Spoke s_j is a 2-clique vertex of
+       row_a whose color e_j is free at fan row j-1; it leads to fan row j.
+    2. Let c be the least color free at row_a and d the least free at the
+       last fan row.  Walk the c/d-alternating path from row_a, then swap c
+       and d along it.
+    3. At the first fan row ``target`` with d free, shift the fan prefix:
+       spoke s_j takes e_(j+1) for j < target, and s_target takes d.
+
+    The plan aborts on a path vertex in more than two cliques, the only exit
+    seen to fire, and on the two bounds below.  It returns the writes only if
+    every vertex they wrote or overwrote still owns its color in each of its
+    rows.  On a conflict-free start whose masks mirror the rows nothing else
+    can fail, so there is no other check:
+
+    - c and d exist: a clique meets each other clique at most once, so a row
+      holds at most n-1 shared vertices and keeps a free color.
+    - The walk needs no branch for d free at row_a: it is then empty.
+    - ``len(path) > n`` only bounds the walk: each row owns c and d at most
+      once and row_a lacks c, so the path never revisits a row.
+    - ``target is None`` cannot hold: with d free at row_a the path is empty
+      and d stays free at the last fan row.  Otherwise the maximal fan makes
+      d the color of a spoke s_j, so d is free at fan rows j-1 and last; the
+      path ends at one of them at most.  States that break the mask
+      invariant do reach this exit.
+    - The rotation needs no checks: d is free at fan row ``target`` and, after
+      the swap, at row_a.  The color s_(i+1) leaves in row_a is free at fan
+      row i: it is e_(i+1), untouched by the swap, or, when s_(i+1) was the
+      path's first edge, c, freed at row i by the path ending there.  A
+      write that overwrote an owner all the same fails the closing check.
+    - With target 0 the rotation writes nothing, so it needs no branch.
+    - No closing "free in both rows" check: with i = 0 the argument above
+      is the color the rotation frees in both of u's rows, and the main loop
+      re-tests u's free colors after every commit anyway.
+    - The ownership check looks only at ``touched``: a write changes only its
+      vertex's rows, and there only the entries of its old and new color, so
+      a vertex neither written nor overwritten keeps its ownership.
     """
     row_a, row_b = inc[u]
     work = [dict(r) for r in rows]
@@ -345,8 +353,6 @@ def _fan_path_plan(
         _recolor(work, work_used, work_color, inc, v, x)
         writes.append((v, x))
 
-    # maximal fan from row_b: each next row is reached through a 2-clique
-    # vertex of row_a (its spoke) whose color is free at the previous fan row
     fan = [row_b]
     spokes: list[str] = []
     while True:
@@ -360,48 +366,27 @@ def _fan_path_plan(
         else:
             break
 
-    free_a = free(row_a)
-    free_last = free(fan[-1])
-    if not free_a or not free_last:
-        return None
-    c = _least(free_a)
-    d = _least(free_last)
+    c = _least(free(row_a))
+    d = _least(free(fan[-1]))
+    path: list[tuple[str, int]] = []  # (vertex, new color), read-only walk
+    r, x = row_a, d
+    while (w := work[r].get(x)) is not None:
+        if len(inc[w]) != 2 or len(path) > n:
+            return None
+        x = c if x == d else d
+        path.append((w, x))
+        r = across(w, r)
+    for w, x in path:
+        write(w, x)
 
-    if not free_a >> d & 1:
-        # read-only walk of the maximal c/d-alternating path from row_a,
-        # then swap the two colors along it
-        path: list[tuple[str, int]] = []
-        r, expect = row_a, d
-        while (w := work[r].get(expect)) is not None:
-            if len(inc[w]) != 2 or len(path) > n:
-                return None
-            path.append((w, expect))
-            r = across(w, r)
-            expect = c if expect == d else d
-        for w, had in path:
-            write(w, c if had == d else d)
-
-    target = next((idx for idx, f in enumerate(fan) if free(f) >> d & 1), None)
+    target = next((j for j, f in enumerate(fan) if free(f) >> d & 1), None)
     if target is None:
         return None
-    if target >= 1:
-        members = spokes[:target]
-        olds = [work_color[w] for w in members]
-        # rotate the fan prefix in reverse so every intermediate state is proper
-        if d in work[fan[target]] or d in work[row_a]:
-            return None
-        write(members[-1], d)
-        for idx in range(target - 1, 0, -1):
-            shifted = olds[idx]
-            if shifted in work[fan[idx]] or shifted in work[row_a]:
-                return None
-            write(members[idx - 1], shifted)
-
-    if not free(row_a) & free(row_b):
-        return None
-    if not _owns_colors(work, work_color, inc, touched):
-        return None
-    return writes
+    shifted = [work_color[w] for w in spokes[1:target]] + [d]
+    # from the far end, so each spoke takes a color its successor has left
+    for j in reversed(range(target)):
+        write(spokes[j], shifted[j])
+    return writes if _owns_colors(work, work_color, inc, touched) else None
 
 
 def _owns_colors(

@@ -582,7 +582,7 @@ class TestFanPlanReference:
             for v, x in plan:
                 _recolor(rows, used, color, inc, v, x)
             assert reference_owns_colors(rows, color, inc)
-        assert plans >= 500
+        assert plans >= 1000
 
 
 GAP_N8_TRACE = """

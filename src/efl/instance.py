@@ -23,11 +23,6 @@ from .errors import InvalidInstanceError, ParseError, UnknownVertexError
 VertexId = str
 
 
-def _is_valid_token(token: str) -> bool:
-    # visible ASCII only, no whitespace
-    return len(token) > 0 and all(0x21 <= ord(ch) <= 0x7E for ch in token)
-
-
 class Instance:
     """n cliques of order n; clique i keeps its vertex tokens in input order.
 
@@ -261,7 +256,8 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
             )
         seen: set[str] = set()
         for t in tokens:
-            if not _is_valid_token(t):
+            # visible ASCII only: str.split() leaves no empty or whitespace token
+            if not (t.isascii() and t.isprintable()):
                 raise ParseError(f"line {lineno}: invalid token '{t}' in clique {idx}")
             if t in seen:
                 raise ParseError(f"line {lineno}: duplicate token '{t}' in clique {idx}")

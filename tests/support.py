@@ -7,6 +7,7 @@ heuristics, bounds, or symmetry breaking beyond feasibility.  The random
 generator's reference builds every candidate list in full before each draw,
 the exact-χ reference is the earlier set-based saturation search, and the
 properness reference is the earlier sort-and-group :func:`verify_proper`.
+``reference_token_ok`` is the parser's earlier per-character token rule.
 ``blocked_colors`` is the paper's "appears at least k-1 times in the row"
 rule, read off a matrix, ``reference_owns_colors`` the fan plan's earlier
 check over every colored core vertex, and ``reference_fan_path_plan`` the fan
@@ -45,6 +46,12 @@ def brute_core_edges(inst: Instance) -> set[tuple[str, str]]:
             if set(inc[u]) & set(inc[v]):
                 edges.add((u, v))
     return edges
+
+
+def reference_token_ok(token: str) -> bool:
+    """The earlier token rule of ``parse_instance``: non-empty, every
+    character visible ASCII (0x21..0x7E)."""
+    return len(token) > 0 and all(0x21 <= ord(ch) <= 0x7E for ch in token)
 
 
 def brute_is_proper(inst: Instance, coloring: dict[str, int]) -> bool:

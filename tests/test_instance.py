@@ -18,7 +18,7 @@ from efl.instance import (
     shared_vertex,
     validate,
 )
-from support import brute_core_edges, instances
+from support import brute_core_edges, instances, reference_token_ok
 
 
 class TestParse:
@@ -65,6 +65,17 @@ class TestParse:
     def test_invalid_token(self):
         with pytest.raises(ParseError, match="invalid token"):
             parse_instance("2\na \x01\nb c\n")
+
+    def test_token_rule_on_every_code_point(self):
+        for cp in range(0x110000):
+            for piece in ("a" + chr(cp) + "b").split():
+                try:
+                    parse_instance(f"1\n{piece}\n", require_validity=False)
+                    accepted = True
+                except ParseError as err:
+                    assert "invalid token" in str(err)
+                    accepted = False
+                assert accepted == reference_token_ok(piece), hex(cp)
 
     def test_permissive_mode_keeps_violations(self):
         inst = parse_instance("2\na b\na b\n", require_validity=False)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .instance import Instance, require_valid
+from .oracle import verify_proper
 
 # DOT palette for the first six colors; higher colors fall back to their index.
 DOT_COLOR_NAMES = {1: "maroon", 2: "tan", 3: "green", 4: "red", 5: "blue", 6: "cyan"}
@@ -36,8 +37,6 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
     """
     require_valid(inst)
     if coloring is not None:
-        from .oracle import verify_proper
-
         report = verify_proper(inst, dict(coloring))
         if not report.proper:
             first = report.conflicts[0]

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .instance import Instance, require_valid
-from .matrix_engine import (
-    STATUS_FAILED,
-    STATUS_SUCCESS,
-    ColoringResult,
-    color_cover,
-)
+from .matrix_engine import ColoringResult, color_cover
 
 
 @dataclass(frozen=True)
@@ -52,11 +47,7 @@ def run_greedy(inst: Instance) -> ColoringResult:
     The result carries no trace and no matrix.
     """
     _, total, reason = color_cover(inst, None, None)
-    return ColoringResult(
-        status=STATUS_SUCCESS if reason is None else STATUS_FAILED,
-        reason=reason,
-        coloring=total,
-    )
+    return ColoringResult(reason=reason, coloring=total)
 
 
 def _core_counts(inst: Instance, min_degree: int) -> list[int]:

@@ -51,6 +51,7 @@ from .errors import (
     IncompleteColoringError,
 )
 from .instance import Instance, require_valid
+from .oracle import verify_proper
 
 DISJOINT = 0
 UNASSIGNED = -1
@@ -220,7 +221,8 @@ def replay_trace(
 
 @dataclass(frozen=True)
 class ColoringResult:
-    status: str
+    """A run's outcome; ``reason`` is None exactly on success."""
+
     reason: Optional[str] = None
     coloring: Optional[dict[str, int]] = None
     final_matrix: Optional[ColorMatrix] = None
@@ -228,7 +230,11 @@ class ColoringResult:
 
     @property
     def ok(self) -> bool:
-        return self.status == STATUS_SUCCESS
+        return self.reason is None
+
+    @property
+    def status(self) -> str:
+        return STATUS_SUCCESS if self.ok else STATUS_FAILED
 
 
 def _free_mask(used: list[int], ix: Sequence[int], full: int) -> int:
@@ -430,8 +436,6 @@ def color_cover(
     events equal those of re-testing every owner after each commit.  Trace
     events are built only when ``trace`` is a list.
     """
-    from .oracle import verify_proper  # local import: oracle depends on instance only
-
     require_valid(inst)
     n = inst.n
     full = ((1 << n) - 1) << 1  # every color 1..n
@@ -514,7 +518,6 @@ def run_matrix_method(inst: Instance, config: Optional[EngineConfig] = None) -> 
     trace: Optional[list[TraceEvent]] = [] if cfg.trace_enabled else None
     core, total, reason = color_cover(inst, budget, trace)
     return ColoringResult(
-        status=STATUS_SUCCESS if reason is None else STATUS_FAILED,
         reason=reason,
         coloring=total,
         final_matrix=_block_matrix(inst, core),

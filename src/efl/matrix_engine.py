@@ -26,7 +26,7 @@ up flipping a single vertex back and forth), so the repair escalates: first the
 scan of single legal recolors, then, for a stuck vertex shared by exactly two
 cliques, a fan-and-alternating-path recoloring in the style of the constructive
 proof of Vizing's theorem, planned on a scratch copy of the row state and
-kept only when it verifiably frees a color.  Each stage only plans a list of
+kept only when every row stays conflict-free.  Each stage only plans a list of
 writes; one commit step charges every write against a budget, records it and
 applies it.  The scan is memoized per stuck episode: an owner found fully
 blocked is not tested again until a commit writes into one of its rows, and
@@ -319,7 +319,9 @@ def _fan_path_plan(
       holds at most n-1 shared vertices and keeps a free color.
     - The walk needs no branch for d free at row_a: it is then empty.
     - ``len(path) > n`` only bounds the walk: each row owns c and d at most
-      once and row_a lacks c, so the path never revisits a row.
+      once and row_a lacks c, so the path never revisits a row.  On states
+      that break the mask invariant c can equal d, and the walk then cycles
+      until this bound ends it.
     - ``target is None`` cannot hold: with d free at row_a the path is empty
       and d stays free at the last fan row.  Otherwise the maximal fan makes
       d the color of a spoke s_j, so d is free at fan rows j-1 and last; the

@@ -310,10 +310,10 @@ def _fan_path_plan(
        spoke s_j takes e_(j+1) for j < target, and s_target takes d.
 
     The plan aborts on a path vertex in more than two cliques, the only exit
-    seen to fire, and on the two bounds below.  It returns the writes only if
-    every vertex they wrote or overwrote still owns its color in each of its
-    rows.  On a conflict-free start whose masks mirror the rows nothing else
-    can fail, so there is no other check:
+    seen to fire, and at the path bound and ``target is None`` exit below.
+    It returns the writes only if every vertex they wrote or overwrote still
+    owns its color in each of its rows.  On a conflict-free start whose masks
+    mirror the rows nothing else can fail, so there is no other check:
 
     - c and d exist: a clique meets each other clique at most once, so a row
       holds at most n-1 shared vertices and keeps a free color.

@@ -292,11 +292,6 @@ class TestEngineRuns:
         assert result.reason == "budget-exhausted"
         assert isinstance(result.trace[-1], BudgetExhausted)
 
-    def test_status_follows_reason(self):
-        assert run_matrix_method(gen_dense(5)).status == "success"
-        failed = run_matrix_method(gen_dense(5), EngineConfig(repair_budget=2))
-        assert (failed.ok, failed.status) == (False, "failed")
-
     def test_budget_three_suffices_on_dense5(self):
         assert run_matrix_method(gen_dense(5), EngineConfig(repair_budget=3)).ok
 

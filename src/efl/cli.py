@@ -145,6 +145,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.kind != "random" and args.seed is not None:
+        raise ParseError("--seed applies to --kind random only")
+    if args.kind != "random" and args.merges is not None:
+        raise ParseError("--merges applies to --kind random only")
     if args.kind == "disjoint":
         inst = gen_disjoint(args.n)
         extra = ""
@@ -154,11 +158,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         if args.seed is None:
             raise ParseError("--seed is required for --kind random")
-        spec = GenSpec(kind="random", n=args.n, seed=args.seed, merges=args.merges)
-        built = build_random(spec)
+        merges = args.merges or 0
+        built = build_random(GenSpec(kind="random", n=args.n, seed=args.seed, merges=merges))
         inst = built.instance
         extra = (
-            f" merges: requested={args.merges} achieved={built.merges_done}"
+            f" merges: requested={merges} achieved={built.merges_done}"
             f" extensions={built.extensions_done}"
         )
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -176,7 +180,6 @@ def cmd_trace_example(args: argparse.Namespace) -> int:
     if result.trace:
         print(render_trace(result.trace))
     final = result.final_matrix
-    assert final is not None
     print("final matrix:")
     print(final.render())
     expected = ColorMatrix.from_text(EXAMPLE_FINAL_MATRIX)
@@ -229,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--kind", choices=("disjoint", "dense", "random"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--merges", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="generator seed (random only)")
+    p.add_argument("--merges", type=int, default=None, help="merges, default 0 (random only)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 

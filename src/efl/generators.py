@@ -40,19 +40,19 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Parameters of one generated instance."""
+    """Parameters of one seeded random cover; the other families take only n."""
 
-    kind: str  # "disjoint" | "dense" | "random"
+    kind: str  # "random", the one kind that takes parameters
     n: int
     seed: int = 0
     merges: int = 0
     extension_percent: int = 20
 
     def __post_init__(self):
-        if self.kind not in ("disjoint", "dense", "random"):
-            raise ValueError(f"unknown generator kind '{self.kind}'")
-        if self.n < 1 or (self.kind != "disjoint" and self.n < 2):
-            raise ValueError(f"n={self.n} too small for kind '{self.kind}'")
+        if self.kind != "random":
+            raise ValueError(f"GenSpec takes kind 'random' only, got '{self.kind}'")
+        if self.n < 2:
+            raise ValueError(f"n={self.n} too small for a random cover")
         if self.merges < 0 or self.merges > self.n * (self.n - 1) // 2:
             raise ValueError(
                 f"merges must lie in 0..C(n,2)={self.n * (self.n - 1) // 2}, got {self.merges}"
@@ -128,8 +128,6 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     picks the move that a full candidate list would hold at the same index,
     and no such list is built.
     """
-    if spec.kind != "random":
-        raise ValueError("build_random requires a GenSpec of kind 'random'")
     n = spec.n
     rng = SplitMix64(spec.seed)
     cliques: list[list[str]] = [

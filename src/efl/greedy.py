@@ -31,10 +31,13 @@ class CliqueCount:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    holds: bool
     per_clique: tuple[CliqueCount, ...]
     parameter: str
     first_failing_d: Optional[int] = None
+
+    @property
+    def holds(self) -> bool:
+        return all(row.ok for row in self.per_clique)
 
 
 def run_greedy(inst: Instance) -> ColoringResult:
@@ -44,20 +47,22 @@ def run_greedy(inst: Instance) -> ColoringResult:
     the lexicographically smallest incidence tuple, and the run fails with
     ``no-color-available`` when some vertex finds all n colors used in its
     cliques; otherwise the core coloring is extended to a verified total one.
-    The result carries no trace and no matrix.
+    The result carries no trace; its matrix is derived like the engine's.
     """
-    _, total, reason = color_cover(inst, None, None)
-    return ColoringResult(reason=reason, coloring=total)
+    return color_cover(inst, None, None)
 
 
-def _core_counts(inst: Instance, min_degree: int) -> list[int]:
-    inc = inst.incidence_map
+def _per_clique_report(
+    inst: Instance, min_degree: int, bound: int, parameter: str
+) -> HypothesisReport:
+    """Each clique's count of vertices of clique degree >= ``min_degree``, against ``bound``."""
     counts = [0] * inst.n
-    for v, ix in inc.items():
+    for ix in inst.incidence_map.values():
         if len(ix) >= min_degree:
             for i in ix:
                 counts[i - 1] += 1
-    return counts
+    rows = tuple(CliqueCount(i, c, bound) for i, c in enumerate(counts, start=1))
+    return HypothesisReport(per_clique=rows, parameter=parameter)
 
 
 def check_sy1(inst: Instance) -> HypothesisReport:
@@ -67,14 +72,7 @@ def check_sy1(inst: Instance) -> HypothesisReport:
     avoiding floating point at perfect-square boundaries.
     """
     require_valid(inst)
-    bound = math.isqrt(inst.n)
-    rows = tuple(
-        CliqueCount(clique=i, count=c, bound=bound)
-        for i, c in enumerate(_core_counts(inst, 2), start=1)
-    )
-    return HypothesisReport(
-        holds=all(r.ok for r in rows), per_clique=rows, parameter="sy1"
-    )
+    return _per_clique_report(inst, 2, math.isqrt(inst.n), "sy1")
 
 
 def check_sy2(inst: Instance, d: int, bound_rule: str = "statement") -> HypothesisReport:
@@ -92,31 +90,15 @@ def check_sy2(inst: Instance, d: int, bound_rule: str = "statement") -> Hypothes
         bound = (n + d - 1) // d  # ceil(n/d)
     else:
         raise ValueError(f"unknown bound_rule '{bound_rule}'")
-    rows = tuple(
-        CliqueCount(clique=i, count=c, bound=bound)
-        for i, c in enumerate(_core_counts(inst, d), start=1)
-    )
-    return HypothesisReport(
-        holds=all(r.ok for r in rows),
-        per_clique=rows,
-        parameter=f"sy2 d={d} ({bound_rule})",
-    )
+    return _per_clique_report(inst, d, bound, f"sy2 d={d} ({bound_rule})")
 
 
 def check_sy2_all(inst: Instance, bound_rule: str = "statement") -> HypothesisReport:
     """Conjunction of :func:`check_sy2` over d = 2..n; records the first failing d."""
     require_valid(inst)
+    parameter = f"sy2 all d in 2..{inst.n} ({bound_rule})"
     for d in range(2, inst.n + 1):
         report = check_sy2(inst, d, bound_rule)
         if not report.holds:
-            return HypothesisReport(
-                holds=False,
-                per_clique=report.per_clique,
-                parameter=f"sy2 all d in 2..{inst.n} ({bound_rule})",
-                first_failing_d=d,
-            )
-    return HypothesisReport(
-        holds=True,
-        per_clique=(),
-        parameter=f"sy2 all d in 2..{inst.n} ({bound_rule})",
-    )
+            return HypothesisReport(report.per_clique, parameter, first_failing_d=d)
+    return HypothesisReport(per_clique=(), parameter=parameter)

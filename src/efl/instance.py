@@ -103,8 +103,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple[Violation, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,7 @@ def validate(inst: Instance) -> ValidationReport:
                         ),
                     )
                 )
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(violations=tuple(violations))
 
 
 def require_valid(inst: Instance) -> None:
@@ -234,12 +237,13 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
     if not content:
         raise ParseError("empty input: expected a clique count line")
     header_line, header = content[0]
-    try:
-        n = int(header)
-    except ValueError:
+    # ASCII digits only: int() would also take a sign, '_' separators and
+    # non-ASCII digits, none of which serialize_instance writes back
+    if not (header.isascii() and header.isdigit()):
         raise ParseError(
             f"line {header_line}: expected a decimal clique count, got '{header}'"
-        ) from None
+        )
+    n = int(header)
     if n < 1:
         raise ParseError(f"line {header_line}: clique count must be positive, got {n}")
 

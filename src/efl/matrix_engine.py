@@ -17,7 +17,7 @@ order every colored vertex has degree at least k when a degree-k vertex is
 placed.  So every color present in a row already appears at least k-1 times
 there, and the paper's threshold test equals "color owned in the row".
 The tests keep the paper's form as a reference to compare against, and the
-final matrix is built once from the coloring.
+final matrix is derived from a result's coloring on first read.
 
 When all n colors are blocked, a repair pass recolors previously placed
 vertices to free one.  Plain one-vertex recolors alone provably cannot finish
@@ -43,6 +43,7 @@ inside each clique the private (degree-1) vertices absorb the unused colors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -221,12 +222,18 @@ def replay_trace(
 
 @dataclass(frozen=True)
 class ColoringResult:
-    """A run's outcome; ``reason`` is None exactly on success."""
+    """A run's outcome; ``reason`` is None exactly on success.
 
-    reason: Optional[str] = None
-    coloring: Optional[dict[str, int]] = None
-    final_matrix: Optional[ColorMatrix] = None
-    trace: Optional[list[TraceEvent]] = None
+    ``colors`` is the verified total coloring on success and the partial core
+    coloring on failure.  The rest is derived: ``final_matrix`` is built from
+    ``colors`` on first read, and as a private vertex's block over its one
+    clique writes no cell, only the core colors show in it.
+    """
+
+    instance: Instance
+    colors: dict[str, int]
+    reason: Optional[str]
+    trace: Optional[list[TraceEvent]]
 
     @property
     def ok(self) -> bool:
@@ -235,6 +242,15 @@ class ColoringResult:
     @property
     def status(self) -> str:
         return STATUS_SUCCESS if self.ok else STATUS_FAILED
+
+    @property
+    def coloring(self) -> Optional[dict[str, int]]:
+        """The total coloring, or None when the run failed."""
+        return self.colors if self.ok else None
+
+    @cached_property
+    def final_matrix(self) -> ColorMatrix:
+        return _block_matrix(self.instance, self.colors)
 
 
 def _free_mask(used: list[int], ix: Sequence[int], full: int) -> int:
@@ -409,8 +425,8 @@ def _owns_colors(
 
 def color_cover(
     inst: Instance, repair_budget: Optional[int], trace: Optional[list[TraceEvent]]
-) -> tuple[dict[str, int], Optional[dict[str, int]], Optional[str]]:
-    """The one coloring loop behind both methods: ``(core, total, reason)``.
+) -> ColoringResult:
+    """The one coloring loop behind both methods, and the only place a result is built.
 
     Core vertices are colored in non-increasing clique degree, ties broken on
     the lexicographically smallest incidence tuple, each with the least color
@@ -423,8 +439,9 @@ def color_cover(
     neither fully blocked nor already tried in this stuck episode.  When the
     scan runs dry the fan-and-path plan takes over for a vertex in two
     cliques.  On success the core coloring is extended and certified by
-    ``verify_proper`` with at most n colors; ``total`` is None exactly when
-    ``reason`` is set.
+    ``verify_proper`` with at most n colors, and the result's ``colors`` is
+    that total coloring; on failure it is the partial core coloring, with
+    ``reason`` set.
 
     The scan is memoized.  Each core vertex has a rank, its position in
     incidence order, and ``members[i]`` holds the rank bits of the colored
@@ -456,7 +473,7 @@ def color_cover(
         neighbors = None
         while not (free_u := _free_mask(used, ix_u, full)):
             if repair_budget is None:
-                return core, None, REASON_NO_COLOR_AVAILABLE
+                return ColoringResult(inst, core, REASON_NO_COLOR_AVAILABLE, trace)
             if neighbors is None:
                 # a recolor never moves a vertex out of a row, so u's colored
                 # neighbors stay the same for the whole stuck episode
@@ -483,11 +500,11 @@ def color_cover(
             if plan is None and len(ix_u) == 2:
                 plan = _fan_path_plan(rows, used, core, inc, u, n)
             if not plan:
-                return core, None, REASON_STUCK_NO_REPAIR
+                return ColoringResult(inst, core, REASON_STUCK_NO_REPAIR, trace)
             if budget_used + len(plan) > repair_budget:
                 if tracing:
                     trace.append(BudgetExhausted())
-                return core, None, REASON_BUDGET_EXHAUSTED
+                return ColoringResult(inst, core, REASON_BUDGET_EXHAUSTED, trace)
             for v, x in plan:
                 if tracing:
                     trace.append(RepairRecolored(v, core[v], x))
@@ -505,26 +522,18 @@ def color_cover(
     total = extend_to_full(inst, core)
     report = verify_proper(inst, total)
     if not report.proper or report.max_color > n:
-        return core, None, REASON_INTERNAL_VERIFICATION
-    return core, total, None
+        return ColoringResult(inst, core, REASON_INTERNAL_VERIFICATION, trace)
+    return ColoringResult(inst, total, None, trace)
 
 
 def run_matrix_method(inst: Instance, config: Optional[EngineConfig] = None) -> ColoringResult:
     """Color the core by the matrix method with repair, then extend to a total coloring.
 
     All free choices are pinned for determinism (see :func:`color_cover`).
-    The final matrix is built once from the core coloring, on failure too.
     """
     cfg = config or EngineConfig()
     budget = cfg.repair_budget if cfg.repair_budget is not None else inst.n * inst.n
-    trace: Optional[list[TraceEvent]] = [] if cfg.trace_enabled else None
-    core, total, reason = color_cover(inst, budget, trace)
-    return ColoringResult(
-        reason=reason,
-        coloring=total,
-        final_matrix=_block_matrix(inst, core),
-        trace=trace,
-    )
+    return color_cover(inst, budget, [] if cfg.trace_enabled else None)
 
 
 def matrix_to_coloring(inst: Instance, matrix: ColorMatrix) -> dict[str, int]:

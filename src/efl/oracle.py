@@ -29,10 +29,13 @@ Coloring = Dict[str, int]
 
 @dataclass(frozen=True)
 class VerifyReport:
-    proper: bool
     conflicts: tuple[tuple[int, str, str, int], ...]
     colors_used: int
     max_color: int
+
+    @property
+    def proper(self) -> bool:
+        return not self.conflicts
 
 
 def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
@@ -62,7 +65,6 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
                     conflicts.append((i, group[a], group[b], color))
     used = set(map(color_of, inst.vertices))
     return VerifyReport(
-        proper=not conflicts,
         conflicts=tuple(conflicts),
         colors_used=len(used),
         max_color=max(used),
@@ -225,11 +227,11 @@ def theorem_identity(inst: Instance) -> IdentityResult:
     """Sum of C(d,2) over core vertices versus the intersecting-pair count.
 
     The two sides count the same objects, so they agree on every legal cover;
-    when every clique pair intersects the common value is n(n-1)/2.
+    when every clique pair intersects the common value is n(n-1)/2.  The sum
+    runs over all vertices, as a private vertex adds C(1,2) = 0.
     """
     require_valid(inst)
-    profile = degree_profile(inst)
-    lhs = sum(math.comb(d, 2) for d in profile.degree_of.values() if d > 1)
+    lhs = sum(math.comb(len(ix), 2) for ix in inst.incidence_map.values())
     rhs = intersecting_pair_count(inst)
     n = inst.n
     return IdentityResult(lhs=lhs, rhs=rhs, all_pairs_intersect=rhs == n * (n - 1) // 2)
@@ -239,15 +241,24 @@ def theorem_identity(inst: Instance) -> IdentityResult:
 class CheckRow:
     m: int
     count: int
-    weighted: int  # count * C(m,2)
     bound: int  # C(n,2)
-    ok: bool
+
+    @property
+    def weighted(self) -> int:
+        return self.count * math.comb(self.m, 2)
+
+    @property
+    def ok(self) -> bool:
+        return self.weighted <= self.bound
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    ok: bool
     rows: tuple[CheckRow, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.rows)
 
 
 def corollary_bound_check(inst: Instance) -> CheckReport:
@@ -258,11 +269,9 @@ def corollary_bound_check(inst: Instance) -> CheckReport:
     require_valid(inst)
     profile = degree_profile(inst)
     n_pairs = math.comb(inst.n, 2)
-    rows = []
-    for m in range(2, profile.max_degree + 1):
-        count = profile.histogram.get(m, 0)
-        weighted = count * math.comb(m, 2)
-        rows.append(
-            CheckRow(m=m, count=count, weighted=weighted, bound=n_pairs, ok=weighted <= n_pairs)
+    return CheckReport(
+        rows=tuple(
+            CheckRow(m=m, count=profile.histogram.get(m, 0), bound=n_pairs)
+            for m in range(2, profile.max_degree + 1)
         )
-    return CheckReport(ok=all(r.ok for r in rows), rows=tuple(rows))
+    )

@@ -199,7 +199,6 @@ def reference_verify_proper(inst: Instance, coloring: dict[str, int]) -> VerifyR
                     conflicts.append((i, group[a], group[b], color))
     used = {coloring[v] for v in inst.vertices}
     return VerifyReport(
-        proper=not conflicts,
         conflicts=tuple(conflicts),
         colors_used=len(used),
         max_color=max(used),

@@ -214,6 +214,18 @@ class TestGen:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "kind, flag", [("dense", "--seed"), ("disjoint", "--seed"), ("dense", "--merges")]
+    )
+    def test_random_flags_rejected_for_other_kinds(self, capsys, tmp_path, kind, flag):
+        out_file = tmp_path / "x.efl"
+        code, _, err = run_cli(
+            capsys, "gen", "--kind", kind, "--n", "4", flag, "1", "-o", str(out_file)
+        )
+        assert code == 2
+        assert flag in err
+        assert not out_file.exists()
+
 
 class TestTraceExample:
     def test_golden(self, capsys):

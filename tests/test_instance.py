@@ -42,6 +42,12 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             parse_instance("x\na b\n")
 
+    @pytest.mark.parametrize("header", ["\u0662", "1_0", "+2", "-1"])
+    def test_header_takes_ascii_digits_only(self, header):
+        # int() accepts each of these (but "-1" would then fail as not positive)
+        with pytest.raises(ParseError, match="line 1: expected a decimal clique count"):
+            parse_instance(f"{header}\na b\nb c\n")
+
     def test_zero_cliques_rejected(self):
         with pytest.raises(ParseError, match="positive"):
             parse_instance("0\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -328,6 +329,36 @@ class TestEngineRuns:
             EngineConfig(repair_budget=0)
 
 
+class TestDerivedResult:
+    def test_failed_runs_keep_the_partial_core_coloring(self, gap_n8_file):
+        gap = parse_instance(gap_n8_file.read_text())
+        runs = [run_matrix_method(gap), run_greedy(gap)] + [
+            run_matrix_method(gen_dense(n), EngineConfig(repair_budget=3))
+            for n in range(5, 21)
+        ]
+        failed = [r for r in runs if not r.ok]
+        assert len(failed) == 12
+        for r in failed:
+            assert r.coloring is None
+            assert matrix_to_coloring(r.instance, r.final_matrix) == r.colors
+
+    def test_matrix_is_built_on_first_read_only(self, monkeypatch):
+        calls = []
+        build = matrix_engine._block_matrix
+
+        def counting(inst, colors):
+            calls.append(inst)
+            return build(inst, colors)
+
+        monkeypatch.setattr(matrix_engine, "_block_matrix", counting)
+        result = run_matrix_method(gen_dense(9))
+        assert result.ok and result.coloring is result.colors
+        assert calls == []
+        first = result.final_matrix
+        assert result.final_matrix is first
+        assert len(calls) == 1
+
+
 class TestTraceProperties:
     @settings(max_examples=40, deadline=None)
     @given(inst=instances(max_n=7))
@@ -381,6 +412,10 @@ class TestTraceProperties:
         assert greedy.ok == (not repaired)
         if greedy.ok:
             assert greedy.coloring == result.coloring
+        # greedy stops where the engine first repairs, so its matrix is the
+        # engine's matrix after the leading assignments
+        assigned = list(takewhile(lambda e: isinstance(e, Assigned), result.trace))
+        assert greedy.final_matrix == replay_trace(inst, assigned, initial_matrix(inst))
 
     @settings(max_examples=30, deadline=None)
     @given(inst=instances(max_n=7))

@@ -9,7 +9,6 @@ from efl import (
     Assigned,
     EngineConfig,
     example_instance,
-    extend_to_full,
     gen_dense,
     initial_matrix,
     matrix_to_coloring,
@@ -33,7 +32,7 @@ for k, event in enumerate(result.trace):
 
 core = matrix_to_coloring(inst, result.final_matrix)
 print("core coloring read off the matrix:", core)
-total = extend_to_full(inst, core)
+total = result.coloring
 print("after extension, all", len(total), "vertices are colored;")
 print("proper:", verify_proper(inst, total).proper)
 print()

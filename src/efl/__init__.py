@@ -9,7 +9,6 @@ identities such covers must satisfy.
 from .errors import (
     CoreSizeLimitError,
     EflError,
-    ExtensionError,
     IncompleteColoringError,
     InconsistentBlockError,
     InvalidInstanceError,
@@ -62,7 +61,6 @@ from .matrix_engine import (
     EngineConfig,
     RepairRecolored,
     RepairSkipped,
-    extend_to_full,
     initial_matrix,
     matrix_to_coloring,
     render_trace,

@@ -22,11 +22,11 @@ class IncompleteColoringError(EflError):
 
 
 class InconsistentBlockError(EflError):
-    """A vertex's matrix cell block holds more than one color; indicates an engine bug."""
+    """A vertex's matrix cell block holds more than one color.
 
-
-class ExtensionError(EflError):
-    """A core coloring repeats a color inside some clique, so no extension exists."""
+    Engine results cannot raise it, as their matrix is derived from their
+    coloring; only a hand-made matrix (``from_text`` / ``set_block``) can.
+    """
 
 
 class CoreSizeLimitError(EflError):

@@ -36,8 +36,9 @@ budget, or that find no applicable repair, fail loudly with their trace.  With
 repair switched off the same loop is the degree-ordered greedy of
 :mod:`efl.greedy`.
 
-On success the core coloring extends clique by clique to a total n-coloring:
-inside each clique the private (degree-1) vertices absorb the unused colors.
+On success the private (degree-1) vertices of each clique i, in token order,
+take the colors free in its row mask ``used[i]``, ascending; ``verify_proper``
+still certifies that total coloring, with at most n colors.
 """
 
 from __future__ import annotations
@@ -46,11 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .errors import (
-    ExtensionError,
-    InconsistentBlockError,
-    IncompleteColoringError,
-)
+from .errors import InconsistentBlockError
 from .instance import Instance, require_valid
 from .oracle import verify_proper
 
@@ -438,10 +435,11 @@ def color_cover(
     incidence order and plans the least free color of the first one that is
     neither fully blocked nor already tried in this stuck episode.  When the
     scan runs dry the fan-and-path plan takes over for a vertex in two
-    cliques.  On success the core coloring is extended and certified by
-    ``verify_proper`` with at most n colors, and the result's ``colors`` is
-    that total coloring; on failure it is the partial core coloring, with
-    ``reason`` set.
+    cliques.  On success each clique's private vertices, in token order,
+    take the colors free in its row mask, ascending; ``verify_proper``
+    certifies that total coloring with at most n colors, and it becomes the
+    result's ``colors``.  On failure ``colors`` is the partial core coloring,
+    with ``reason`` set.
 
     The scan is memoized.  Each core vertex has a rank, its position in
     incidence order, and ``members[i]`` holds the rank bits of the colored
@@ -519,7 +517,10 @@ def color_cover(
         if tracing:
             trace.append(Assigned(u, x))
 
-    total = extend_to_full(inst, core)
+    total = dict(core)
+    for i, members in enumerate(inst.cliques, start=1):
+        privates = sorted(v for v in members if v not in inc)
+        total.update(zip(privates, _bits(full & ~used[i])))
     report = verify_proper(inst, total)
     if not report.proper or report.max_color > n:
         return ColoringResult(inst, core, REASON_INTERNAL_VERIFICATION, trace)
@@ -560,33 +561,3 @@ def matrix_to_coloring(inst: Instance, matrix: ColorMatrix) -> dict[str, int]:
             )
         coloring[v] = values.pop()
     return coloring
-
-
-def extend_to_full(inst: Instance, core_coloring: dict[str, int]) -> dict[str, int]:
-    """Extend a full core coloring to all vertices, clique by clique.
-
-    Inside each clique the private vertices receive that clique's unused
-    colors, ascending color matched to ascending vertex token.  Requires the
-    core colors within every clique to be distinct and within 1..n.
-    """
-    require_valid(inst)
-    n = inst.n
-    total = dict(core_coloring)
-    inc = inst.incidence_map
-    for i, members in enumerate(inst.cliques, start=1):
-        core_members = [v for v in members if len(inc[v]) > 1]
-        missing = [v for v in core_members if v not in core_coloring]
-        if missing:
-            raise IncompleteColoringError(
-                f"core vertices {missing} of clique {i} are uncolored"
-            )
-        used = [core_coloring[v] for v in core_members]
-        if any(not 1 <= c <= n for c in used):
-            raise ExtensionError(f"clique {i} carries a color outside 1..{n}")
-        if len(set(used)) != len(used):
-            raise ExtensionError(f"clique {i} repeats a core color; no extension exists")
-        free = sorted(set(range(1, n + 1)) - set(used))
-        privates = sorted(v for v in members if len(inc[v]) == 1)
-        for v, c in zip(privates, free):
-            total[v] = c
-    return total

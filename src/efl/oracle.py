@@ -165,9 +165,13 @@ def _search_setup(
 ) -> tuple[list[int], list[int], tuple[int, ...]]:
     """Adjacency masks, the search order and lower bounds on χ, after the limit check.
 
-    The bounds are a greedy clique, the largest row (the core vertices of one
-    clique) and the packing bound; an empty core has none.
+    A negative ``vertex_limit`` is an input error, raised as ``ValueError``
+    before the size check.  The bounds are a greedy clique, the largest row
+    (the core vertices of one clique) and the packing bound; an empty core has
+    none.
     """
+    if vertex_limit < 0:
+        raise ValueError("vertex_limit must be at least 0")
     count = len(core.vertices)
     if count > vertex_limit:
         raise CoreSizeLimitError(

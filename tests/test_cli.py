@@ -148,6 +148,12 @@ class TestChromatic:
         assert out == ""
         assert err == "error: core has 4950 vertices, above the limit 40\n"
 
+    def test_negative_limit_is_input_error(self, capsys, dense5_file):
+        code, out, err = run_cli(capsys, "chromatic", str(dense5_file), "--limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: vertex_limit must be at least 0\n"
+
 
 class TestStats:
     def test_example(self, capsys, example_file):

@@ -6,7 +6,7 @@ from itertools import takewhile
 import pytest
 from hypothesis import given, settings
 
-from efl.errors import InconsistentBlockError, ExtensionError, IncompleteColoringError
+from efl.errors import InconsistentBlockError
 from efl.generators import (
     EXAMPLE_ASSIGNMENTS,
     EXAMPLE_FINAL_MATRIX,
@@ -30,7 +30,6 @@ from efl.matrix_engine import (
     RepairSkipped,
     _fan_path_plan,
     _recolor,
-    extend_to_full,
     initial_matrix,
     matrix_to_coloring,
     render_trace,
@@ -230,9 +229,10 @@ class TestMatrixToColoring:
 
 
 class TestExtendToFull:
+    """On success the core coloring extends to every vertex of the cover."""
+
     def test_example_extension(self, example):
-        core = {"v1": 1, "v16": 2, "v6": 3, "v7": 4, "v9": 3, "v19": 4}
-        total = extend_to_full(example, core)
+        total = run_matrix_method(example).coloring
         assert len(total) == 27
         assert verify_proper(example, total).proper
         # clique 5 core colors {3,4,2}: privates get 1,5,6 by ascending token
@@ -240,24 +240,15 @@ class TestExtendToFull:
 
     def test_disjoint_extension(self):
         inst = gen_disjoint(2)
-        total = extend_to_full(inst, {})
+        total = run_matrix_method(inst).coloring
         assert sorted(total[v] for v in inst.clique(1)) == [1, 2]
         assert sorted(total[v] for v in inst.clique(2)) == [1, 2]
 
     def test_forced_complement(self):
         inst = Instance(3, [("a", "b", "x"), ("a", "c", "y"), ("b", "c", "z")])
-        total = extend_to_full(inst, {"a": 1, "b": 2, "c": 3})
+        total = run_matrix_method(inst).coloring
+        assert [total[v] for v in "abc"] == [1, 2, 3]
         assert total["x"] == 3 and total["y"] == 2 and total["z"] == 1
-
-    def test_conflicting_core_rejected(self):
-        inst = Instance(3, [("a", "b", "x"), ("a", "c", "y"), ("b", "c", "z")])
-        with pytest.raises(ExtensionError):
-            extend_to_full(inst, {"a": 1, "b": 1, "c": 2})
-
-    def test_missing_core_vertex_rejected(self):
-        inst = Instance(3, [("a", "b", "x"), ("a", "c", "y"), ("b", "c", "z")])
-        with pytest.raises(IncompleteColoringError):
-            extend_to_full(inst, {"a": 1, "b": 2})
 
 
 class TestEngineRuns:
@@ -426,6 +417,23 @@ class TestTraceProperties:
             assert report.proper and report.max_color <= inst.n
         else:
             assert result.reason in ("budget-exhausted", "stuck-no-repair")
+
+    @settings(max_examples=40, deadline=None)
+    @given(inst=instances())
+    def test_privates_take_missing_colors_ascending(self, inst):
+        # the extension rule, for both methods: each clique's private vertices,
+        # in token order, carry exactly the colors its core leaves, ascending
+        inc = inst.incidence_map
+        for result in (run_matrix_method(inst), run_greedy(inst)):
+            if not result.ok:
+                continue
+            total = result.coloring
+            assert total.keys() == inc.keys()
+            for members in inst.cliques:
+                core_colors = {total[v] for v in members if len(inc[v]) > 1}
+                privates = sorted(v for v in members if len(inc[v]) == 1)
+                missing = sorted(set(range(1, inst.n + 1)) - core_colors)
+                assert [total[v] for v in privates] == missing
 
 
 def _stuck_state(inst: Instance, rng: random.Random):

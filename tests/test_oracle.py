@@ -191,6 +191,13 @@ class TestIsNColorable:
             is_n_colorable(gen_dense(8), vertex_limit=27)
         assert is_n_colorable(gen_dense(8), vertex_limit=28)
 
+    @pytest.mark.parametrize("inst", [gen_disjoint(3), gen_dense(4)], ids=["empty", "dense4"])
+    def test_negative_limit_rejected(self, inst):
+        with pytest.raises(ValueError, match="vertex_limit must be at least 0"):
+            chromatic_number_exact(core_subgraph(inst), vertex_limit=-1)
+        with pytest.raises(ValueError, match="vertex_limit must be at least 0"):
+            is_n_colorable(inst, vertex_limit=-1)
+
     def test_agrees_with_chromatic_number(self, corpus500, gap_n8_file):
         gap = parse_instance(gap_n8_file.read_text(encoding="utf-8"))
         for inst in [*corpus500, gap]:

@@ -7,7 +7,10 @@ heuristics, bounds, or symmetry breaking beyond feasibility.  The random
 generator's reference builds every candidate list in full before each draw,
 the exact-χ reference is the earlier set-based saturation search, and the
 properness reference is the earlier sort-and-group :func:`verify_proper`.
-``reference_token_ok`` is the parser's earlier per-character token rule.
+``reference_token_ok`` is the parser's earlier per-character token rule,
+``reference_parse_instance`` and ``reference_validate`` the parser and the
+validator that checked every token and intersected every clique pair, and
+``reference_check_sy2_all`` the SY2 conjunction that recounted each d.
 ``blocked_colors`` is the paper's "appears at least k-1 times in the row"
 rule, read off a matrix, ``reference_owns_colors`` the fan plan's earlier
 check over every colored core vertex, and ``reference_fan_path_plan`` the fan
@@ -29,8 +32,16 @@ from efl.generators import (
     gen_disjoint,
     gen_random,
 )
-from efl.errors import IncompleteColoringError
-from efl.instance import CoreGraph, Instance
+from efl.errors import IncompleteColoringError, ParseError
+from efl.greedy import HypothesisReport, check_sy2
+from efl.instance import (
+    CoreGraph,
+    Instance,
+    ValidationReport,
+    VertexId,
+    Violation,
+    require_valid,
+)
 from efl.matrix_engine import ColorMatrix, _bits, _least, _owns_colors, _recolor
 from efl.oracle import VerifyReport
 
@@ -52,6 +63,114 @@ def reference_token_ok(token: str) -> bool:
     """The earlier token rule of ``parse_instance``: non-empty, every
     character visible ASCII (0x21..0x7E)."""
     return len(token) > 0 and all(0x21 <= ord(ch) <= 0x7E for ch in token)
+
+
+def reference_validate(inst: Instance) -> ValidationReport:
+    """:func:`efl.instance.validate` counting every token of every clique and
+    intersecting all C(n, 2) clique pairs."""
+    violations: list[Violation] = []
+    n = inst.n
+    for i, members in enumerate(inst.cliques, start=1):
+        seen: dict[VertexId, int] = {}
+        for t in members:
+            seen[t] = seen.get(t, 0) + 1
+        if len(seen) != n:
+            violations.append(
+                Violation(
+                    kind="clique-size",
+                    cliques=(i,),
+                    message=f"clique {i} has {len(seen)} distinct vertices, expected {n}",
+                )
+            )
+        for t, count in seen.items():
+            if count > 1:
+                violations.append(
+                    Violation(
+                        kind="duplicate-vertex",
+                        cliques=(i,),
+                        tokens=(t,),
+                        message=f"clique {i} lists vertex '{t}' {count} times",
+                    )
+                )
+    sets = inst.clique_sets
+    for i in range(n):
+        for j in range(i + 1, n):
+            shared = sets[i] & sets[j]
+            if len(shared) >= 2:
+                toks = tuple(sorted(shared))
+                violations.append(
+                    Violation(
+                        kind="shared-pair",
+                        cliques=(i + 1, j + 1),
+                        tokens=toks,
+                        message=(
+                            f"cliques {i + 1},{j + 1} share {len(shared)} vertices "
+                            f"({', '.join(toks)})"
+                        ),
+                    )
+                )
+    return ValidationReport(violations=tuple(violations))
+
+
+def reference_parse_instance(text: str, *, require_validity: bool = True) -> Instance:
+    """:func:`efl.instance.parse_instance` checking each token on its own, then
+    validating with :func:`reference_validate`."""
+    content: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r").strip()
+        if not line or line.startswith("#"):
+            continue
+        content.append((lineno, line))
+
+    if not content:
+        raise ParseError("empty input: expected a clique count line")
+    header_line, header = content[0]
+    if not (header.isascii() and header.isdigit()):
+        raise ParseError(
+            f"line {header_line}: expected a decimal clique count, got '{header}'"
+        )
+    n = int(header)
+    if n < 1:
+        raise ParseError(f"line {header_line}: clique count must be positive, got {n}")
+
+    body = content[1:]
+    if len(body) != n:
+        raise ParseError(f"expected {n} clique lines, found {len(body)}")
+
+    cliques: list[tuple[str, ...]] = []
+    for idx, (lineno, line) in enumerate(body, start=1):
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ParseError(
+                f"line {lineno}: clique {idx} has {len(tokens)} tokens, expected {n}"
+            )
+        seen: set[str] = set()
+        for t in tokens:
+            if not (t.isascii() and t.isprintable()):
+                raise ParseError(f"line {lineno}: invalid token '{t}' in clique {idx}")
+            if t in seen:
+                raise ParseError(f"line {lineno}: duplicate token '{t}' in clique {idx}")
+            seen.add(t)
+        cliques.append(tuple(tokens))
+
+    inst = Instance(n, cliques)
+    if require_validity:
+        report = reference_validate(inst)
+        if not report.ok:
+            raise ParseError("; ".join(v.message for v in report.violations))
+    return inst
+
+
+def reference_check_sy2_all(inst: Instance, bound_rule: str = "statement") -> HypothesisReport:
+    """:func:`efl.greedy.check_sy2_all` running :func:`efl.greedy.check_sy2`
+    for each d = 2..n until one fails."""
+    require_valid(inst)
+    parameter = f"sy2 all d in 2..{inst.n} ({bound_rule})"
+    for d in range(2, inst.n + 1):
+        report = check_sy2(inst, d, bound_rule)
+        if not report.holds:
+            return HypothesisReport(report.per_clique, parameter, first_failing_d=d)
+    return HypothesisReport(per_clique=(), parameter=parameter)
 
 
 def brute_is_proper(inst: Instance, coloring: dict[str, int]) -> bool:

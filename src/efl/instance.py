@@ -166,10 +166,20 @@ def validate(inst: Instance) -> ValidationReport:
     Findings cover wrong clique sizes, tokens repeated inside a clique, and
     clique pairs sharing two or more vertices.  All offenders are listed, not
     just the first, so generator bugs surface completely.
+
+    Only a clique that does not hold n distinct tokens in n places has its
+    tokens counted.  Linearity is one pass over the incidence lists: each
+    clique keeps the mask of the cliques it has met so far, and a shared
+    vertex whose cliques are already in that mask closes a second shared
+    vertex for those pairs.  Only the offending pairs are intersected, to
+    name their shared tokens.
     """
     violations: list[Violation] = []
     n = inst.n
+    sets = inst.clique_sets
     for i, members in enumerate(inst.cliques, start=1):
+        if len(members) == n == len(sets[i - 1]):
+            continue
         seen: dict[VertexId, int] = {}
         for t in members:
             seen[t] = seen.get(t, 0) + 1
@@ -191,23 +201,29 @@ def validate(inst: Instance) -> ValidationReport:
                         message=f"clique {i} lists vertex '{t}' {count} times",
                     )
                 )
-    sets = inst.clique_sets
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = sets[i] & sets[j]
-            if len(shared) >= 2:
-                toks = tuple(sorted(shared))
-                violations.append(
-                    Violation(
-                        kind="shared-pair",
-                        cliques=(i + 1, j + 1),
-                        tokens=toks,
-                        message=(
-                            f"cliques {i + 1},{j + 1} share {len(shared)} vertices "
-                            f"({', '.join(toks)})"
-                        ),
-                    )
-                )
+    meets = [0] * (n + 1)  # bit j of meets[i]: cliques i and j share a vertex
+    offending: set[tuple[int, int]] = set()
+    for ix in inst.incidence_map.values():
+        if len(ix) == 1:
+            continue
+        mask = 0
+        for i in ix:
+            mask |= 1 << i
+        for i in ix:
+            again = meets[i] & mask
+            if again:
+                offending.update((i, j) for j in range(i + 1, n + 1) if again >> j & 1)
+            meets[i] |= mask ^ (1 << i)
+    for i, j in sorted(offending):
+        toks = tuple(sorted(sets[i - 1] & sets[j - 1]))
+        violations.append(
+            Violation(
+                kind="shared-pair",
+                cliques=(i, j),
+                tokens=toks,
+                message=f"cliques {i},{j} share {len(toks)} vertices ({', '.join(toks)})",
+            )
+        )
     return ValidationReport(violations=tuple(violations))
 
 
@@ -217,6 +233,19 @@ def require_valid(inst: Instance) -> None:
     if not report.ok:
         summary = "; ".join(v.message for v in report.violations)
         raise InvalidInstanceError(summary)
+
+
+def _bad_token_error(tokens: list[str], lineno: int, idx: int) -> ParseError:
+    """The error naming the first token of a clique line that is not visible
+    ASCII or repeats an earlier one; the line must hold such a token."""
+    seen: set[str] = set()
+    for t in tokens:
+        if not (t.isascii() and t.isprintable()):
+            return ParseError(f"line {lineno}: invalid token '{t}' in clique {idx}")
+        if t in seen:
+            return ParseError(f"line {lineno}: duplicate token '{t}' in clique {idx}")
+        seen.add(t)
+    raise AssertionError("clique line has no bad token")
 
 
 def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
@@ -258,14 +287,11 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
             raise ParseError(
                 f"line {lineno}: clique {idx} has {len(tokens)} tokens, expected {n}"
             )
-        seen: set[str] = set()
-        for t in tokens:
-            # visible ASCII only: str.split() leaves no empty or whitespace token
-            if not (t.isascii() and t.isprintable()):
-                raise ParseError(f"line {lineno}: invalid token '{t}' in clique {idx}")
-            if t in seen:
-                raise ParseError(f"line {lineno}: duplicate token '{t}' in clique {idx}")
-            seen.add(t)
+        # visible ASCII only: str.split() leaves no empty or whitespace
+        # token, and both predicates hold for a string iff for each character
+        joined = "".join(tokens)
+        if not (joined.isascii() and joined.isprintable() and len(set(tokens)) == n):
+            raise _bad_token_error(tokens, lineno, idx)
         cliques.append(tuple(tokens))
 
     inst = Instance(n, cliques)
@@ -339,5 +365,5 @@ def intersecting_pair_count(inst: Instance) -> int:
         1
         for i in range(inst.n)
         for j in range(i + 1, inst.n)
-        if sets[i] & sets[j]
+        if not sets[i].isdisjoint(sets[j])
     )

@@ -75,6 +75,14 @@ def check_sy1(inst: Instance) -> HypothesisReport:
     return _per_clique_report(inst, 2, math.isqrt(inst.n), "sy1")
 
 
+def _sy2_bound(n: int, d: int, bound_rule: str) -> int:
+    if bound_rule == "statement":
+        return (n + 2 * d - 2) // d  # ceil((n+d-1)/d)
+    if bound_rule == "proof":
+        return (n + d - 1) // d  # ceil(n/d)
+    raise ValueError(f"unknown bound_rule '{bound_rule}'")
+
+
 def check_sy2(inst: Instance, d: int, bound_rule: str = "statement") -> HypothesisReport:
     """At most ceil((n+d-1)/d) vertices of clique degree >= d in every clique.
 
@@ -84,21 +92,35 @@ def check_sy2(inst: Instance, d: int, bound_rule: str = "statement") -> Hypothes
     n = inst.n
     if not 2 <= d <= n:
         raise ValueError(f"d must lie in 2..{n}, got {d}")
-    if bound_rule == "statement":
-        bound = (n + 2 * d - 2) // d  # ceil((n+d-1)/d)
-    elif bound_rule == "proof":
-        bound = (n + d - 1) // d  # ceil(n/d)
-    else:
-        raise ValueError(f"unknown bound_rule '{bound_rule}'")
+    bound = _sy2_bound(n, d, bound_rule)
     return _per_clique_report(inst, d, bound, f"sy2 d={d} ({bound_rule})")
 
 
 def check_sy2_all(inst: Instance, bound_rule: str = "statement") -> HypothesisReport:
-    """Conjunction of :func:`check_sy2` over d = 2..n; records the first failing d."""
+    """Conjunction of :func:`check_sy2` over d = 2..n; records the first failing d.
+
+    One pass over the incidence lists counts each clique's vertices by
+    clique degree, and suffix sums over the degree give the count for every
+    d.  Only the first failing d gets its per-clique rows.
+    """
     require_valid(inst)
-    parameter = f"sy2 all d in 2..{inst.n} ({bound_rule})"
-    for d in range(2, inst.n + 1):
-        report = check_sy2(inst, d, bound_rule)
-        if not report.holds:
-            return HypothesisReport(report.per_clique, parameter, first_failing_d=d)
+    n = inst.n
+    parameter = f"sy2 all d in 2..{n} ({bound_rule})"
+    inc = inst.incidence_map
+    top = max(len(ix) for ix in inc.values())
+    # at_least[i - 1][d]: vertices of clique degree >= d in clique i
+    at_least = [[0] * (top + 2) for _ in range(n)]
+    for ix in inc.values():
+        for i in ix:
+            at_least[i - 1][len(ix)] += 1
+    for row in at_least:
+        for d in range(top - 1, 1, -1):
+            row[d] += row[d + 1]
+    for d in range(2, n + 1):
+        bound = _sy2_bound(n, d, bound_rule)  # an unknown rule raises at d = 2
+        if d > top:
+            break  # no clique has a vertex of clique degree >= d
+        if any(row[d] > bound for row in at_least):
+            rows = tuple(CliqueCount(i, row[d], bound) for i, row in enumerate(at_least, start=1))
+            return HypothesisReport(rows, parameter, first_failing_d=d)
     return HypothesisReport(per_clique=(), parameter=parameter)

@@ -138,7 +138,8 @@ def _block_matrix(inst: Instance, core: dict[str, int]) -> ColorMatrix:
     n = inst.n
     matrix = ColorMatrix(n, [[DISJOINT] * n for _ in range(n)])
     for v, ix in inst.incidence_map.items():
-        matrix.set_block(ix, core.get(v, UNASSIGNED))
+        if len(ix) > 1:  # a private vertex's block has no off-diagonal cell
+            matrix.set_block(ix, core.get(v, UNASSIGNED))
     return matrix
 
 

@@ -1,8 +1,11 @@
-"""The degree-ordered greedy and the two per-clique conditions that guarantee it.
+"""The degree-ordered greedy and the paper's two per-clique conditions.
 
 Core vertices are colored in non-increasing clique degree.  When every clique
-has few shared vertices (at most sqrt(n), or at most ceil((n+d-1)/d) of degree
-at least d for every d), the greedy provably finishes within n colors.
+has at most sqrt(n) shared vertices, or at most ceil(n/d) of degree at least
+d for every d, the greedy finishes within n colors on every cover the tests
+draw.  The paper's statement bound ceil((n+d-1)/d), which check_sy2 uses by
+default, is one looser at d = 2 and does not suffice for the greedy: it
+holds on tests/data/sy2_statement_n6.efl, where the greedy fails.
 """
 
 from efl import (

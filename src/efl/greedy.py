@@ -1,11 +1,15 @@
-"""Greedy degree-ordered coloring and the two sufficient-condition checkers.
+"""Greedy degree-ordered coloring and the paper's two per-clique conditions.
 
 The greedy procedure colors core vertices in non-increasing clique degree,
 giving each the least color unused in all of its cliques so far; it runs the
-matrix engine's coloring loop with repair switched off.  The two
-checkers test the per-clique core-vertex counts that guarantee this greedy
-succeeds: at most sqrt(n) core vertices per clique, or, for every d in 2..n,
-at most ceil((n+d-1)/d) vertices of clique degree >= d per clique.
+matrix engine's coloring loop with repair switched off.  The two checkers
+test per-clique core-vertex counts: at most sqrt(n) core vertices per clique
+(SY1), or, for every d in 2..n, at most ceil((n+d-1)/d) vertices of clique
+degree >= d per clique (SY2, the statement rule; the proof rule bounds by
+ceil(n/d)).  SY1 or the proof rule is what the tests find sufficient for the
+greedy.  The statement rule is not: it holds on
+``tests/data/sy2_statement_n6.efl`` and the greedy fails there, while the
+matrix engine colors it.
 """
 
 from __future__ import annotations

@@ -25,6 +25,11 @@ def gap_n8_file() -> pathlib.Path:
     return DATA_DIR / "gap_n8.efl"
 
 
+@pytest.fixture
+def sy2_statement_n6_file() -> pathlib.Path:
+    return DATA_DIR / "sy2_statement_n6.efl"
+
+
 @pytest.fixture(scope="session")
 def corpus500():
     return random_corpus(500)

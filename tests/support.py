@@ -11,6 +11,8 @@ properness reference is the earlier sort-and-group :func:`verify_proper`.
 ``reference_parse_instance`` and ``reference_validate`` the parser and the
 validator that checked every token and intersected every clique pair, and
 ``reference_check_sy2_all`` the SY2 conjunction that recounted each d.
+``clique_pairs_cover`` builds the covers on which the SY2 statement rule holds
+and the greedy still fails.
 ``blocked_colors`` is the paper's "appears at least k-1 times in the row"
 rule, read off a matrix, ``reference_owns_colors`` the fan plan's earlier
 check over every colored core vertex, and ``reference_fan_path_plan`` the fan
@@ -469,6 +471,23 @@ def reference_build_random(spec: GenSpec) -> RandomBuildResult:
         merges_done=merges_done,
         extensions_done=extensions_done,
     )
+
+
+def clique_pairs_cover(n: int, m: int) -> Instance:
+    """n cliques of order n where each pair of the first m meets in its own
+    degree-2 vertex ``b<i>_<j>``; every other vertex is private, ``p<i>_<k>``.
+
+    The core is the line graph of K_m, so χ = m for odd m and m - 1 for even
+    m.  With m = n/2 + 2 and n even, the SY2 statement rule holds at its d = 2
+    bound n/2 + 1 and the proof rule, bound n/2, fails; the greedy fails at
+    n = 6, 14 and 30.
+    """
+    cliques = []
+    for i in range(1, n + 1):
+        members = [f"b{min(i, j)}_{max(i, j)}" for j in range(1, m + 1) if j != i and i <= m]
+        members += [f"p{i}_{k}" for k in range(1, n - len(members) + 1)]
+        cliques.append(tuple(members))
+    return Instance(n, cliques)
 
 
 def corpus_specs(count: int = 500) -> list[GenSpec]:

@@ -153,22 +153,35 @@ def test_criterion_5_oracle_equivalence(corpus500):
 
 
 def test_criterion_6_sy_behavioral_claims(corpus500):
+    # two claims: SY1 or SY2 under the proof rule makes the greedy succeed;
+    # SY2 under the statement rule makes the engine succeed and the cover
+    # n-colorable (the greedy can fail there, see tests/data/sy2_statement_n6.efl)
     failures = []
     for idx, inst in enumerate(corpus500):
-        sy1 = check_sy1(inst)
-        sy2 = check_sy2_all(inst)
-        if not (sy1.holds or sy2.holds):
-            continue
-        result = run_greedy(inst)
-        bad = not result.ok
-        if not bad:
-            report = verify_proper(inst, result.coloring)
-            bad = not report.proper or report.max_color > inst.n
+        sy1 = check_sy1(inst).holds
+        proof = check_sy2_all(inst, "proof").holds
+        statement = check_sy2_all(inst).holds
+        bad = []
+        if sy1 or proof:
+            result = run_greedy(inst)
+            if not result.ok or not _certified(inst, result.coloring):
+                bad.append("greedy")
+        if statement:
+            result = run_matrix_method(inst)
+            if not result.ok or not _certified(inst, result.coloring):
+                bad.append("engine")
+            elif not is_n_colorable(inst):
+                bad.append("n-colorable")
         if bad:
             dump = pathlib.Path(f"counterexample_sy_{idx}.efl")
             dump.write_text(serialize_instance(inst))
-            failures.append((idx, sy1.holds, sy2.holds, str(dump)))
+            failures.append((idx, sy1, proof, statement, bad, str(dump)))
     _report(6, "sy-behavioral-claims", not failures)
+
+
+def _certified(inst, coloring) -> bool:
+    report = verify_proper(inst, coloring)
+    return report.proper and report.max_color <= inst.n
 
 
 def test_criterion_7_scale_smoke():

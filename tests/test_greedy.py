@@ -3,10 +3,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from efl.export import serialize_instance
 from efl.generators import gen_dense, gen_disjoint
 from efl.greedy import check_sy1, check_sy2, check_sy2_all, run_greedy
-from efl.oracle import is_n_colorable, verify_proper
-from support import instances
+from efl.instance import core_subgraph, intersecting_pair_count, parse_instance
+from efl.matrix_engine import run_matrix_method
+from efl.oracle import chromatic_number_exact, is_n_colorable, verify_proper
+from support import clique_pairs_cover, instances
 
 
 class TestRunGreedy:
@@ -133,10 +136,71 @@ class TestBehavioralClaims:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(inst=instances(max_n=8))
     def test_sy_conditions_guarantee_greedy_success(self, inst):
+        # SY1, or SY2 under the proof rule ceil(n/d); the statement rule is
+        # not enough (see TestStatementRuleGap)
         sy1 = check_sy1(inst)
-        sy2 = check_sy2_all(inst)
+        sy2 = check_sy2_all(inst, "proof")
         if sy1.holds or sy2.holds:
             result = run_greedy(inst)
             assert result.ok
             report = verify_proper(inst, result.coloring)
             assert report.proper and report.max_color <= inst.n
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(inst=instances(max_n=8))
+    def test_statement_rule_guarantees_engine_success(self, inst):
+        if check_sy2_all(inst).holds:
+            result = run_matrix_method(inst)
+            assert result.ok
+            report = verify_proper(inst, result.coloring)
+            assert report.proper and report.max_color <= inst.n
+            assert is_n_colorable(inst)
+
+
+class TestStatementRuleGap:
+    """SY2 under the statement rule ceil((n+d-1)/d) holds, and greedy fails.
+
+    On ``clique_pairs_cover(n, n/2 + 2)`` each of the first n/2 + 2 cliques
+    holds n/2 + 1 degree-2 vertices: the statement bound at d = 2, one above
+    the proof bound.  The paper's claim, n-colorability, stands: the engine
+    colors every member.  What fails is reading the statement rule as a
+    guarantee for the greedy.
+    """
+
+    def test_n6_fixture(self, sy2_statement_n6_file):
+        inst = parse_instance(sy2_statement_n6_file.read_text())
+        assert serialize_instance(inst) == serialize_instance(clique_pairs_cover(6, 5))
+        assert check_sy2_all(inst).holds
+        proof = check_sy2_all(inst, "proof")
+        assert proof.first_failing_d == 2
+        assert [(r.count, r.bound) for r in proof.per_clique] == [(4, 3)] * 5 + [(0, 3)]
+        assert not check_sy1(inst).holds
+        assert run_greedy(inst).reason == "no-color-available"
+        result = run_matrix_method(inst)
+        assert result.ok
+        report = verify_proper(inst, result.coloring)
+        assert report.proper and report.max_color <= inst.n
+        assert chromatic_number_exact(core_subgraph(inst)) == 5
+
+    # χ of the core L(K_m) from the closed form: m for odd m; the n = 14 core
+    # is the dense(9) core, too slow for the exact search
+    @pytest.mark.parametrize("n, chi", [(6, 5), (14, 9), (30, 17)])
+    def test_family(self, n, chi):
+        m = n // 2 + 2
+        inst = clique_pairs_cover(n, m)
+        assert inst.is_valid
+        assert intersecting_pair_count(inst) == m * (m - 1) // 2
+        assert check_sy2_all(inst).holds
+        proof = check_sy2_all(inst, "proof")
+        assert proof.first_failing_d == 2
+        assert proof.per_clique[0].count == m - 1 == proof.per_clique[0].bound + 1
+        assert not check_sy1(inst).holds
+        assert run_greedy(inst).reason == "no-color-available"
+        result = run_matrix_method(inst)
+        assert result.ok
+        report = verify_proper(inst, result.coloring)
+        assert report.proper and report.max_color <= n
+        core = core_subgraph(inst)
+        assert len(core.vertices) == m * (m - 1) // 2
+        assert chi == (m if m % 2 else m - 1) <= n
+        assert is_n_colorable(inst, vertex_limit=len(core.vertices))

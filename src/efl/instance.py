@@ -76,11 +76,15 @@ class Instance:
         Vertices appear in input order (first clique, then position), so
         iterating the map does not depend on string hashing.
         """
-        found: dict[VertexId, list[int]] = {}
+        found: dict[VertexId, tuple[int, ...]] = {}
         for i, members in enumerate(self.cliques, start=1):
-            for token in dict.fromkeys(members):
-                found.setdefault(token, []).append(i)
-        return {t: tuple(ix) for t, ix in found.items()}
+            one = (i,)
+            for token in members:
+                if token not in found:
+                    found[token] = one
+                elif found[token][-1] != i:  # a token repeated in clique i counts once
+                    found[token] += one
+        return found
 
     @cached_property
     def validation(self) -> "ValidationReport":
@@ -258,7 +262,7 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
     """
     content: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
+        line = raw.strip()  # strip() also takes the "\r" of CRLF input
         if not line or line.startswith("#"):
             continue
         content.append((lineno, line))

@@ -80,10 +80,11 @@ def check_sy1(inst: Instance) -> HypothesisReport:
 
 
 def _sy2_bound(n: int, d: int, bound_rule: str) -> int:
+    """The SY2 bound at d: ceil((n+d-1)/d) for the statement rule, ceil(n/d) for the proof rule."""
     if bound_rule == "statement":
-        return (n + 2 * d - 2) // d  # ceil((n+d-1)/d)
+        return (n + 2 * d - 2) // d
     if bound_rule == "proof":
-        return (n + d - 1) // d  # ceil(n/d)
+        return (n + d - 1) // d
     raise ValueError(f"unknown bound_rule '{bound_rule}'")
 
 

@@ -173,10 +173,9 @@ def validate(inst: Instance) -> ValidationReport:
 
     Only a clique that does not hold n distinct tokens in n places has its
     tokens counted.  Linearity is one pass over the incidence lists: each
-    clique keeps the mask of the cliques it has met so far, and a shared
-    vertex whose cliques are already in that mask closes a second shared
-    vertex for those pairs.  Only the offending pairs are intersected, to
-    name their shared tokens.
+    clique keeps a mask of the cliques it has met so far, and a shared vertex
+    whose cliques already meet is a second shared vertex of those pairs.
+    Only the offending pairs are intersected, to name their shared tokens.
     """
     violations: list[Violation] = []
     n = inst.n

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from efl.errors import ParseError
+from efl.errors import EflError, ParseError
 from efl.generators import gen_dense, gen_disjoint
 from efl.greedy import check_sy2_all
 from efl.instance import Instance, parse_instance, validate
@@ -29,7 +29,7 @@ def _outcome(fn, *args, **kwargs):
     """The value, or the type and text of the error raised."""
     try:
         return ("value", fn(*args, **kwargs))
-    except Exception as err:  # noqa: BLE001 - the error itself is compared
+    except (EflError, ValueError) as err:
         return ("error", type(err).__name__, str(err))
 
 

@@ -90,7 +90,7 @@ def efl_texts(draw, max_n: int = 4) -> str:
     lines = [str(n)]
     for _ in range(n):
         k = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
-        lines.append(" ".join(draw(st.lists(token, min_size=max(k, 0), max_size=max(k, 0)))))
+        lines.append(" ".join(draw(st.lists(token, min_size=k, max_size=k))))
     return "\n".join(lines) + "\n"
 
 

@@ -16,12 +16,14 @@ and the greedy still fails.
 ``blocked_colors`` is the paper's "appears at least k-1 times in the row"
 rule, read off a matrix, ``reference_owns_colors`` the fan plan's earlier
 check over every colored core vertex, and ``reference_fan_path_plan`` the fan
-plan with every guard it once carried.
+plan with every guard it once carried.  ``reference_color_cover`` is the
+coloring loop that tested every free color through a helper call, and
+``reference_export_dot`` the DOT writer that built each edge run as a line.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 from hypothesis import strategies as st
 
@@ -44,8 +46,26 @@ from efl.instance import (
     Violation,
     require_valid,
 )
-from efl.matrix_engine import ColorMatrix, _bits, _least, _owns_colors, _recolor
-from efl.oracle import VerifyReport
+from efl.matrix_engine import (
+    REASON_BUDGET_EXHAUSTED,
+    REASON_INTERNAL_VERIFICATION,
+    REASON_NO_COLOR_AVAILABLE,
+    REASON_STUCK_NO_REPAIR,
+    Assigned,
+    BudgetExhausted,
+    ColorMatrix,
+    ColoringResult,
+    RepairRecolored,
+    RepairSkipped,
+    TraceEvent,
+    _bits,
+    _fan_path_plan,
+    _least,
+    _owns_colors,
+    _recolor,
+)
+from efl.export import _dot_color
+from efl.oracle import VerifyReport, verify_proper
 
 
 def brute_core_edges(inst: Instance) -> set[tuple[str, str]]:
@@ -296,6 +316,124 @@ def reference_fan_path_plan(
     if not _owns_colors(work, work_color, inc, touched):
         return None
     return writes
+
+
+def _reference_free_mask(used: list[int], ix: Sequence[int], full: int) -> int:
+    """Colors of ``full`` owned in none of the rows ``ix``, as a mask (bit c for color c)."""
+    taken = 0
+    for i in ix:
+        taken |= used[i]
+    return full & ~taken
+
+
+def reference_color_cover(
+    inst: Instance, repair_budget: Optional[int], trace: Optional[list[TraceEvent]]
+) -> ColoringResult:
+    """:func:`efl.matrix_engine.color_cover` testing each vertex's free colors
+    through :func:`_reference_free_mask` and assigning through ``_recolor``.
+
+    The library loop must return the same colors, reason and trace events.
+    """
+    require_valid(inst)
+    n = inst.n
+    full = ((1 << n) - 1) << 1  # every color 1..n
+    inc = {v: ix for v, ix in inst.incidence_map.items() if len(ix) > 1}
+    rows: list[dict[int, str]] = [{} for _ in range(n + 1)]  # 1-based cliques
+    used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
+    by_rank = sorted(inc, key=inc.__getitem__)
+    bit = {v: 1 << r for r, v in enumerate(by_rank)}
+    members = [0] * (n + 1)  # members[i]: the ranks colored in row i, as a mask
+    core: dict[str, int] = {}
+    budget_used = 0
+    tracing = trace is not None
+
+    for u in sorted(inc, key=lambda v: (-len(inc[v]), inc[v])):
+        ix_u = inc[u]
+        neighbors = None
+        while not (free_u := _reference_free_mask(used, ix_u, full)):
+            if repair_budget is None:
+                return ColoringResult(inst, core, REASON_NO_COLOR_AVAILABLE, trace)
+            if neighbors is None:
+                neighbors = 0
+                for i in ix_u:
+                    neighbors |= members[i]
+                tried = blocked = 0
+            plan = None
+            below = -1  # the ranks below the chosen one; all while none is chosen
+            todo = neighbors & ~(tried | blocked)
+            while todo:
+                low = todo & -todo
+                v = by_rank[low.bit_length() - 1]
+                free_v = _reference_free_mask(used, inc[v], full)
+                if free_v:
+                    tried |= low
+                    plan = [(v, _least(free_v))]
+                    below = low - 1
+                    break
+                blocked |= low
+                todo ^= low
+            if tracing:
+                trace.extend(RepairSkipped(by_rank[r]) for r in _bits(blocked & below))
+            if plan is None and len(ix_u) == 2:
+                plan = _fan_path_plan(rows, used, core, inc, u, n)
+            if not plan:
+                return ColoringResult(inst, core, REASON_STUCK_NO_REPAIR, trace)
+            if budget_used + len(plan) > repair_budget:
+                if tracing:
+                    trace.append(BudgetExhausted())
+                return ColoringResult(inst, core, REASON_BUDGET_EXHAUSTED, trace)
+            for v, x in plan:
+                if tracing:
+                    trace.append(RepairRecolored(v, core[v], x))
+                _recolor(rows, used, core, inc, v, x)
+                for i in inc[v]:
+                    blocked &= ~members[i]
+            budget_used += len(plan)
+        x = _least(free_u)
+        _recolor(rows, used, core, inc, u, x)
+        for i in ix_u:
+            members[i] |= bit[u]
+        if tracing:
+            trace.append(Assigned(u, x))
+
+    total = dict(core)
+    for i, clique in enumerate(inst.cliques, start=1):
+        privates = sorted(v for v in clique if v not in inc)
+        total.update(zip(privates, _bits(full & ~used[i])))
+    report = verify_proper(inst, total)
+    if not report.proper or report.max_color > n:
+        return ColoringResult(inst, core, REASON_INTERNAL_VERIFICATION, trace)
+    return ColoringResult(inst, total, None, trace)
+
+
+def reference_export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> str:
+    """:func:`efl.export.export_dot` building each edge run as one line and
+    joining the lines."""
+    require_valid(inst)
+    if coloring is not None:
+        report = verify_proper(inst, dict(coloring))
+        if not report.proper:
+            first = report.conflicts[0]
+            raise ValueError(
+                f"refusing to export an improper coloring: clique {first[0]} "
+                f"has '{first[1]}' and '{first[2]}' both colored {first[3]}"
+            )
+    quoted = {v: f'"{v}"' for v in inst.vertices}
+    lines = ["graph cover {"]
+    if coloring is None:
+        lines.extend(f"  {q};" for q in quoted.values())
+    else:
+        lines.extend(
+            f"  {q} [color=\"{_dot_color(coloring[v])}\", style=filled];"
+            for v, q in quoted.items()
+        )
+    for clique in inst.cliques:
+        group = [quoted[v] for v in sorted(clique)]
+        for a in range(len(group) - 1):
+            head = f"  {group[a]} -- "
+            lines.append(head + (";\n" + head).join(group[a + 1 :]) + ";")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_verify_proper(inst: Instance, coloring: dict[str, int]) -> VerifyReport:

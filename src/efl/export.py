@@ -33,11 +33,14 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
     """DOT text: every vertex once, every clique as its full edge set.
 
     With a coloring each node carries a ``color`` attribute (named for colors
-    1..6, numeric beyond).  The coloring must be total and proper.
+    1..6, numeric beyond).  The coloring must be total and proper.  The text
+    is gathered as pieces in one list and joined once: a node line each, and
+    for each run of edges from one vertex its head, the edges joined on
+    ``";\\n" + head``, and the closing ``";\\n"``.
     """
     require_valid(inst)
     if coloring is not None:
-        report = verify_proper(inst, dict(coloring))
+        report = verify_proper(inst, coloring)
         if not report.proper:
             first = report.conflicts[0]
             raise ValueError(
@@ -45,12 +48,12 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
                 f"has '{first[1]}' and '{first[2]}' both colored {first[3]}"
             )
     quoted = {v: f'"{v}"' for v in inst.vertices}
-    lines = ["graph cover {"]
+    parts = ["graph cover {\n"]
     if coloring is None:
-        lines.extend(f"  {q};" for q in quoted.values())
+        parts.extend(f"  {q};\n" for q in quoted.values())
     else:
-        lines.extend(
-            f"  {q} [color=\"{_dot_color(coloring[v])}\", style=filled];"
+        parts.extend(
+            f"  {q} [color=\"{_dot_color(coloring[v])}\", style=filled];\n"
             for v, q in quoted.items()
         )
     # a valid cover is linear and repeats no token, so each vertex pair lies
@@ -60,6 +63,6 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
         group = [quoted[v] for v in sorted(members)]
         for a in range(len(group) - 1):
             head = f"  {group[a]} -- "
-            lines.append(head + (";\n" + head).join(group[a + 1 :]) + ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            parts += (head, (";\n" + head).join(group[a + 1 :]), ";\n")
+    parts.append("}\n")
+    return "".join(parts)

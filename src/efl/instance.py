@@ -171,42 +171,23 @@ def validate(inst: Instance) -> ValidationReport:
     clique pairs sharing two or more vertices.  All offenders are listed, not
     just the first, so generator bugs surface completely.
 
-    Only a clique that does not hold n distinct tokens in n places has its
-    tokens counted.  Linearity is one pass over the incidence lists: each
-    clique keeps a mask of the cliques it has met so far, and a shared vertex
-    whose cliques already meet is a second shared vertex of those pairs.
-    Only the offending pairs are intersected, to name their shared tokens.
+    Sizes are decided without a set per clique: the incidence lists hold
+    each clique's distinct tokens once, so when every clique lists n tokens
+    their lengths sum to n*n exactly when none repeats.  Only on failure are
+    the tokens of each clique counted.  Linearity is one pass over the same
+    incidence lists: each clique keeps a mask of the cliques it has met so
+    far, and a shared vertex whose cliques already meet is a second shared
+    vertex of those pairs.  Only the offending pairs are intersected, to
+    name their shared tokens.
     """
     violations: list[Violation] = []
     n = inst.n
-    sets = inst.clique_sets
-    for i, members in enumerate(inst.cliques, start=1):
-        if len(members) == n == len(sets[i - 1]):
-            continue
-        seen: dict[VertexId, int] = {}
-        for t in members:
-            seen[t] = seen.get(t, 0) + 1
-        if len(seen) != n:
-            violations.append(
-                Violation(
-                    kind="clique-size",
-                    cliques=(i,),
-                    message=f"clique {i} has {len(seen)} distinct vertices, expected {n}",
-                )
-            )
-        for t, count in seen.items():
-            if count > 1:
-                violations.append(
-                    Violation(
-                        kind="duplicate-vertex",
-                        cliques=(i,),
-                        tokens=(t,),
-                        message=f"clique {i} lists vertex '{t}' {count} times",
-                    )
-                )
+    cliques = inst.cliques
+    places = 0  # the distinct tokens of every clique, summed
     meets = [0] * (n + 1)  # bit j of meets[i]: cliques i and j share a vertex
     offending: set[tuple[int, int]] = set()
     for ix in inst.incidence_map.values():
+        places += len(ix)
         if len(ix) == 1:
             continue
         mask = 0
@@ -217,8 +198,31 @@ def validate(inst: Instance) -> ValidationReport:
             if again:
                 offending.update((i, j) for j in range(i + 1, n + 1) if again >> j & 1)
             meets[i] |= mask ^ (1 << i)
+    if places != n * n or any(len(members) != n for members in cliques):
+        for i, members in enumerate(cliques, start=1):
+            seen: dict[VertexId, int] = {}
+            for t in members:
+                seen[t] = seen.get(t, 0) + 1
+            if len(seen) != n:
+                violations.append(
+                    Violation(
+                        kind="clique-size",
+                        cliques=(i,),
+                        message=f"clique {i} has {len(seen)} distinct vertices, expected {n}",
+                    )
+                )
+            for t, count in seen.items():
+                if count > 1:
+                    violations.append(
+                        Violation(
+                            kind="duplicate-vertex",
+                            cliques=(i,),
+                            tokens=(t,),
+                            message=f"clique {i} lists vertex '{t}' {count} times",
+                        )
+                    )
     for i, j in sorted(offending):
-        toks = tuple(sorted(sets[i - 1] & sets[j - 1]))
+        toks = tuple(sorted(set(cliques[i - 1]).intersection(cliques[j - 1])))
         violations.append(
             Violation(
                 kind="shared-pair",

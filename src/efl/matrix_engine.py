@@ -251,14 +251,6 @@ class ColoringResult:
         return _block_matrix(self.instance, self.colors)
 
 
-def _free_mask(used: list[int], ix: Sequence[int], full: int) -> int:
-    """Colors of ``full`` owned in none of the rows ``ix``, as a mask (bit c for color c)."""
-    taken = 0
-    for i in ix:
-        taken |= used[i]
-    return full & ~taken
-
-
 def _least(mask: int) -> int:
     """The least color of a non-empty color mask."""
     return (mask & -mask).bit_length() - 1
@@ -453,6 +445,14 @@ def color_cover(
     restarted from the lowest rank would test and pass over, so the ``SKIP``
     events equal those of re-testing every owner after each commit.  Trace
     events are built only when ``trace`` is a list.
+
+    Every free-color test ORs the row masks inline: over ``ix_u`` for the
+    vertex being placed, and over ``rank_ix[r]``, the rows of rank r listed
+    once per run, in the scan, which looks up the token ``by_rank[r]`` only
+    for the rank it picks.  The least free color is the lowest set bit.  A
+    vertex being placed owns no color yet, so its assignment writes
+    ``rows[i][x]``, ``used[i]`` and ``members[i]`` in one loop over its rows;
+    ``_recolor``, which releases the old color, serves only repairs.
     """
     require_valid(inst)
     n = inst.n
@@ -461,6 +461,7 @@ def color_cover(
     rows: list[dict[int, str]] = [{} for _ in range(n + 1)]  # 1-based cliques
     used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
     by_rank = sorted(inc, key=inc.__getitem__)
+    rank_ix = [inc[v] for v in by_rank]
     bit = {v: 1 << r for r, v in enumerate(by_rank)}
     members = [0] * (n + 1)  # members[i]: the ranks colored in row i, as a mask
     core: dict[str, int] = {}
@@ -470,7 +471,12 @@ def color_cover(
     for u in sorted(inc, key=lambda v: (-len(inc[v]), inc[v])):
         ix_u = inc[u]
         neighbors = None
-        while not (free_u := _free_mask(used, ix_u, full)):
+        while True:
+            taken = 0
+            for i in ix_u:
+                taken |= used[i]
+            if free_u := full & ~taken:
+                break
             if repair_budget is None:
                 return ColoringResult(inst, core, REASON_NO_COLOR_AVAILABLE, trace)
             if neighbors is None:
@@ -485,11 +491,13 @@ def color_cover(
             todo = neighbors & ~(tried | blocked)
             while todo:
                 low = todo & -todo
-                v = by_rank[low.bit_length() - 1]
-                free_v = _free_mask(used, inc[v], full)
-                if free_v:
+                r = low.bit_length() - 1
+                taken = 0
+                for i in rank_ix[r]:
+                    taken |= used[i]
+                if free_v := full & ~taken:
                     tried |= low
-                    plan = [(v, _least(free_v))]
+                    plan = [(by_rank[r], _least(free_v))]
                     below = low - 1
                     break
                 blocked |= low
@@ -511,10 +519,15 @@ def color_cover(
                 for i in inc[v]:
                     blocked &= ~members[i]
             budget_used += len(plan)
+        # u is uncolored, so unlike _recolor this releases no old color
         x = _least(free_u)
-        _recolor(rows, used, core, inc, u, x)
+        color_bit = 1 << x
+        rank_bit = bit[u]
         for i in ix_u:
-            members[i] |= bit[u]
+            rows[i][x] = u
+            used[i] |= color_bit
+            members[i] |= rank_bit
+        core[u] = x
         if tracing:
             trace.append(Assigned(u, x))
 

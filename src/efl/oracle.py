@@ -41,15 +41,18 @@ class VerifyReport:
 def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
     """Check that every clique carries pairwise distinct colors.
 
-    The coloring must be total on the instance's vertex universe.  Conflicts
-    list every same-colored pair within a clique as (clique, u, v, color),
-    clique by clique, by ascending color and then token.  Only a clique
-    whose colors repeat is sorted and grouped.
+    The coloring must be total on the instance's vertex universe, the keys
+    of its incidence map; only for a coloring that is not are the missing
+    vertices listed, to name the lexicographically first.  Conflicts list every
+    same-colored pair within a clique as (clique, u, v, color), clique by
+    clique, by ascending color and then token.  Only a clique whose colors
+    repeat is sorted and grouped.
     """
-    missing = [v for v in inst.vertices if v not in coloring]
-    if missing:
+    inc = inst.incidence_map
+    if not all(map(coloring.__contains__, inc)):
+        missing = [v for v in inc if v not in coloring]
         raise IncompleteColoringError(
-            f"coloring is missing {len(missing)} vertices, e.g. '{missing[0]}'"
+            f"coloring is missing {len(missing)} vertices, e.g. '{min(missing)}'"
         )
     color_of = coloring.__getitem__
     conflicts: list[tuple[int, str, str, int]] = []
@@ -63,7 +66,7 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
             for a in range(len(group)):
                 for b in range(a + 1, len(group)):
                     conflicts.append((i, group[a], group[b], color))
-    used = set(map(color_of, inst.vertices))
+    used = set(map(color_of, inc))
     return VerifyReport(
         conflicts=tuple(conflicts),
         colors_used=len(used),

@@ -53,6 +53,14 @@ class TestVerifyProper:
         with pytest.raises(IncompleteColoringError):
             verify_proper(example, coloring)
 
+    def test_missing_vertices_named_by_least_token(self, example):
+        # 'v2' comes first in clique order, 'v10' first in token order
+        gone = {"v9", "v27", "v10", "v2"}
+        coloring = {v: 1 for v in example.vertices if v not in gone}
+        with pytest.raises(IncompleteColoringError) as err:
+            verify_proper(example, coloring)
+        assert str(err.value) == "coloring is missing 4 vertices, e.g. 'v10'"
+
     def test_conflict_structure(self):
         inst = gen_disjoint(2)
         coloring = {"v1_1": 1, "v1_2": 1, "v2_1": 1, "v2_2": 2}

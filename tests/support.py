@@ -9,8 +9,10 @@ the exact-χ reference is the earlier set-based saturation search, and the
 properness reference is the earlier sort-and-group :func:`verify_proper`.
 ``reference_token_ok`` is the parser's earlier per-character token rule,
 ``reference_parse_instance`` and ``reference_validate`` the parser and the
-validator that checked every token and intersected every clique pair, and
-``reference_check_sy2_all`` the SY2 conjunction that recounted each d.
+validator that checked every token and intersected every clique pair,
+``reference_intersecting_pair_count`` the pair count that tested every clique
+pair, and ``reference_check_sy2_all`` the SY2 conjunction that recounted each
+d.
 ``clique_pairs_cover`` builds the covers on which the SY2 statement rule holds
 and the greedy still fails.
 ``blocked_colors`` is the paper's "appears at least k-1 times in the row"
@@ -114,7 +116,7 @@ def reference_validate(inst: Instance) -> ValidationReport:
                         message=f"clique {i} lists vertex '{t}' {count} times",
                     )
                 )
-    sets = inst.clique_sets
+    sets = tuple(frozenset(c) for c in inst.cliques)
     for i in range(n):
         for j in range(i + 1, n):
             shared = sets[i] & sets[j]
@@ -132,6 +134,19 @@ def reference_validate(inst: Instance) -> ValidationReport:
                     )
                 )
     return ValidationReport(violations=tuple(violations))
+
+
+def reference_intersecting_pair_count(inst: Instance) -> int:
+    """:func:`efl.instance.intersecting_pair_count` testing all C(n, 2) clique
+    pairs for a common vertex."""
+    require_valid(inst)
+    sets = tuple(frozenset(c) for c in inst.cliques)
+    return sum(
+        1
+        for i in range(inst.n)
+        for j in range(i + 1, inst.n)
+        if not sets[i].isdisjoint(sets[j])
+    )
 
 
 def reference_parse_instance(text: str, *, require_validity: bool = True) -> Instance:
@@ -448,7 +463,7 @@ def reference_verify_proper(inst: Instance, coloring: dict[str, int]) -> VerifyR
             f"coloring is missing {len(missing)} vertices, e.g. '{missing[0]}'"
         )
     conflicts: list[tuple[int, str, str, int]] = []
-    for i, members in enumerate(inst.clique_sets, start=1):
+    for i, members in enumerate((frozenset(c) for c in inst.cliques), start=1):
         by_color: dict[int, list[str]] = {}
         for v in sorted(members):
             by_color.setdefault(coloring[v], []).append(v)

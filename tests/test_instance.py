@@ -18,7 +18,12 @@ from efl.instance import (
     shared_vertex,
     validate,
 )
-from support import brute_core_edges, instances, reference_token_ok
+from support import (
+    brute_core_edges,
+    instances,
+    reference_intersecting_pair_count,
+    reference_token_ok,
+)
 
 
 class TestParse:
@@ -222,3 +227,21 @@ class TestIntersectingPairs:
 
     def test_disjoint(self):
         assert intersecting_pair_count(gen_disjoint(5)) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(inst=instances(max_n=9))
+    def test_matches_reference_on_generated_covers(self, inst):
+        assert intersecting_pair_count(inst) == reference_intersecting_pair_count(inst)
+
+    def test_matches_reference_on_pinned_covers(
+        self, corpus500, gap_n8_file, sy2_statement_n6_file
+    ):
+        covers = [
+            *corpus500,
+            parse_instance(gap_n8_file.read_text()),
+            parse_instance(sy2_statement_n6_file.read_text()),
+            *(gen_dense(n) for n in range(2, 26)),
+            *(gen_disjoint(n) for n in range(1, 9)),
+        ]
+        for inst in covers:
+            assert intersecting_pair_count(inst) == reference_intersecting_pair_count(inst)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from efl.errors import CoreSizeLimitError, IncompleteColoringError
 from efl.generators import gen_dense, gen_disjoint, gen_random
-from efl.instance import core_subgraph, parse_instance
+from efl.instance import Instance, core_subgraph, parse_instance
 from efl.matrix_engine import run_matrix_method
 from efl.oracle import (
     chromatic_number_exact,
@@ -66,6 +66,24 @@ class TestVerifyProper:
         coloring = {"v1_1": 1, "v1_2": 1, "v2_1": 1, "v2_2": 2}
         report = verify_proper(inst, coloring)
         assert report.conflicts == ((1, "v1_1", "v1_2", 1),)
+
+    @pytest.mark.parametrize(
+        "colors, conflicts",
+        [
+            ({"a": 1, "b": 2, "c": 1, "d": 2, "e": 3, "f": 2, "h": 3}, ()),
+            (
+                {"a": 1, "b": 1, "c": 1, "d": 2, "e": 3, "f": 2, "h": 3},
+                ((1, "a", "b", 1),),
+            ),
+        ],
+    )
+    def test_repeated_token_is_no_self_conflict(self, colors, conflicts):
+        # a permissive instance may list a token twice in one clique; that
+        # token is one vertex and cannot conflict with itself
+        inst = Instance(3, [("a", "b", "a"), ("c", "d", "e"), ("a", "f", "h")])
+        report = verify_proper(inst, colors)
+        assert report.conflicts == conflicts
+        assert report == reference_verify_proper(inst, colors)
 
     @settings(max_examples=60)
     @given(inst=instances(max_n=6), data=st.data())

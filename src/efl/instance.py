@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import InvalidInstanceError, ParseError, UnknownVertexError
@@ -59,10 +60,6 @@ class Instance:
         if not 1 <= i <= self.n:
             raise IndexError(f"clique index {i} out of range 1..{self.n}")
         return self.cliques[i - 1]
-
-    @cached_property
-    def clique_sets(self) -> tuple[frozenset[VertexId], ...]:
-        return tuple(frozenset(c) for c in self.cliques)
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
@@ -332,7 +329,7 @@ def shared_vertex(inst: Instance, i: int, j: int) -> Optional[VertexId]:
     for k in (i, j):
         if not 1 <= k <= inst.n:
             raise IndexError(f"clique index {k} out of range 1..{inst.n}")
-    shared = inst.clique_sets[i - 1] & inst.clique_sets[j - 1]
+    shared = set(inst.cliques[i - 1]).intersection(inst.cliques[j - 1])
     if not shared:
         return None
     if len(shared) > 1:
@@ -365,12 +362,10 @@ def degree_profile(inst: Instance) -> DegreeProfile:
 
 
 def intersecting_pair_count(inst: Instance) -> int:
-    """Count clique pairs (i < j) with a nonempty intersection."""
+    """Count clique pairs (i < j) with a nonempty intersection.
+
+    Two cliques meet exactly when some vertex lies in both, so the pairs are
+    read off the incidence lists, each distinct pair counted once.
+    """
     require_valid(inst)
-    sets = inst.clique_sets
-    return sum(
-        1
-        for i in range(inst.n)
-        for j in range(i + 1, inst.n)
-        if not sets[i].isdisjoint(sets[j])
-    )
+    return len({pair for ix in inst.incidence_map.values() for pair in combinations(ix, 2)})

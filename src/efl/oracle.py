@@ -46,7 +46,8 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
     vertices listed, to name the lexicographically first.  Conflicts list every
     same-colored pair within a clique as (clique, u, v, color), clique by
     clique, by ascending color and then token.  Only a clique whose colors
-    repeat is sorted and grouped.
+    repeat is de-duplicated, sorted and grouped, so a token listed twice in
+    one clique is one vertex and never conflicts with itself.
     """
     inc = inst.incidence_map
     if not all(map(coloring.__contains__, inc)):
@@ -56,11 +57,11 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
         )
     color_of = coloring.__getitem__
     conflicts: list[tuple[int, str, str, int]] = []
-    for i, members in enumerate(inst.clique_sets, start=1):
+    for i, members in enumerate(inst.cliques, start=1):
         if len(set(map(color_of, members))) == len(members):
             continue
         by_color: dict[int, list[str]] = {}
-        for v in sorted(members):
+        for v in sorted(set(members)):
             by_color.setdefault(coloring[v], []).append(v)
         for color, group in sorted(by_color.items()):
             for a in range(len(group)):

@@ -29,6 +29,16 @@ def _dot_color(color: int) -> str:
     return DOT_COLOR_NAMES.get(color, str(color))
 
 
+def _dot_id(token: str) -> str:
+    """A token as a quoted DOT ID.
+
+    Inside the quotes ``\\"`` is an escaped quote and ``\\\\`` keeps a backslash
+    from escaping the closing quote, so backslashes are doubled first and
+    quotes escaped next; a token with neither is only quoted.
+    """
+    return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> str:
     """DOT text: every vertex once, every clique as its full edge set.
 
@@ -47,7 +57,7 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
                 f"refusing to export an improper coloring: clique {first[0]} "
                 f"has '{first[1]}' and '{first[2]}' both colored {first[3]}"
             )
-    quoted = {v: f'"{v}"' for v in inst.vertices}
+    quoted = {v: _dot_id(v) for v in inst.vertices}
     parts = ["graph cover {\n"]
     if coloring is None:
         parts.extend(f"  {q};\n" for q in quoted.values())

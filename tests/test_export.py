@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -70,6 +72,28 @@ class TestExportDot:
         constant = {v: 1 for v in example.vertices}
         with pytest.raises(ValueError, match="improper"):
             export_dot(example, constant)
+
+    def test_quote_and_backslash_escaped(self):
+        inst = parse_instance('2\na"b c\nd e\\\n')
+        assert export_dot(inst).split("\n") == [
+            "graph cover {",
+            '  "a\\"b";',
+            '  "c";',
+            '  "d";',
+            '  "e\\\\";',
+            '  "a\\"b" -- "c";',
+            '  "d" -- "e\\\\";',
+            "}",
+            "",
+        ]
+        colored = export_dot(inst, {'a"b': 1, "c": 2, "d": 1, "e\\": 2})
+        assert '  "a\\"b" [color="maroon", style=filled];\n' in colored
+        assert '  "e\\\\" [color="tan", style=filled];\n' in colored
+        for text in (export_dot(inst), colored):
+            # every quote outside a quoted ID opens one that closes before the
+            # line ends, and what is left holds no quote
+            for line in text.split("\n"):
+                assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
 
     def test_deterministic(self, example):
         result = run_matrix_method(example)

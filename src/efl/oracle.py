@@ -126,7 +126,9 @@ def _k_colorable(adj: list[int], by_degree: list[int], k: int) -> bool:
     degree, then token).  Colors are tried least first, and color symmetry is
     broken by never opening more than one fresh color at a time; the search
     is complete, so a False answer proves infeasibility.  Bit c of ``seen[u]``
-    marks color c at a colored neighbour of u.
+    marks color c at a colored neighbour of u.  The search nests one call per
+    colored vertex; a core too large for the interpreter's recursion limit
+    raises :class:`CoreSizeLimitError`.
     """
     seen = [0] * len(adj)
     saturation = [0] * len(adj)
@@ -161,7 +163,13 @@ def _k_colorable(adj: list[int], by_degree: list[int], k: int) -> bool:
                 saturation[u] -= 1
         return False
 
-    return step((1 << len(adj)) - 1, 0)
+    try:
+        return step((1 << len(adj)) - 1, 0)
+    except RecursionError:
+        raise CoreSizeLimitError(
+            f"core has {len(adj)} vertices, too many to search within the "
+            "interpreter's recursion limit"
+        ) from None
 
 
 def _search_setup(
@@ -202,7 +210,9 @@ def chromatic_number_exact(core: CoreGraph, vertex_limit: int = 40) -> int:
     search until one succeeds.  Once k reaches the DSATUR color count the
     search's first descent is DSATUR itself and succeeds without
     backtracking, so no separate upper bound is computed.  Deterministic, and
-    refuses cores above ``vertex_limit`` vertices before any edge is built.
+    refuses cores above ``vertex_limit`` vertices before any edge is built;
+    a core within the limit but too deep to search also raises
+    :class:`CoreSizeLimitError`.
     """
     adj, by_degree, bounds = _search_setup(core, vertex_limit)
     k = max(bounds, default=0)

@@ -148,6 +148,17 @@ class TestChromatic:
         assert out == ""
         assert err == "error: core has 4950 vertices, above the limit 40\n"
 
+    def test_search_too_deep_exits_three(self, capsys, tmp_path):
+        path = str(tmp_path / "d.efl")
+        assert run_cli(capsys, "gen", "--kind", "dense", "--n", "50", "-o", path)[0] == 0
+        code, out, err = run_cli(capsys, "chromatic", path, "--limit", "2000")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: core has 1225 vertices, too many to search within the "
+            "interpreter's recursion limit\n"
+        )
+
     def test_negative_limit_is_input_error(self, capsys, dense5_file):
         code, out, err = run_cli(capsys, "chromatic", str(dense5_file), "--limit", "-1")
         assert code == 2

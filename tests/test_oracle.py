@@ -120,6 +120,20 @@ class TestVerifyProper:
 
 
 class TestChromaticNumberExact:
+    def test_search_too_deep_is_a_size_error(self):
+        # dense(50) has a 1225-vertex core, deeper than the recursion limit
+        inst = gen_dense(50)
+        message = (
+            "core has 1225 vertices, too many to search within the "
+            "interpreter's recursion limit"
+        )
+        with pytest.raises(CoreSizeLimitError) as err:
+            chromatic_number_exact(core_subgraph(inst), vertex_limit=2000)
+        assert str(err.value) == message
+        with pytest.raises(CoreSizeLimitError) as err:
+            is_n_colorable(inst, vertex_limit=2000)
+        assert str(err.value) == message
+
     def test_example_core_needs_four(self, example):
         core = core_subgraph(example)
         assert chromatic_number_exact(core) == 4

@@ -30,4 +30,5 @@ class InconsistentBlockError(EflError):
 
 
 class CoreSizeLimitError(EflError):
-    """The core graph exceeds the configured exact-search vertex limit."""
+    """The core graph is too large for exact search: above the configured
+    vertex limit, or too deep for the recursive search."""

@@ -3,9 +3,10 @@ and the combinatorial identity and bound that every legal cover must satisfy.
 
 The exact solver is deliberately independent of both coloring engines so that
 their successes can be cross-checked against it.  It works on int bitmasks
-over the core vertices (bit i for ``core.vertices[i]``) and starts its search
-at the best of three lower bounds: a greedy clique, the largest clique row and
-the packing bound.
+over the core vertices (bit i for ``core.vertices[i]``).  Three lower bounds (a
+greedy clique, the largest clique row and the packing bound) and the color
+count of a certified DSATUR coloring bracket χ; search runs only in the gap
+between them.
 """
 
 from __future__ import annotations
@@ -172,6 +173,69 @@ def _k_colorable(adj: list[int], by_degree: list[int], k: int) -> bool:
         ) from None
 
 
+def _dsatur(adj: list[int], by_degree: list[int]) -> list[int]:
+    """One DSATUR pass: the color (1, 2, ...) of each core vertex.
+
+    The rules are the search's: the next vertex has the most distinct colors
+    among its neighbours, ties going to the first in ``by_degree``, and takes
+    the least color none of them has.  So its color count equals that of the
+    search's first descent at any k at or above it.  ``level[s]`` masks the
+    uncolored vertices with s neighbour colors and ``near[c]`` the vertices
+    with a neighbour of color c; its last entry is always empty.
+    """
+    colors = [0] * len(adj)
+    near = [0, 0]
+    level = [0] * (len(adj) + 1)
+    level[0] = uncolored = (1 << len(adj)) - 1
+    order = list(by_degree)
+    top = 0
+    while order:
+        while not level[top]:
+            top -= 1
+        for v in order:
+            if level[top] >> v & 1:
+                break
+        order.remove(v)
+        level[top] ^= 1 << v
+        uncolored ^= 1 << v
+        c = 1
+        while near[c] >> v & 1:
+            c += 1
+        if c == len(near) - 1:
+            near.append(0)
+        colors[v] = c
+        newly = adj[v] & uncolored & ~near[c]
+        near[c] |= adj[v]
+        s = top
+        while newly:
+            moved = level[s] & newly
+            level[s] ^= moved
+            level[s + 1] |= moved
+            newly ^= moved
+            s -= 1
+        if level[top + 1]:
+            top += 1
+    return colors
+
+
+def _certified_count(adj: list[int], colors: list[int]) -> int:
+    """The number of colors of a proper coloring, checked before it is trusted.
+
+    Every vertex must have a color from 1 up, and the mask of its color class
+    must miss its adjacency mask.  A coloring that fails raises
+    ``RuntimeError``; no uncertified bound is returned.
+    """
+    classes = [0] * (max(colors, default=0) + 1)
+    for v, c in enumerate(colors):
+        classes[c] |= 1 << v
+    if classes[0]:
+        raise RuntimeError("DSATUR coloring leaves a core vertex uncolored")
+    for v, c in enumerate(colors):
+        if classes[c] & adj[v]:
+            raise RuntimeError(f"DSATUR coloring is not proper at core vertex {v}")
+    return len(classes) - 1
+
+
 def _search_setup(
     core: CoreGraph, vertex_limit: int
 ) -> tuple[list[int], list[int], tuple[int, ...]]:
@@ -204,21 +268,21 @@ def _search_setup(
 def chromatic_number_exact(core: CoreGraph, vertex_limit: int = 40) -> int:
     """Exact chromatic number of a core graph by branch and bound.
 
-    Adjacency and search state are int bitmasks over the core vertices.
-    Starting at the best of three lower bounds (greedy clique, largest row,
-    packing), each candidate count k is closed by complete saturation-ordered
-    search until one succeeds.  Once k reaches the DSATUR color count the
-    search's first descent is DSATUR itself and succeeds without
-    backtracking, so no separate upper bound is computed.  Deterministic, and
-    refuses cores above ``vertex_limit`` vertices before any edge is built;
-    a core within the limit but too deep to search also raises
-    :class:`CoreSizeLimitError`.
+    Adjacency and search state are int bitmasks over the core vertices.  The
+    best of three lower bounds (greedy clique, largest row, packing) is L; the
+    color count of a DSATUR coloring, certified proper, is U.  When L = U, χ
+    is decided with no search.  Otherwise each k from L to U - 1 is closed by
+    complete saturation-ordered search, and the first that succeeds is χ; if
+    none does, χ = U.  Deterministic, and refuses cores above
+    ``vertex_limit`` vertices before any edge is built; a core within the
+    limit but too deep to search also raises :class:`CoreSizeLimitError`.
     """
     adj, by_degree, bounds = _search_setup(core, vertex_limit)
-    k = max(bounds, default=0)
-    while not _k_colorable(adj, by_degree, k):
-        k += 1
-    return k
+    upper = _certified_count(adj, _dsatur(adj, by_degree))
+    for k in range(max(bounds, default=0), upper):
+        if _k_colorable(adj, by_degree, k):
+            return k
+    return upper
 
 
 def is_n_colorable(inst: Instance, vertex_limit: int = 40) -> bool:
@@ -226,12 +290,16 @@ def is_n_colorable(inst: Instance, vertex_limit: int = 40) -> bool:
 
     Equivalent to the core being n-colorable: a proper n-coloring of the core
     leaves every clique with enough unused colors for its private vertices.
-    A lower bound above n answers no; otherwise one search with k = n decides.
+    A lower bound above n answers no, and a certified DSATUR coloring with at
+    most n colors answers yes; only in between does one search with k = n
+    decide.
     """
     require_valid(inst)
     adj, by_degree, bounds = _search_setup(core_subgraph(inst), vertex_limit)
     if max(bounds, default=0) > inst.n:
         return False
+    if _certified_count(adj, _dsatur(adj, by_degree)) <= inst.n:
+        return True
     return _k_colorable(adj, by_degree, inst.n)
 
 

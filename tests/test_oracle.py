@@ -11,9 +11,12 @@ from efl.errors import CoreSizeLimitError, IncompleteColoringError
 from efl.generators import gen_dense, gen_disjoint, gen_random
 from efl.instance import Instance, core_subgraph, parse_instance
 from efl.matrix_engine import run_matrix_method
+from efl import oracle
 from efl.oracle import (
     chromatic_number_exact,
     corollary_bound_check,
+    _certified_count,
+    _dsatur,
     _search_setup,
     is_n_colorable,
     theorem_identity,
@@ -26,6 +29,7 @@ from support import (
     reference_chromatic,
     reference_verify_proper,
 )
+from test_oracle_digests import _random_cores
 
 
 class TestVerifyProper:
@@ -214,6 +218,88 @@ class TestLowerBounds:
             assert packing == n - (n % 2 == 0)
             assert row == n - 1
             assert clique <= packing
+
+
+def _check_witness(core, chi: int) -> None:
+    """The DSATUR coloring is proper on ``core.edges``, uses exactly U colors,
+    and the lower bound L and U bracket ``chi``."""
+    adj, by_degree, bounds = _search_setup(core, len(core.vertices))
+    colors = _dsatur(adj, by_degree)
+    upper = _certified_count(adj, colors)
+    color_of = dict(zip(core.vertices, colors))
+    assert all(color_of[u] != color_of[v] for u, v in core.edges)
+    assert set(colors) == set(range(1, upper + 1))
+    assert max(bounds, default=0) <= chi <= upper
+
+
+class TestDsaturWitness:
+    """The certified DSATUR coloring that gives the upper bound U."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=instances(max_n=6))
+    def test_brackets_enumerated_chi(self, inst):
+        core = core_subgraph(inst)
+        assume(len(core.vertices) <= 12)
+        _check_witness(core, brute_chromatic(list(core.vertices), core.adjacency()))
+
+    def test_dense_cores(self):
+        for n in range(3, 9):
+            _check_witness(core_subgraph(gen_dense(n)), n - (n % 2 == 0))
+
+    def test_digest_cores(self):
+        for core in _random_cores():
+            _check_witness(core, chromatic_number_exact(core))
+
+    @pytest.mark.parametrize(
+        "broken, message", [("same-color", "not proper"), ("uncolored", "uncolored")]
+    )
+    def test_improper_coloring_raises(self, broken, message):
+        adj, by_degree, _ = _search_setup(core_subgraph(gen_dense(4)), 6)
+        colors = _dsatur(adj, by_degree)
+        if broken == "same-color":
+            colors = [1] * len(colors)
+        else:
+            colors[by_degree[-1]] = 0
+        with pytest.raises(RuntimeError, match=message):
+            _certified_count(adj, colors)
+
+
+class TestSearchCalls:
+    """Search runs only for k in the gap between the lower bound and U."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        search = oracle._k_colorable
+
+        def counted(adj, by_degree, k):
+            made.append(k)
+            return search(adj, by_degree, k)
+
+        monkeypatch.setattr(oracle, "_k_colorable", counted)
+        return made
+
+    def test_dense8_needs_no_search(self, calls):
+        # L = U = 7
+        assert chromatic_number_exact(core_subgraph(gen_dense(8))) == 7
+        assert is_n_colorable(gen_dense(8))
+        assert calls == []
+
+    def test_dense7_searches_the_gap(self, calls):
+        # L = 7, U = 8: the one search at k = 7 succeeds
+        assert chromatic_number_exact(core_subgraph(gen_dense(7))) == 7
+        assert calls == [7]
+        assert is_n_colorable(gen_dense(7))
+        assert calls == [7, 7]
+
+    def test_digest_cores_decided_without_search(self, calls):
+        # 474 of the 576 random digest cores have L = U
+        decided = 0
+        for core in _random_cores():
+            before = len(calls)
+            chromatic_number_exact(core)
+            decided += len(calls) == before
+        assert decided == 474
 
 
 class TestIsNColorable:

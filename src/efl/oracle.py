@@ -181,7 +181,8 @@ def _dsatur(adj: list[int], by_degree: list[int]) -> list[int]:
     the least color none of them has.  So its color count equals that of the
     search's first descent at any k at or above it.  ``level[s]`` masks the
     uncolored vertices with s neighbour colors and ``near[c]`` the vertices
-    with a neighbour of color c; its last entry is always empty.
+    with a neighbour of color c.  The last entry of ``near`` is always empty,
+    so the scan for the least free color stops there.
     """
     colors = [0] * len(adj)
     near = [0, 0]

@@ -5,7 +5,12 @@ pseudorandom generator whose seed is its full state.  Identical generator
 parameters therefore reproduce identical instances on any platform, which the
 test corpora rely on.  The random generator holds its clique sets as int masks
 (bit c for clique c) and picks each move as the k-th set bit over them, never
-building the list of candidate moves that the draw indexes.
+building the list of candidate moves that the draw indexes.  It keeps each
+clique's private vertices as slot positions in its member list, so a move
+writes its token straight into the drawn slot.  Its extension scan walks a
+``live`` list of shared vertices and drops, for good, each vertex whose
+cliques already meet every clique: clique sets and owner lists only grow, so
+such a vertex never becomes extendable again.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ class GenSpec:
             )
         if not 0 <= self.extension_percent <= 100:
             raise ValueError("extension_percent must lie in 0..100")
+        if not 0 <= self.seed <= _MASK64:
+            # SplitMix64 keeps the low 64 bits, so such a seed would alias one in range
+            raise ValueError(f"seed must lie in 0..2^64-1, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -113,42 +121,52 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     raising its clique degree.  Generation stops after ``merges`` merges or
     when no legal move remains; the result always validates.
 
-    Every move replaces a private vertex, so private lists only shrink (and
-    stay sorted), two cliques that meet never stop meeting, and the shared
-    vertices are exactly the ``m<k>``.  A clique meets each other clique in at
-    most one vertex, so at most n-1 of its n vertices are shared and every
+    Every move replaces a private vertex, so a clique's private slots only
+    dwindle, two cliques that meet never stop meeting, and the shared
+    vertices are exactly the ``m<k>``.  A clique meets each other clique in
+    at most one vertex, so at most n-1 of its n vertices are shared and every
     clique keeps a private vertex.  The state is therefore updated in place,
-    never rebuilt.  Clique sets are int masks with bit c for clique c
+    never rebuilt.
+    ``private[c]`` holds the positions in clique c's member list of its
+    still-private slots, in token order (``v<c>_<j>`` sits at j-1 and sorts by
+    ``str(j)``); a move draws an index into it, pops that position and writes
+    its token there.  Clique sets are int masks with bit c for clique c
     (1-based): ``meets[c]`` holds the cliques c meets.  The merge candidates
     of row i are the cliques above i missing from ``meets[i]``, C(n, 2) minus
     the meeting pairs over all rows; the extension candidates of a shared
-    vertex v are the cliques met by none of v's owners.  A draw walks the rows
-    in ascending order (shared tokens in sorted order), subtracting candidate
-    counts, and takes the k-th set bit of the row it lands in.  So every draw
+    vertex v are the cliques met by none of v's owners.  ``live`` holds the
+    shared vertices in sorted order, less those a scan found with no
+    candidate: masks in ``meets`` and owner lists only grow, so the cliques
+    a vertex's owners meet only grow and a vertex with no candidate never
+    gains one.  A draw walks the rows in ascending order (live vertices in
+    sorted order), subtracting candidate counts, and takes the k-th set bit
+    of the row it lands in.  A dropped vertex would count zero, so every draw
     picks the move that a full candidate list would hold at the same index,
-    and no such list is built.
+    and no such list is built.  The stream is read in the same order: for a
+    merge the pair, slot a, slot b and the extension roll; for an extension
+    the target, then its slot.
     """
     n = spec.n
     rng = SplitMix64(spec.seed)
     cliques: list[list[str]] = [
         [f"v{i}_{j}" for j in range(1, n + 1)] for i in range(1, n + 1)
     ]
-    private: list[list[str]] = [[]] + [sorted(members) for members in cliques]
+    order = sorted(range(n), key=lambda p: str(p + 1))
+    private: list[list[int]] = [[]] + [order.copy() for _ in range(n)]
     full = ((1 << n) - 1) << 1  # every clique
     meets = [0] * (n + 1)
     meeting = 0  # clique pairs that meet
     owners: dict[str, list[int]] = {}  # shared vertices only
-    shared: list[str] = []  # the keys of owners in sorted order
+    live: list[str] = []  # shared vertices that may still extend, sorted
 
-    def put(c: int, old: str, new: str) -> None:
-        """Replace the private token ``old`` of clique c by ``new``.
+    def put(c: int, new: str) -> None:
+        """Write ``new`` over a private slot of clique c drawn from the stream.
 
         c misses every clique holding ``new``, so each pair it joins is new.
         """
         nonlocal meeting
-        members = cliques[c - 1]
-        members[members.index(old)] = new
-        private[c].remove(old)
+        slots = private[c]
+        cliques[c - 1][slots.pop(rng.below(len(slots)))] = new
         holders = owners[new]
         for k in holders:
             meets[k] |= 1 << c
@@ -171,34 +189,34 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
                 break
             k -= count
         j = _nth_bit(partners, k)
-        a = private[i][rng.below(len(private[i]))]
-        b = private[j][rng.below(len(private[j]))]
         merges_done += 1
         fresh = f"m{merges_done}"
         owners[fresh] = []
-        insort(shared, fresh)
-        put(i, a, fresh)
-        put(j, b, fresh)
+        insort(live, fresh)
+        put(i, fresh)
+        put(j, fresh)
 
         if rng.below(100) < spec.extension_percent:
             # a clique holding v meets v's other cliques, so it never qualifies
+            kept = []
             targets = []
             total = 0
-            for v in shared:
+            for v in live:
                 met = 0
                 for o in owners[v]:
                     met |= meets[o]
-                missed = full & ~met
-                targets.append(missed)
-                total += missed.bit_count()
+                if missed := full & ~met:
+                    kept.append(v)
+                    targets.append(missed)
+                    total += missed.bit_count()
+            live = kept
             if total:
                 k = rng.below(total)
                 t = 0
                 while k >= (count := targets[t].bit_count()):
                     k -= count
                     t += 1
-                c = _nth_bit(targets[t], k)
-                put(c, private[c][rng.below(len(private[c]))], shared[t])
+                put(_nth_bit(targets[t], k), live[t])
                 extensions_done += 1
 
     return RandomBuildResult(

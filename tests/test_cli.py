@@ -223,6 +223,19 @@ class TestGen:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed(self, capsys, tmp_path, seed):
+        out_file = tmp_path / "x.efl"
+        code, out, err = run_cli(
+            capsys, "gen", "--kind", "random", "--n", "6", "--merges", "10",
+            "--seed", seed, "-o", str(out_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
+        assert not out_file.exists()
+
     def test_bad_flags(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

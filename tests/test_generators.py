@@ -148,6 +148,40 @@ class TestRandom:
             want.extensions_done,
         )
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("extension_percent", [80, 100])
+    @pytest.mark.parametrize("divisor", [2, 1])  # C(n,2)//2 and C(n,2) merges
+    @pytest.mark.parametrize("n", [4, 17, 20, 24])
+    def test_matches_reference_where_vertices_saturate(
+        self, n, divisor, extension_percent, seed
+    ):
+        # high merge counts and extension rates leave shared vertices whose
+        # cliques meet every clique, which the uniform merge draw above rarely
+        # reaches at n >= 17
+        spec = GenSpec(
+            kind="random",
+            n=n,
+            seed=seed,
+            merges=n * (n - 1) // 2 // divisor,
+            extension_percent=extension_percent,
+        )
+        got = build_random(spec)
+        want = reference_build_random(spec)
+        assert serialize_instance(got.instance) == serialize_instance(want.instance)
+        assert (got.merges_done, got.extensions_done) == (
+            want.merges_done,
+            want.extensions_done,
+        )
+        holders = got.instance.incidence_map
+        meets = {c: set() for c in range(1, n + 1)}
+        for cs in holders.values():
+            for c in cs:
+                meets[c].update(cs)
+        assert any(
+            len(cs) > 1 and set().union(*(meets[c] for c in cs)) == set(meets)
+            for cs in holders.values()
+        )
+
     def test_genspec_validation(self):
         with pytest.raises(ValueError):
             GenSpec(kind="random", n=4, seed=1, merges=7)  # > C(4,2)
@@ -155,6 +189,14 @@ class TestRandom:
             GenSpec(kind="weird", n=4)
         with pytest.raises(ValueError):
             gen_random(1, 0, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_out_of_range_seed_rejected(self, seed):
+        # SplitMix64 keeps 64 bits, so these would alias seeds in range
+        with pytest.raises(ValueError, match="seed"):
+            GenSpec(kind="random", n=6, seed=seed, merges=10)
+        with pytest.raises(ValueError, match="seed"):
+            gen_random(6, 10, seed)
 
     def test_build_random_needs_random_kind(self):
         with pytest.raises(ValueError):

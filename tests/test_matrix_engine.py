@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 from itertools import takewhile
 
@@ -626,6 +627,40 @@ class TestFanPlanReference:
                 _recolor(rows, used, color, inc, v, x)
             assert reference_owns_colors(rows, color, inc)
         assert plans >= 1000
+
+
+class TestFanPlanLeavesStateAlone:
+    """A plan works on its own copy: the caller's rows, masks and colors are
+    the same after it, whether it returns a plan or aborts.  The reference
+    comparisons above call the library plan last, so they cannot see a plan
+    that writes into the live state."""
+
+    @staticmethod
+    def _plan_on_snapshot(rows, used, color, inc, u, n):
+        before = copy.deepcopy((rows, used, color))
+        plan = _fan_path_plan(rows, used, color, inc, u, n)
+        assert (rows, used, color) == before
+        return plan
+
+    def test_random_stuck_states(self):
+        outcomes = set()
+        for n, _, (rows, used, color, inc, u) in _random_stuck_states(400):
+            plan = self._plan_on_snapshot(rows, used, color, inc, u, n)
+            outcomes.add(plan is None)
+        assert outcomes == {True, False}
+
+    def test_dense_runs(self, monkeypatch):
+        plans = []
+        local = self._plan_on_snapshot
+
+        def checked(rows, used, color, inc, u, n):
+            plans.append(local(rows, used, color, inc, u, n))
+            return plans[-1]
+
+        monkeypatch.setattr(matrix_engine, "_fan_path_plan", checked)
+        for n in range(10, 31):
+            assert run_matrix_method(gen_dense(n)).ok
+        assert len(plans) >= 20 and None not in plans
 
 
 GAP_N8_TRACE = """

@@ -14,9 +14,10 @@ vertices induce the core graph, which is all that matters for n-coloring.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Optional
 
 from .errors import InvalidInstanceError, ParseError, UnknownVertexError
@@ -171,30 +172,24 @@ def validate(inst: Instance) -> ValidationReport:
     Sizes are decided without a set per clique: the incidence lists hold
     each clique's distinct tokens once, so when every clique lists n tokens
     their lengths sum to n*n exactly when none repeats.  Only on failure are
-    the tokens of each clique counted.  Linearity is one pass over the same
-    incidence lists: each clique keeps a mask of the cliques it has met so
-    far, and a shared vertex whose cliques already meet is a second shared
-    vertex of those pairs.  Only the offending pairs are intersected, to
-    name their shared tokens.
+    the tokens of each clique counted.  Linearity reads the same incidence
+    lists: every shared vertex contributes the clique pairs of its list, and
+    a pair listed twice shares two vertices.  So the cover is linear exactly
+    when the list of all these pairs is as long as its set, which C-level
+    calls decide.  Only when it is not does a ``Counter`` name the pairs
+    listed more than once, and only those pairs are intersected, to name
+    their shared tokens.
     """
     violations: list[Violation] = []
     n = inst.n
     cliques = inst.cliques
-    places = 0  # the distinct tokens of every clique, summed
-    meets = [0] * (n + 1)  # bit j of meets[i]: cliques i and j share a vertex
-    offending: set[tuple[int, int]] = set()
-    for ix in inst.incidence_map.values():
-        places += len(ix)
-        if len(ix) == 1:
-            continue
-        mask = 0
-        for i in ix:
-            mask |= 1 << i
-        for i in ix:
-            again = meets[i] & mask
-            if again:
-                offending.update((i, j) for j in range(i + 1, n + 1) if again >> j & 1)
-            meets[i] |= mask ^ (1 << i)
+    incidence = inst.incidence_map.values()
+    places = sum(map(len, incidence))  # the distinct tokens of every clique, summed
+    shared = [ix for ix in incidence if len(ix) > 1]
+    pairs = list(chain.from_iterable(map(combinations, shared, repeat(2))))
+    offending: list[tuple[int, int]] = []
+    if len(pairs) != len(set(pairs)):
+        offending = [pair for pair, count in Counter(pairs).items() if count > 1]
     if places != n * n or any(len(members) != n for members in cliques):
         for i, members in enumerate(cliques, start=1):
             seen: dict[VertexId, int] = {}

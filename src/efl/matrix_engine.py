@@ -25,8 +25,9 @@ tight instances (on the dense family the deterministic least-color choice ends
 up flipping a single vertex back and forth), so the repair escalates: first the
 scan of single legal recolors, then, for a stuck vertex shared by exactly two
 cliques, a fan-and-alternating-path recoloring in the style of the constructive
-proof of Vizing's theorem, planned on a scratch copy of the row state and
-kept only when every row stays conflict-free.  Each stage only plans a list of
+proof of Vizing's theorem, planned on a copy of the row state that copies a
+row only when the plan first writes into it, and kept only when every row
+stays conflict-free.  Each stage only plans a list of
 writes; one commit step charges every write against a budget, records it and
 applies it.  The scan is memoized per stuck episode: an owner found fully
 blocked is not tested again until a commit writes into one of its rows, and
@@ -345,9 +346,19 @@ def _fan_path_plan(
     - The ownership check looks only at ``touched``: a write changes only its
       vertex's rows, and there only the entries of its old and new color, so
       a vertex neither written nor overwritten keeps its ownership.
+
+    The scratch copy is copy-on-write.  ``work`` starts as a shallow list of
+    the caller's rows, and ``write()``, the only step that mutates, replaces
+    each row of its vertex by a copy before the first change to it, so the
+    caller's ``rows`` stay untouched.  A row not yet copied is still the
+    caller's row, and as nothing has written into it, reading it gives what
+    a copy would hold.  ``used`` and the color map are copied whole: the
+    rotation and the closing check read colors of vertices the plan never
+    wrote.  The fan's rows are also kept as a mask, for the test whether a
+    spoke leads back into the fan.
     """
     row_a, row_b = inc[u]
-    work = [dict(r) for r in rows]
+    work = list(rows)  # write() copies a row the first time it touches it
     work_used = list(used)
     work_color = dict(color)
     writes: list[tuple[str, int]] = []
@@ -364,17 +375,22 @@ def _fan_path_plan(
         # v and every vertex that owned x in one of v's rows before the write
         touched.append(v)
         touched.extend(work[i][x] for i in inc[v] if x in work[i])
+        for i in inc[v]:
+            if work[i] is rows[i]:
+                work[i] = dict(rows[i])
         _recolor(work, work_used, work_color, inc, v, x)
         writes.append((v, x))
 
     fan = [row_b]
+    fan_rows = 1 << row_b  # the rows of ``fan``, as a mask
     spokes: list[str] = []
     while True:
         for cand in _bits(free(fan[-1])):
             w = work[row_a].get(cand)
-            if w is None or len(inc[w]) != 2 or across(w, row_a) in fan:
+            if w is None or len(inc[w]) != 2 or fan_rows >> across(w, row_a) & 1:
                 continue
             fan.append(across(w, row_a))
+            fan_rows |= 1 << fan[-1]
             spokes.append(w)
             break
         else:
@@ -453,23 +469,40 @@ def color_cover(
     vertex being placed owns no color yet, so its assignment writes
     ``rows[i][x]``, ``used[i]`` and ``members[i]`` in one loop over its rows;
     ``_recolor``, which releases the old color, serves only repairs.
+
+    The set-up sorts the core once.  In a valid cover no two core vertices
+    have the same incidence tuple, as their two shared cliques would then
+    share two vertices; so the ranks are a strict order, and a stable sort
+    of the ranks by descending clique degree keeps that order among equal
+    degrees.  That is exactly the placement order of a sort by
+    ``(-degree, incidence tuple)``, and a vertex's rank bit is ``1 << rank``.
+    The private vertices are collected per clique in the same pass over
+    ``incidence_map`` that picks out the core (clique degree 1 there), and
+    each clique's list is sorted on success; a valid cover repeats no token
+    inside a clique, so these lists are the clique members outside the core.
     """
     require_valid(inst)
     n = inst.n
     full = ((1 << n) - 1) << 1  # every color 1..n
-    inc = {v: ix for v, ix in inst.incidence_map.items() if len(ix) > 1}
+    inc: dict[str, tuple[int, ...]] = {}
+    private: list[list[str]] = [[] for _ in range(n + 1)]  # clique i's degree-1 vertices
+    for v, ix in inst.incidence_map.items():
+        if len(ix) > 1:
+            inc[v] = ix
+        else:
+            private[ix[0]].append(v)
     rows: list[dict[int, str]] = [{} for _ in range(n + 1)]  # 1-based cliques
     used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
     by_rank = sorted(inc, key=inc.__getitem__)
     rank_ix = [inc[v] for v in by_rank]
-    bit = {v: 1 << r for r, v in enumerate(by_rank)}
     members = [0] * (n + 1)  # members[i]: the ranks colored in row i, as a mask
     core: dict[str, int] = {}
     budget_used = 0
     tracing = trace is not None
 
-    for u in sorted(inc, key=lambda v: (-len(inc[v]), inc[v])):
-        ix_u = inc[u]
+    for rank in sorted(range(len(rank_ix)), key=lambda r: len(rank_ix[r]), reverse=True):
+        u = by_rank[rank]
+        ix_u = rank_ix[rank]
         neighbors = None
         while True:
             taken = 0
@@ -522,7 +555,7 @@ def color_cover(
         # u is uncolored, so unlike _recolor this releases no old color
         x = _least(free_u)
         color_bit = 1 << x
-        rank_bit = bit[u]
+        rank_bit = 1 << rank
         for i in ix_u:
             rows[i][x] = u
             used[i] |= color_bit
@@ -532,9 +565,8 @@ def color_cover(
             trace.append(Assigned(u, x))
 
     total = dict(core)
-    for i, members in enumerate(inst.cliques, start=1):
-        privates = sorted(v for v in members if v not in inc)
-        total.update(zip(privates, _bits(full & ~used[i])))
+    for i in range(1, n + 1):
+        total.update(zip(sorted(private[i]), _bits(full & ~used[i])))
     report = verify_proper(inst, total)
     if not report.proper or report.max_color > n:
         return ColoringResult(inst, core, REASON_INTERNAL_VERIFICATION, trace)

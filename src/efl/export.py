@@ -11,10 +11,46 @@ from .oracle import verify_proper
 DOT_COLOR_NAMES = {1: "maroon", 2: "tan", 3: "green", 4: "red", 5: "blue", 6: "cyan"}
 
 
+def _unwritable_token(cliques: tuple[tuple[str, ...], ...]) -> Optional[str]:
+    """The message naming the first token that ``.efl`` text cannot carry, or
+    None when every token can be written."""
+    for idx, members in enumerate(cliques, start=1):
+        for pos, t in enumerate(members):
+            if not t:
+                return f"clique {idx} has an empty token, which .efl text cannot hold"
+            if not (t.isascii() and t.isprintable()) or " " in t:
+                return f"clique {idx}: token {t!r} is not visible ASCII"
+            if pos == 0 and t.startswith("#"):
+                return f"clique {idx}: first token {t!r} starts with '#' and would read as a comment"
+    return None
+
+
 def serialize_instance(inst: Instance) -> str:
-    """Inverse of parsing: header line, then one clique per line, LF only."""
+    """Inverse of parsing: header line, then one clique per line, LF only.
+
+    Raises ``ValueError`` naming the clique and token when :func:`parse_instance`
+    could not read the text back: a token that is empty or not visible ASCII
+    (a space would split it), or a line's first token starting with ``#``
+    (the line would read as a comment).  A few C-level checks on the joined
+    lines let a cover through; only when one of them fails is each token
+    looked at, to name the first one that cannot be written.
+    """
+    cliques = inst.cliques
     lines = [str(inst.n)]
-    lines.extend(" ".join(c) for c in inst.cliques)
+    lines.extend(" ".join(c) for c in cliques)
+    # the header and the lines joined on single spaces: it holds one space
+    # per token exactly when no token holds one, and then an empty token
+    # shows as two spaces in a row or a trailing one; any "#" sends the
+    # cover to the token-by-token check
+    spaced = " ".join(lines)
+    if (
+        not (spaced.isascii() and spaced.isprintable())
+        or spaced.count(" ") != sum(map(len, cliques))
+        or "  " in spaced
+        or spaced.endswith(" ")
+        or "#" in spaced
+    ) and (problem := _unwritable_token(cliques)) is not None:
+        raise ValueError(problem)
     return "\n".join(lines) + "\n"
 
 

@@ -4,12 +4,24 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efl.export import export_coloring, export_dot, serialize_instance
 from efl.generators import gen_disjoint
-from efl.instance import parse_instance
+from efl.instance import Instance, parse_instance
 from efl.matrix_engine import EngineConfig, run_matrix_method
-from support import instances
+from support import instances, reference_token_ok
+
+
+@st.composite
+def token_covers(draw) -> Instance:
+    """n cliques of n distinct tokens each, the tokens drawn from letters and
+    characters that ``.efl`` text cannot carry everywhere."""
+    n = draw(st.integers(1, 3))
+    token = st.text(alphabet="ab# \t\x7f\u00e9", max_size=3)
+    return Instance(
+        n, [draw(st.lists(token, min_size=n, max_size=n, unique=True)) for _ in range(n)]
+    )
 
 
 class TestSerialize:
@@ -28,6 +40,41 @@ class TestSerialize:
     def test_round_trip_over_corpus(self, corpus500):
         for inst in corpus500:
             assert parse_instance(serialize_instance(inst)) == inst
+
+    @pytest.mark.parametrize(
+        "cliques, message",
+        [
+            ([("#a", "b"), ("c", "d")], "clique 1: first token '#a' starts with '#'"),
+            ([("a", "b"), ("c d", "e")], "clique 2: token 'c d' is not visible ASCII"),
+            ([("a", "b"), ("c", "")], "clique 2 has an empty token"),
+            ([("a", "\u00e9"), ("c", "d")], "clique 1: token '\u00e9' is not visible ASCII"),
+            ([("a", "b"), ("c\td", "e")], "clique 2: token 'c\\td' is not visible ASCII"),
+            ([("a", "b\x7f"), ("c", "d")], "clique 1: token 'b\\x7f' is not visible ASCII"),
+        ],
+    )
+    def test_unwritable_token_refused(self, cliques, message):
+        # each of these would parse as something else or not at all; the
+        # first one is a valid cover whose first line would read as a comment
+        inst = Instance(2, cliques)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            serialize_instance(inst)
+
+    def test_hash_inside_or_later_is_written(self):
+        inst = Instance(2, [("a#", "#b"), ("c", "d")])
+        assert serialize_instance(inst) == "2\na# #b\nc d\n"
+        assert parse_instance(serialize_instance(inst)) == inst
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=token_covers())
+    def test_written_text_reads_back(self, inst):
+        writable = all(map(reference_token_ok, (t for c in inst.cliques for t in c))) and not any(
+            c[0].startswith("#") for c in inst.cliques
+        )
+        if not writable:
+            with pytest.raises(ValueError):
+                serialize_instance(inst)
+            return
+        assert parse_instance(serialize_instance(inst), require_validity=False) == inst
 
 
 class TestExportColoring:

@@ -10,6 +10,8 @@ from .oracle import verify_proper
 # DOT palette for the first six colors; higher colors fall back to their index.
 DOT_COLOR_NAMES = {1: "maroon", 2: "tan", 3: "green", 4: "red", 5: "blue", 6: "cyan"}
 
+_VISIBLE = bytes(range(0x21, 0x7F))  # the visible ASCII characters, space excluded
+
 
 def _unwritable_token(cliques: tuple[tuple[str, ...], ...]) -> Optional[str]:
     """The message naming the first token that ``.efl`` text cannot carry, or
@@ -38,14 +40,14 @@ def serialize_instance(inst: Instance) -> str:
     cliques = inst.cliques
     lines = [str(inst.n)]
     lines.extend(" ".join(c) for c in cliques)
-    # the header and the lines joined on single spaces: it holds one space
-    # per token exactly when no token holds one, and then an empty token
-    # shows as two spaces in a row or a trailing one; any "#" sends the
-    # cover to the token-by-token check
+    # the header and the lines joined on single spaces.  No token holds a
+    # space or an invisible character exactly when deleting the visible ones
+    # leaves one space per token; an empty token then shows as two spaces in
+    # a row or a trailing one.  Any "#" sends the cover to the token walk.
     spaced = " ".join(lines)
     if (
-        not (spaced.isascii() and spaced.isprintable())
-        or spaced.count(" ") != sum(map(len, cliques))
+        not spaced.isascii()
+        or spaced.encode().translate(None, _VISIBLE) != b" " * sum(map(len, cliques))
         or "  " in spaced
         or spaced.endswith(" ")
         or "#" in spaced

@@ -27,11 +27,11 @@ scan of single legal recolors, then, for a stuck vertex shared by exactly two
 cliques, a fan-and-alternating-path recoloring in the style of the constructive
 proof of Vizing's theorem, planned on a copy of the row state that copies a
 row only when the plan first writes into it, and kept only when every row
-stays conflict-free.  Each stage only plans a list of
-writes; one commit step charges every write against a budget, records it and
-applies it.  The scan is memoized per stuck episode: an owner found fully
-blocked is not tested again until a commit writes into one of its rows, and
-its ``SKIP`` events are still those of a scan restarted after every commit.
+stays conflict-free.  Each stage only plans a list of writes; one commit step
+charges every write against a budget, records it and applies it.  The scan is
+memoized per stuck episode: an owner found fully blocked is not tested again
+until a commit writes into one of its rows, and its ``SKIP`` events are still
+those of a scan restarted after every commit.
 Trace events are built only when a trace is asked for.  Runs that exhaust the
 budget, or that find no applicable repair, fail loudly with their trace.  With
 repair switched off the same loop is the degree-ordered greedy of
@@ -476,10 +476,11 @@ def color_cover(
     of the ranks by descending clique degree keeps that order among equal
     degrees.  That is exactly the placement order of a sort by
     ``(-degree, incidence tuple)``, and a vertex's rank bit is ``1 << rank``.
-    The private vertices are collected per clique in the same pass over
-    ``incidence_map`` that picks out the core (clique degree 1 there), and
-    each clique's list is sorted on success; a valid cover repeats no token
-    inside a clique, so these lists are the clique members outside the core.
+    The private vertices (clique degree 1) are collected per clique in the
+    same pass over ``incidence_map`` that picks out the core, and each
+    clique's list is sorted on success; as a valid cover repeats no token
+    inside a clique, these lists hold exactly the clique members outside
+    the core.
     """
     require_valid(inst)
     n = inst.n

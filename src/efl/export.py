@@ -23,7 +23,10 @@ def _unwritable_token(cliques: tuple[tuple[str, ...], ...]) -> Optional[str]:
             if not (t.isascii() and t.isprintable()) or " " in t:
                 return f"clique {idx}: token {t!r} is not visible ASCII"
             if pos == 0 and t.startswith("#"):
-                return f"clique {idx}: first token {t!r} starts with '#' and would read as a comment"
+                return (
+                    f"clique {idx}: first token {t!r} starts with '#'"
+                    " and would read as a comment"
+                )
     return None
 
 

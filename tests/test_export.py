@@ -67,7 +67,8 @@ class TestSerialize:
     @settings(max_examples=300, deadline=None)
     @given(inst=token_covers())
     def test_written_text_reads_back(self, inst):
-        writable = all(map(reference_token_ok, (t for c in inst.cliques for t in c))) and not any(
+        tokens = [t for c in inst.cliques for t in c]
+        writable = all(map(reference_token_ok, tokens)) and not any(
             c[0].startswith("#") for c in inst.cliques
         )
         if not writable:

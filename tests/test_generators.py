@@ -183,10 +183,29 @@ class TestRandom:
         )
 
     def test_genspec_validation(self):
-        with pytest.raises(ValueError):
-            GenSpec(kind="random", n=4, seed=1, merges=7)  # > C(4,2)
-        with pytest.raises(ValueError):
-            GenSpec(kind="weird", n=4)
+        # (kind, n, seed, merges, extension_percent) and the whole message
+        cases = [
+            (("weird", 4, 0, 0, 20), "GenSpec takes kind 'random' only, got 'weird'"),
+            (("dense", 4, 0, 0, 20), "GenSpec takes kind 'random' only, got 'dense'"),
+            (("random", 1, 0, 0, 20), "n=1 too small for a random cover"),
+            (("random", -3, 0, 0, 20), "n=-3 too small for a random cover"),
+            (("random", 4, 1, 7, 20), "merges must lie in 0..C(n,2)=6, got 7"),  # > C(4,2)
+            (("random", 4, 1, -1, 20), "merges must lie in 0..C(n,2)=6, got -1"),
+            (("random", 4, 1, 6, 101), "extension_percent must lie in 0..100"),
+            (("random", 4, 1, 6, -1), "extension_percent must lie in 0..100"),
+            (("random", 4, -1, 6, 100), "seed must lie in 0..2^64-1, got -1"),
+            (("random", 4, 2**64, 0, 0), f"seed must lie in 0..2^64-1, got {2**64}"),
+        ]
+        names = ("kind", "n", "seed", "merges", "extension_percent")
+        for values, message in cases:
+            with pytest.raises(ValueError) as by_position:
+                GenSpec(*values)
+            with pytest.raises(ValueError) as by_keyword:
+                GenSpec(**dict(zip(names, values)))
+            assert str(by_position.value) == str(by_keyword.value) == message
+        # the bounds themselves are accepted
+        for values in [("random", 2, 0, 0, 0), ("random", 4, 2**64 - 1, 6, 100)]:
+            assert tuple(getattr(GenSpec(*values), name) for name in names) == values
         with pytest.raises(ValueError):
             gen_random(1, 0, 0)
 
@@ -195,6 +214,8 @@ class TestRandom:
         # SplitMix64 keeps 64 bits, so these would alias seeds in range
         with pytest.raises(ValueError, match="seed"):
             GenSpec(kind="random", n=6, seed=seed, merges=10)
+        with pytest.raises(ValueError, match="seed"):
+            GenSpec("random", 6, seed, 10)
         with pytest.raises(ValueError, match="seed"):
             gen_random(6, 10, seed)
 

@@ -317,8 +317,18 @@ class TestEngineRuns:
             assert a.coloring == b.coloring
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(repair_budget=0)
+        for budget in (0, -3):
+            for make in (
+                lambda: EngineConfig(budget),
+                lambda: EngineConfig(budget, True),
+                lambda: EngineConfig(repair_budget=budget),
+                lambda: EngineConfig(repair_budget=budget, trace_enabled=True),
+            ):
+                with pytest.raises(ValueError) as refused:
+                    make()
+                assert str(refused.value) == "repair_budget must be at least 1"
+        assert EngineConfig(1).repair_budget == 1
+        assert EngineConfig(repair_budget=None).repair_budget is None
 
 
 class TestDerivedResult:

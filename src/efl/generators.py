@@ -16,7 +16,7 @@ such a vertex never becomes extendable again.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .instance import Instance
 
@@ -43,17 +43,21 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters of one seeded random cover; the other families take only n."""
-
+class _GenSpecFields(NamedTuple):
     kind: str  # "random", the one kind that takes parameters
     n: int
     seed: int = 0
     merges: int = 0
     extension_percent: int = 20
 
-    def __post_init__(self):
+
+class GenSpec(_GenSpecFields):
+    """Parameters of one seeded random cover; the other families take only n."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind != "random":
             raise ValueError(f"GenSpec takes kind 'random' only, got '{self.kind}'")
         if self.n < 2:
@@ -67,10 +71,15 @@ class GenSpec:
         if not 0 <= self.seed <= _MASK64:
             # SplitMix64 keeps the low 64 bits, so such a seed would alias one in range
             raise ValueError(f"seed must lie in 0..2^64-1, got {self.seed}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``; route it through the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RandomBuildResult:
+class RandomBuildResult(NamedTuple):
     instance: Instance
     merges_done: int
     extensions_done: int

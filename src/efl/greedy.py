@@ -15,15 +15,13 @@ matrix engine colors it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .instance import Instance, require_valid
 from .matrix_engine import ColoringResult, color_cover
 
 
-@dataclass(frozen=True)
-class CliqueCount:
+class CliqueCount(NamedTuple):
     clique: int
     count: int
     bound: int
@@ -33,8 +31,7 @@ class CliqueCount:
         return self.count <= self.bound
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     per_clique: tuple[CliqueCount, ...]
     parameter: str
     first_failing_d: Optional[int] = None

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidInstanceError, ParseError, UnknownVertexError
 
@@ -93,8 +93,7 @@ class Instance:
         return self.validation.ok
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One structured validation finding."""
 
     kind: str  # "clique-size" | "duplicate-vertex" | "shared-pair"
@@ -103,8 +102,7 @@ class Violation:
     message: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property
@@ -112,8 +110,7 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Clique degrees of every vertex, aggregated."""
 
     degree_of: dict[VertexId, int]
@@ -121,6 +118,7 @@ class DegreeProfile:
     max_degree: int
 
 
+# a dataclass, unlike the other records: cached_property needs an instance __dict__
 @dataclass(frozen=True)
 class CoreGraph:
     """Subgraph induced by the vertices of clique degree greater than one.

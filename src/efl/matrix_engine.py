@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InconsistentBlockError
 from .instance import Instance, require_valid
@@ -150,38 +150,44 @@ def initial_matrix(inst: Instance) -> ColorMatrix:
     return _block_matrix(inst, {})
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Run parameters; ``repair_budget`` defaults to n^2 at run time."""
-
+class _EngineConfigFields(NamedTuple):
     repair_budget: Optional[int] = None
     trace_enabled: bool = False
 
-    def __post_init__(self):
+
+class EngineConfig(_EngineConfigFields):
+    """Run parameters; ``repair_budget`` defaults to n^2 at run time."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.repair_budget is not None and self.repair_budget < 1:
             raise ValueError("repair_budget must be at least 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``; route it through the check
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Assigned:
+class Assigned(NamedTuple):
     vertex: str
     color: int
 
 
-@dataclass(frozen=True)
-class RepairRecolored:
+class RepairRecolored(NamedTuple):
     vertex: str
     old_color: int
     new_color: int
 
 
-@dataclass(frozen=True)
-class RepairSkipped:
+class RepairSkipped(NamedTuple):
     vertex: str
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
+class BudgetExhausted(NamedTuple):
     pass
 
 
@@ -219,6 +225,7 @@ def replay_trace(
     return matrix
 
 
+# a dataclass, unlike the other records: cached_property needs an instance __dict__
 @dataclass(frozen=True)
 class ColoringResult:
     """A run's outcome; ``reason`` is None exactly on success.

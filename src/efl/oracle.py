@@ -12,7 +12,6 @@ between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, NamedTuple
 
 from .errors import CoreSizeLimitError, IncompleteColoringError
@@ -28,8 +27,7 @@ from .instance import (
 Coloring = Dict[str, int]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     conflicts: tuple[tuple[int, str, str, int], ...]
     colors_used: int
     max_color: int
@@ -326,8 +324,7 @@ def theorem_identity(inst: Instance) -> IdentityResult:
     return IdentityResult(lhs=lhs, rhs=rhs, all_pairs_intersect=rhs == n * (n - 1) // 2)
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     m: int
     count: int
     bound: int  # C(n,2)
@@ -341,8 +338,7 @@ class CheckRow:
         return self.weighted <= self.bound
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     rows: tuple[CheckRow, ...]
 
     @property

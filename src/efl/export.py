@@ -14,9 +14,11 @@ _VISIBLE = bytes(range(0x21, 0x7F))  # the visible ASCII characters, space exclu
 
 
 def _unwritable_token(cliques: tuple[tuple[str, ...], ...]) -> Optional[str]:
-    """The message naming the first token that ``.efl`` text cannot carry, or
-    None when every token can be written."""
+    """The message naming the first empty clique or token that ``.efl`` text
+    cannot carry, or None when every clique can be written."""
     for idx, members in enumerate(cliques, start=1):
+        if not members:
+            return f"clique {idx} is empty, which .efl text cannot hold"
         for pos, t in enumerate(members):
             if not t:
                 return f"clique {idx} has an empty token, which .efl text cannot hold"
@@ -34,9 +36,10 @@ def serialize_instance(inst: Instance) -> str:
     """Inverse of parsing: header line, then one clique per line, LF only.
 
     Raises ``ValueError`` naming the clique and token when :func:`parse_instance`
-    could not read the text back: a token that is empty or not visible ASCII
-    (a space would split it), or a line's first token starting with ``#``
-    (the line would read as a comment).  A few C-level checks on the joined
+    could not read the text back: an empty clique (its blank line would be
+    skipped), a token that is empty or not visible ASCII (a space would split
+    it), or a line's first token starting with ``#`` (the line would read as a
+    comment).  A few C-level checks on the joined
     lines let a cover through; only when one of them fails is each token
     looked at, to name the first one that cannot be written.
     """
@@ -45,8 +48,8 @@ def serialize_instance(inst: Instance) -> str:
     lines.extend(" ".join(c) for c in cliques)
     # the header and the lines joined on single spaces.  No token holds a
     # space or an invisible character exactly when deleting the visible ones
-    # leaves one space per token; an empty token then shows as two spaces in
-    # a row or a trailing one.  Any "#" sends the cover to the token walk.
+    # leaves one space per token; an empty token or clique then shows as two
+    # spaces in a row or a trailing one.  Any "#" sends the cover to the token walk.
     spaced = " ".join(lines)
     if (
         not spaced.isascii()

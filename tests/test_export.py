@@ -59,6 +59,14 @@ class TestSerialize:
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             serialize_instance(inst)
 
+    @pytest.mark.parametrize(
+        "n, cliques, idx", [(1, [()], 1), (2, [("a", "b"), ()], 2), (2, [(), ("a", "")], 1)]
+    )
+    def test_empty_clique_refused(self, n, cliques, idx):
+        # its line would be blank, and parsing skips blank lines
+        with pytest.raises(ValueError, match=f"^clique {idx} is empty"):
+            serialize_instance(Instance(n, cliques))
+
     def test_hash_inside_or_later_is_written(self):
         inst = Instance(2, [("a#", "#b"), ("c", "d")])
         assert serialize_instance(inst) == "2\na# #b\nc d\n"

@@ -70,7 +70,7 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
     return VerifyReport(
         conflicts=tuple(conflicts),
         colors_used=len(used),
-        max_color=max(used),
+        max_color=max(used, default=0),
     )
 
 

@@ -475,7 +475,7 @@ def reference_verify_proper(inst: Instance, coloring: dict[str, int]) -> VerifyR
     return VerifyReport(
         conflicts=tuple(conflicts),
         colors_used=len(used),
-        max_color=max(used),
+        max_color=max(used, default=0),
     )
 
 

@@ -13,6 +13,7 @@ from efl.instance import Instance, core_subgraph, parse_instance
 from efl.matrix_engine import run_matrix_method
 from efl import oracle
 from efl.oracle import (
+    VerifyReport,
     chromatic_number_exact,
     corollary_bound_check,
     _certified_count,
@@ -64,6 +65,15 @@ class TestVerifyProper:
         with pytest.raises(IncompleteColoringError) as err:
             verify_proper(example, coloring)
         assert str(err.value) == "coloring is missing 4 vertices, e.g. 'v10'"
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_cover_without_vertices(self, n):
+        # a permissive instance whose cliques are all empty: nothing to color
+        inst = Instance(n, [()] * n)
+        report = verify_proper(inst, {})
+        assert report == VerifyReport(conflicts=(), colors_used=0, max_color=0)
+        assert report.proper
+        assert report == reference_verify_proper(inst, {})
 
     def test_conflict_structure(self):
         inst = gen_disjoint(2)

@@ -39,9 +39,9 @@ def serialize_instance(inst: Instance) -> str:
     could not read the text back: an empty clique (its blank line would be
     skipped), a token that is empty or not visible ASCII (a space would split
     it), or a line's first token starting with ``#`` (the line would read as a
-    comment).  A few C-level checks on the joined
-    lines let a cover through; only when one of them fails is each token
-    looked at, to name the first one that cannot be written.
+    comment).  A few C-level checks on the joined lines let a cover through;
+    only when one of them fails is each token looked at, to name the first
+    one that cannot be written.
     """
     cliques = inst.cliques
     lines = [str(inst.n)]
@@ -49,7 +49,8 @@ def serialize_instance(inst: Instance) -> str:
     # the header and the lines joined on single spaces.  No token holds a
     # space or an invisible character exactly when deleting the visible ones
     # leaves one space per token; an empty token or clique then shows as two
-    # spaces in a row or a trailing one.  Any "#" sends the cover to the token walk.
+    # spaces in a row or a trailing one.  Any "#" sends the cover to the token
+    # walk.
     spaced = " ".join(lines)
     if (
         not spaced.isascii()

@@ -1,6 +1,6 @@
-"""The public record types: construction, field access, repr, equality and
-immutability.  The range checks of ``GenSpec`` and ``EngineConfig`` are pinned
-next to their modules' other tests."""
+"""The public record types: construction, field access, repr, equality,
+immutability and the tuple protocol.  The range checks of ``GenSpec`` and
+``EngineConfig`` are pinned next to their modules' other tests."""
 
 from __future__ import annotations
 
@@ -163,3 +163,29 @@ def test_different_parameters_differ():
     assert GenSpec("random", 6, 7) != GenSpec("random", 6, 8)
     assert EngineConfig(5) != EngineConfig(6)
     assert EngineConfig() != EngineConfig(trace_enabled=True)
+
+
+@pytest.mark.parametrize("cls, values, text", RECORDS, ids=_ids)
+def test_records_are_tuples(cls, values, text):
+    record = cls(*values)
+    assert cls._fields == FIELDS[cls]
+    assert tuple(record) == values and len(record) == len(values)
+    assert all(record[i] is value for i, value in enumerate(values))
+    assert record == values  # equal to a plain tuple of the same values
+    assert bool(record) == bool(values)  # only the empty BudgetExhausted() is falsy
+
+
+@pytest.mark.parametrize(
+    "record, change, message",
+    [
+        (GenSpec("random", 6), {"n": 1}, "n=1 too small for a random cover"),
+        (GenSpec("random", 6), {"seed": -1}, "seed must lie in 0..2^64-1, got -1"),
+        (EngineConfig(), {"repair_budget": 0}, "repair_budget must be at least 1"),
+    ],
+)
+def test_replace_and_make_run_the_range_checks(record, change, message):
+    values = {**record._asdict(), **change}.values()
+    for make in (lambda: record._replace(**change), lambda: type(record)._make(values)):
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert str(refused.value) == message

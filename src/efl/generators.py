@@ -3,14 +3,18 @@
 The random generator is driven by SplitMix64, a widely documented 64-bit
 pseudorandom generator whose seed is its full state.  Identical generator
 parameters therefore reproduce identical instances on any platform, which the
-test corpora rely on.  The random generator holds its clique sets as int masks
-(bit c for clique c) and picks each move as the k-th set bit over them, never
-building the list of candidate moves that the draw indexes.  It keeps each
-clique's private vertices as slot positions in its member list, so a move
-writes its token straight into the drawn slot.  Its extension scan walks a
-``live`` list of shared vertices and drops, for good, each vertex whose
-cliques already meet every clique: clique sets and owner lists only grow, so
-such a vertex never becomes extendable again.
+test corpora rely on; each draw is one call of ``SplitMix64.below``, which
+also refuses a seed outside 0..2^64-1.  The random generator holds its clique
+sets as int masks (bit c for clique c) and picks each move as the k-th set bit
+over them, never building the list of candidate moves that the draw indexes.
+It keeps, per clique i, the count of cliques above i that i does not meet yet,
+so a merge draw subtracts stored counts row by row and builds the partner
+mask only for the row it lands in.  It keeps each clique's private vertices
+as slot positions in its member list, so a move writes its token straight
+into the drawn slot.  Its extension scan walks a ``live`` list of shared
+vertices and drops, for good, each vertex whose cliques already meet every
+clique: clique sets and owner lists only grow, so such a vertex never
+becomes extendable again.
 """
 
 from __future__ import annotations
@@ -24,23 +28,29 @@ _MASK64 = (1 << 64) - 1
 
 
 class SplitMix64:
-    """SplitMix64 stream; the 64-bit seed is the entire generator state."""
+    """SplitMix64 stream; the 64-bit seed is the entire generator state.
+
+    ``below`` is the one mixing routine, so a draw in a hot loop is a single
+    call; ``next_u64`` is ``below(2**64)``, the raw 64-bit output.
+    """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            # masking to 64 bits would alias the seed with one in range
+            raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
+        self._state = seed
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.below(1 << 64)
 
     def below(self, bound: int) -> int:
-        """Uniform-ish draw in [0, bound); modulo bias is irrelevant here."""
+        """Advance and return the next output mod bound; modulo bias is irrelevant."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return self.next_u64() % bound
+        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (z ^ (z >> 31)) % bound
 
 
 class _GenSpecFields(NamedTuple):
@@ -69,7 +79,7 @@ class GenSpec(_GenSpecFields):
         if not 0 <= self.extension_percent <= 100:
             raise ValueError("extension_percent must lie in 0..100")
         if not 0 <= self.seed <= _MASK64:
-            # SplitMix64 keeps the low 64 bits, so such a seed would alias one in range
+            # SplitMix64 refuses it too, but only once build_random runs
             raise ValueError(f"seed must lie in 0..2^64-1, got {self.seed}")
         return self
 
@@ -141,29 +151,36 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     ``str(j)``); a move draws an index into it, pops that position and writes
     its token there.  Clique sets are int masks with bit c for clique c
     (1-based): ``meets[c]`` holds the cliques c meets.  The merge candidates
-    of row i are the cliques above i missing from ``meets[i]``, C(n, 2) minus
-    the meeting pairs over all rows; the extension candidates of a shared
-    vertex v are the cliques met by none of v's owners.  ``live`` holds the
-    shared vertices in sorted order, less those a scan found with no
-    candidate: masks in ``meets`` and owner lists only grow, so the cliques
-    a vertex's owners meet only grow and a vertex with no candidate never
-    gains one.  A draw walks the rows in ascending order (live vertices in
-    sorted order), subtracting candidate counts, and takes the k-th set bit
-    of the row it lands in.  A dropped vertex would count zero, so every draw
-    picks the move that a full candidate list would hold at the same index,
-    and no such list is built.  The stream is read in the same order: for a
-    merge the pair, slot a, slot b and the extension roll; for an extension
-    the target, then its slot.
+    of row i are the cliques above i missing from ``meets[i]``; ``open_[i]``
+    counts them.  It starts at n-i, and each new meeting pair {k, c} lowers
+    ``open_[min(k, c)]`` by one, so the rows sum to C(n, 2) minus the meeting
+    pairs.  The extension candidates of a shared vertex v are the cliques met
+    by none of v's owners.  ``live`` holds the shared vertices in sorted
+    order, less those a scan found with no candidate: masks in ``meets`` and
+    owner lists only grow, so the cliques a vertex's owners meet only grow
+    and a vertex with no candidate never gains one.  A merge draw walks the
+    rows in ascending order, subtracting the stored counts, and builds the
+    partner mask only for the row it lands in, taking its k-th set bit; an
+    extension draw walks the live vertices in sorted order the same way,
+    counting each one's targets with ``int.bit_count()``.  A dropped vertex
+    would count zero, so every draw picks the move that a full candidate
+    list would hold at the same index, and no such list is built.  Every
+    draw is one call of the bound ``SplitMix64.below``.  The stream is read
+    in the same order: for a merge the pair, slot a, slot b and the
+    extension roll; for an extension the target, then its slot.
     """
     n = spec.n
-    rng = SplitMix64(spec.seed)
-    cliques: list[list[str]] = [
-        [f"v{i}_{j}" for j in range(1, n + 1)] for i in range(1, n + 1)
-    ]
-    order = sorted(range(n), key=lambda p: str(p + 1))
+    below = SplitMix64(spec.seed).below
+    suffixes = [str(j) for j in range(1, n + 1)]
+    cliques: list[list[str]] = []
+    for i in range(1, n + 1):
+        prefix = f"v{i}_"
+        cliques.append([prefix + s for s in suffixes])
+    order = sorted(range(n), key=suffixes.__getitem__)
     private: list[list[int]] = [[]] + [order.copy() for _ in range(n)]
     full = ((1 << n) - 1) << 1  # every clique
     meets = [0] * (n + 1)
+    open_ = [0] + [n - i for i in range(1, n + 1)]  # cliques above i not met by i
     meeting = 0  # clique pairs that meet
     owners: dict[str, list[int]] = {}  # shared vertices only
     live: list[str] = []  # shared vertices that may still extend, sorted
@@ -175,11 +192,12 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
         """
         nonlocal meeting
         slots = private[c]
-        cliques[c - 1][slots.pop(rng.below(len(slots)))] = new
+        cliques[c - 1][slots.pop(below(len(slots)))] = new
         holders = owners[new]
         for k in holders:
             meets[k] |= 1 << c
             meets[c] |= 1 << k
+            open_[min(k, c)] -= 1
         meeting += len(holders)
         holders.append(c)
 
@@ -189,15 +207,13 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
         total = n * (n - 1) // 2 - meeting
         if not total:
             break
-        k = rng.below(total)
-        later = full  # the rows after row i
-        for i in range(1, n + 1):
-            later &= later - 1
-            partners = later & ~meets[i]
-            if k < (count := partners.bit_count()):
-                break
+        k = below(total)
+        i = 1
+        while k >= (count := open_[i]):
             k -= count
-        j = _nth_bit(partners, k)
+            i += 1
+        # the partner mask: the cliques after row i that i does not meet
+        j = _nth_bit((full >> (i + 1) << (i + 1)) & ~meets[i], k)
         merges_done += 1
         fresh = f"m{merges_done}"
         owners[fresh] = []
@@ -205,7 +221,7 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
         put(i, fresh)
         put(j, fresh)
 
-        if rng.below(100) < spec.extension_percent:
+        if below(100) < spec.extension_percent:
             # a clique holding v meets v's other cliques, so it never qualifies
             kept = []
             targets = []
@@ -220,7 +236,7 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
                     total += missed.bit_count()
             live = kept
             if total:
-                k = rng.below(total)
+                k = below(total)
                 t = 0
                 while k >= (count := targets[t].bit_count()):
                     k -= count

@@ -44,6 +44,40 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             g.below(0)
 
+    @pytest.mark.parametrize("bound", [1, 100, 2**64, 2**64 + 1])
+    def test_below_is_next_u64_mod_bound(self, bound):
+        # below is the one mixing routine; next_u64 must read the same stream
+        a, b = SplitMix64(12345), SplitMix64(12345)
+        assert [a.below(bound) for _ in range(50)] == [
+            b.next_u64() % bound for _ in range(50)
+        ]
+
+    def test_below_full_range_reference_stream(self):
+        g = SplitMix64(0)
+        assert [g.below(1 << 64) for _ in range(3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, seed):
+        # masking would alias -1 with 2**64 - 1 and 2**64 with 0
+        message = rf"seed must lie in 0\.\.2\^64-1, got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            SplitMix64(seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_range_ends_are_the_whole_state(self, seed):
+        # a stream one step (one golden-gamma increment) behind reaches the
+        # seed's state after its first draw, wrapping past 2**64 on the way
+        behind = SplitMix64((seed - 0x9E3779B97F4A7C15) % 2**64)
+        behind.next_u64()
+        ahead = SplitMix64(seed)
+        assert [ahead.next_u64() for _ in range(3)] == [
+            behind.next_u64() for _ in range(3)
+        ]
+
 
 class TestDisjoint:
     def test_counts(self):

@@ -56,9 +56,10 @@ def run_greedy(inst: Instance) -> ColoringResult:
 def _per_clique_report(
     inst: Instance, min_degree: int, bound: int, parameter: str
 ) -> HypothesisReport:
-    """Each clique's count of vertices of clique degree >= ``min_degree``, against ``bound``."""
+    """Each clique's count of vertices of clique degree >= ``min_degree`` (at
+    least 2, so only the core is read), against ``bound``."""
     counts = [0] * inst.n
-    for ix in inst.incidence_map.values():
+    for ix in inst.core_incidence.values():
         if len(ix) >= min_degree:
             for i in ix:
                 counts[i - 1] += 1
@@ -101,15 +102,16 @@ def check_sy2(inst: Instance, d: int, bound_rule: str = "statement") -> Hypothes
 def check_sy2_all(inst: Instance, bound_rule: str = "statement") -> HypothesisReport:
     """Conjunction of :func:`check_sy2` over d = 2..n; records the first failing d.
 
-    One pass over the incidence lists counts each clique's vertices by
-    clique degree, and suffix sums over the degree give the count for every
-    d.  Only the first failing d gets its per-clique rows.
+    One pass over the core's incidence lists counts each clique's core
+    vertices by clique degree, and suffix sums over the degree give the count
+    for every d.  Only the first failing d gets its per-clique rows.  A cover
+    without core vertices has top degree 1, and every d holds.
     """
     require_valid(inst)
     n = inst.n
     parameter = f"sy2 all d in 2..{n} ({bound_rule})"
-    inc = inst.incidence_map
-    top = max(len(ix) for ix in inc.values())
+    inc = inst.core_incidence
+    top = max(map(len, inc.values()), default=1)
     # at_least[i - 1][d]: vertices of clique degree >= d in clique i
     at_least = [[0] * (top + 2) for _ in range(n)]
     for ix in inc.values():

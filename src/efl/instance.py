@@ -10,6 +10,8 @@ reports.
 The clique degree of a vertex is the number of cliques containing it.
 Vertices of clique degree 1 are "private", the rest are "core"; the core
 vertices induce the core graph, which is all that matters for n-coloring.
+Each instance splits its vertices into these two kinds once, and every layer
+that looks only at the core reads that split.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ class Instance:
     Construction is permissive about clique contents (wrong sizes, duplicate
     tokens, oversized intersections) so that :func:`validate` can report the
     violations; only the clique count itself must match ``n``.  Instances are
-    immutable and hashable, and all derived views are cached.
+    immutable and hashable, and all derived views are cached: the incidence
+    map, its split into ``core_incidence`` and ``private_members``, and the
+    validation report.
     """
 
     def __init__(self, n: int, cliques: Iterable[Iterable[VertexId]]):
@@ -83,6 +87,23 @@ class Instance:
                 elif found[token][-1] != i:  # a token repeated in clique i counts once
                     found[token] += one
         return found
+
+    @cached_property
+    def core_incidence(self) -> dict[VertexId, tuple[int, ...]]:
+        """The entries of :attr:`incidence_map` with two or more cliques, in its order."""
+        return {v: ix for v, ix in self.incidence_map.items() if len(ix) > 1}
+
+    @cached_property
+    def private_members(self) -> tuple[tuple[VertexId, ...], ...]:
+        """For each clique (0-based), its vertices of clique degree 1 in token order.
+
+        A token repeated inside one clique is one vertex and is listed once.
+        """
+        private: list[list[VertexId]] = [[] for _ in range(self.n)]
+        for v, ix in self.incidence_map.items():
+            if len(ix) == 1:
+                private[ix[0] - 1].append(v)
+        return tuple(tuple(sorted(p)) for p in private)
 
     @cached_property
     def validation(self) -> "ValidationReport":
@@ -170,20 +191,19 @@ def validate(inst: Instance) -> ValidationReport:
     Sizes are decided without a set per clique: the incidence lists hold
     each clique's distinct tokens once, so when every clique lists n tokens
     their lengths sum to n*n exactly when none repeats.  Only on failure are
-    the tokens of each clique counted.  Linearity reads the same incidence
-    lists: every shared vertex contributes the clique pairs of its list, and
-    a pair listed twice shares two vertices.  So the cover is linear exactly
-    when the list of all these pairs is as long as its set, which C-level
-    calls decide.  Only when it is not does a ``Counter`` name the pairs
-    listed more than once, and only those pairs are intersected, to name
-    their shared tokens.
+    the tokens of each clique counted.  Linearity reads the core's incidence
+    lists (:attr:`Instance.core_incidence`): every shared vertex contributes
+    the clique pairs of its list, and a pair listed twice shares two
+    vertices.  So the cover is linear exactly when the list of all these
+    pairs is as long as its set, which C-level calls decide.  Only when it
+    is not does a ``Counter`` name the pairs listed more than once, and only
+    those pairs are intersected, to name their shared tokens.
     """
     violations: list[Violation] = []
     n = inst.n
     cliques = inst.cliques
-    incidence = inst.incidence_map.values()
-    places = sum(map(len, incidence))  # the distinct tokens of every clique, summed
-    shared = [ix for ix in incidence if len(ix) > 1]
+    places = sum(map(len, inst.incidence_map.values()))  # each clique's distinct tokens, summed
+    shared = inst.core_incidence.values()
     pairs = list(chain.from_iterable(map(combinations, shared, repeat(2))))
     offending: list[tuple[int, int]] = []
     if len(pairs) != len(set(pairs)):
@@ -335,22 +355,25 @@ def shared_vertex(inst: Instance, i: int, j: int) -> Optional[VertexId]:
 def core_subgraph(inst: Instance) -> CoreGraph:
     """The core graph: vertices of clique degree > 1, adjacency via shared cliques."""
     require_valid(inst)
-    inc = inst.incidence_map
-    core = sorted(v for v, ix in inc.items() if len(ix) > 1)
-    return CoreGraph(vertices=tuple(core), incidence={v: inc[v] for v in core})
+    inc = inst.core_incidence
+    return CoreGraph(vertices=tuple(sorted(inc)), incidence=inc)
 
 
 def degree_profile(inst: Instance) -> DegreeProfile:
-    """Clique degree of every vertex plus the degree histogram."""
+    """Clique degree of every vertex plus the degree histogram.
+
+    The histogram counts the core's degrees; every other vertex has degree 1.
+    """
     require_valid(inst)
-    degree_of = {v: len(ix) for v, ix in inst.incidence_map.items()}
-    histogram: dict[int, int] = {}
-    for d in degree_of.values():
-        histogram[d] = histogram.get(d, 0) + 1
+    inc = inst.incidence_map
+    core = inst.core_incidence
+    histogram = Counter(map(len, core.values()))
+    if len(inc) > len(core):
+        histogram[1] = len(inc) - len(core)
     return DegreeProfile(
-        degree_of=degree_of,
+        degree_of=dict(zip(inc, map(len, inc.values()))),
         histogram=dict(sorted(histogram.items())),
-        max_degree=max(degree_of.values()),
+        max_degree=max(histogram),
     )
 
 
@@ -358,7 +381,8 @@ def intersecting_pair_count(inst: Instance) -> int:
     """Count clique pairs (i < j) with a nonempty intersection.
 
     Two cliques meet exactly when some vertex lies in both, so the pairs are
-    read off the incidence lists, each distinct pair counted once.
+    read off the core's incidence lists, each distinct pair counted once.
     """
     require_valid(inst)
-    return len({pair for ix in inst.incidence_map.values() for pair in combinations(ix, 2)})
+    shared = inst.core_incidence.values()
+    return len(set(chain.from_iterable(map(combinations, shared, repeat(2)))))

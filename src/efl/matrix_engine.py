@@ -65,13 +65,19 @@ REASON_NO_COLOR_AVAILABLE = "no-color-available"
 
 
 class ColorMatrix:
-    """Symmetric color matrix with 1-based clique indices."""
+    """Symmetric color matrix with 1-based clique indices.
+
+    ``rows`` must be n rows of n cells each; any other shape raises
+    ``ValueError``.
+    """
 
     __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, rows: Sequence[Sequence[int]]):
         self.n = n
         self._rows = [list(r) for r in rows]
+        if len(self._rows) != n or any(len(r) != n for r in self._rows):
+            raise ValueError(f"a matrix of order {n} needs {n} rows of {n} cells each")
 
     @classmethod
     def from_text(cls, text: str) -> "ColorMatrix":
@@ -103,11 +109,24 @@ class ColorMatrix:
         return tuple(self._rows[i - 1])
 
     def set_block(self, indices: Sequence[int], color: int) -> None:
-        """Write one color into every off-diagonal cell over the given cliques."""
+        """Write one color into every off-diagonal cell over the given cliques.
+
+        Every index is checked against 1..n before the first write, so a
+        refused block leaves the matrix unchanged.
+        """
         for a in indices:
+            if not 1 <= a <= self.n:
+                raise IndexError(f"clique index {a} out of range 1..{self.n}")
+        self._write_block(indices, color)
+
+    def _write_block(self, indices: Sequence[int], color: int) -> None:
+        """:meth:`set_block` without the range check, for the incidence
+        tuples of an instance of order n, which lie in 1..n."""
+        for a in indices:
+            row = self._rows[a - 1]
             for b in indices:
                 if a != b:
-                    self._rows[a - 1][b - 1] = color
+                    row[b - 1] = color
 
     def copy(self) -> "ColorMatrix":
         return ColorMatrix(self.n, self._rows)
@@ -138,9 +157,9 @@ def _block_matrix(inst: Instance, core: dict[str, int]) -> ColorMatrix:
     color, or UNASSIGNED for a vertex without one."""
     n = inst.n
     matrix = ColorMatrix(n, [[DISJOINT] * n for _ in range(n)])
-    for v, ix in inst.incidence_map.items():
-        if len(ix) > 1:  # a private vertex's block has no off-diagonal cell
-            matrix.set_block(ix, core.get(v, UNASSIGNED))
+    # a private vertex's block has no off-diagonal cell
+    for v, ix in inst.core_incidence.items():
+        matrix._write_block(ix, core.get(v, UNASSIGNED))
     return matrix
 
 
@@ -214,14 +233,20 @@ def render_trace(events: Sequence[TraceEvent]) -> str:
 def replay_trace(
     inst: Instance, events: Sequence[TraceEvent], start: ColorMatrix
 ) -> ColorMatrix:
-    """Fold the write events over a starting matrix."""
+    """Fold the write events over a starting matrix of the instance's order.
+
+    The blocks are the instance's own incidence tuples, which lie in 1..n,
+    so once the orders match they are written without a range check.
+    """
+    if start.n != inst.n:
+        raise ValueError(f"matrix order {start.n} does not match instance n={inst.n}")
     matrix = start.copy()
     inc = inst.incidence_map
     for ev in events:
         if isinstance(ev, Assigned):
-            matrix.set_block(inc[ev.vertex], ev.color)
+            matrix._write_block(inc[ev.vertex], ev.color)
         elif isinstance(ev, RepairRecolored):
-            matrix.set_block(inc[ev.vertex], ev.new_color)
+            matrix._write_block(inc[ev.vertex], ev.new_color)
     return matrix
 
 
@@ -483,22 +508,15 @@ def color_cover(
     of the ranks by descending clique degree keeps that order among equal
     degrees.  That is exactly the placement order of a sort by
     ``(-degree, incidence tuple)``, and a vertex's rank bit is ``1 << rank``.
-    The private vertices (clique degree 1) are collected per clique in the
-    same pass over ``incidence_map`` that picks out the core, and each
-    clique's list is sorted on success; as a valid cover repeats no token
-    inside a clique, these lists hold exactly the clique members outside
-    the core.
+    The core and, for the extension, each clique's private vertices (clique
+    degree 1) in token order are the instance's cached split
+    (:attr:`Instance.core_incidence` and :attr:`Instance.private_members`),
+    so the greedy and the engine on one cover share one split and one sort.
     """
     require_valid(inst)
     n = inst.n
     full = ((1 << n) - 1) << 1  # every color 1..n
-    inc: dict[str, tuple[int, ...]] = {}
-    private: list[list[str]] = [[] for _ in range(n + 1)]  # clique i's degree-1 vertices
-    for v, ix in inst.incidence_map.items():
-        if len(ix) > 1:
-            inc[v] = ix
-        else:
-            private[ix[0]].append(v)
+    inc = inst.core_incidence
     rows: list[dict[int, str]] = [{} for _ in range(n + 1)]  # 1-based cliques
     used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
     by_rank = sorted(inc, key=inc.__getitem__)
@@ -573,8 +591,8 @@ def color_cover(
             trace.append(Assigned(u, x))
 
     total = dict(core)
-    for i in range(1, n + 1):
-        total.update(zip(sorted(private[i]), _bits(full & ~used[i])))
+    for i, private in enumerate(inst.private_members, start=1):
+        total.update(zip(private, _bits(full & ~used[i])))
     report = verify_proper(inst, total)
     if not report.proper or report.max_color > n:
         return ColoringResult(inst, core, REASON_INTERNAL_VERIFICATION, trace)
@@ -601,9 +619,7 @@ def matrix_to_coloring(inst: Instance, matrix: ColorMatrix) -> dict[str, int]:
     if matrix.n != inst.n:
         raise ValueError(f"matrix order {matrix.n} does not match instance n={inst.n}")
     coloring: dict[str, int] = {}
-    for v, ix in inst.incidence_map.items():
-        if len(ix) < 2:
-            continue
+    for v, ix in inst.core_incidence.items():
         values = {
             matrix.get(a, b) for a in ix for b in ix if a != b
         }

@@ -313,12 +313,12 @@ def theorem_identity(inst: Instance) -> IdentityResult:
 
     The two sides count the same objects, so they agree on every legal cover;
     when every clique pair intersects the common value is n(n-1)/2.  The sum
-    runs over all vertices, as a private vertex adds C(1,2) = 0.  The right
-    side counts distinct clique pairs, not the C(d,2) terms, so the check is
-    not circular.
+    runs over the core only, as a private vertex adds C(1,2) = 0.  The right
+    side counts distinct clique pairs through a set, not the C(d,2) terms, so
+    the check is not circular.
     """
     require_valid(inst)
-    lhs = sum(math.comb(len(ix), 2) for ix in inst.incidence_map.values())
+    lhs = sum(math.comb(len(ix), 2) for ix in inst.core_incidence.values())
     rhs = intersecting_pair_count(inst)
     n = inst.n
     return IdentityResult(lhs=lhs, rhs=rhs, all_pairs_intersect=rhs == n * (n - 1) // 2)

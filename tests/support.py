@@ -21,10 +21,17 @@ check over every colored core vertex, and ``reference_fan_path_plan`` the fan
 plan with every guard it once carried.  ``reference_color_cover`` is the
 coloring loop that tested every free color through a helper call, and
 ``reference_export_dot`` the DOT writer that built each edge run as a line.
+``brute_core_split``, ``brute_degree_profile``, ``brute_check_sy1``,
+``brute_check_sy2``, ``brute_theorem_identity`` and ``brute_core_subgraph``
+read every entry of the incidence map, where the library reads the cached
+split of an instance into core and private vertices.
+``permissive_instances`` breaks valid covers by repeating a token inside a
+clique or by giving a clique the wrong size.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional, Sequence
 
 from hypothesis import strategies as st
@@ -39,9 +46,10 @@ from efl.generators import (
     gen_random,
 )
 from efl.errors import IncompleteColoringError, ParseError
-from efl.greedy import HypothesisReport, check_sy2
+from efl.greedy import CliqueCount, HypothesisReport, check_sy2
 from efl.instance import (
     CoreGraph,
+    DegreeProfile,
     Instance,
     ValidationReport,
     VertexId,
@@ -67,7 +75,7 @@ from efl.matrix_engine import (
     _recolor,
 )
 from efl.export import _dot_color
-from efl.oracle import VerifyReport, verify_proper
+from efl.oracle import IdentityResult, VerifyReport, verify_proper
 
 
 def brute_core_edges(inst: Instance) -> set[tuple[str, str]]:
@@ -81,6 +89,78 @@ def brute_core_edges(inst: Instance) -> set[tuple[str, str]]:
             if set(inc[u]) & set(inc[v]):
                 edges.add((u, v))
     return edges
+
+
+def brute_core_split(
+    inst: Instance,
+) -> tuple[dict[str, tuple[int, ...]], tuple[tuple[str, ...], ...]]:
+    """The core's incidence entries in map order, and each clique's
+    degree-1 tokens in token order, from every entry of the incidence map."""
+    inc = inst.incidence_map
+    core = {}
+    private: list[list[str]] = [[] for _ in range(inst.n)]
+    for v in inc:
+        if len(inc[v]) >= 2:
+            core[v] = inc[v]
+        else:
+            private[inc[v][0] - 1].append(v)
+    return core, tuple(tuple(sorted(p)) for p in private)
+
+
+def brute_core_subgraph(inst: Instance) -> CoreGraph:
+    """The core graph's vertices and incidence lists, filtered from the whole map."""
+    require_valid(inst)
+    inc = inst.incidence_map
+    core = sorted(v for v in inc if len(inc[v]) >= 2)
+    return CoreGraph(vertices=tuple(core), incidence={v: inc[v] for v in core})
+
+
+def brute_degree_profile(inst: Instance) -> DegreeProfile:
+    """Every vertex's clique degree and the histogram, counted one by one."""
+    require_valid(inst)
+    degree_of = {v: len(ix) for v, ix in inst.incidence_map.items()}
+    histogram: dict[int, int] = {}
+    for d in degree_of.values():
+        histogram[d] = histogram.get(d, 0) + 1
+    return DegreeProfile(
+        degree_of=degree_of,
+        histogram=dict(sorted(histogram.items())),
+        max_degree=max(degree_of.values()),
+    )
+
+
+def _brute_per_clique(
+    inst: Instance, min_degree: int, bound: int, parameter: str
+) -> HypothesisReport:
+    counts = [0] * inst.n
+    for ix in inst.incidence_map.values():
+        if len(ix) >= min_degree:
+            for i in ix:
+                counts[i - 1] += 1
+    rows = tuple(CliqueCount(i, c, bound) for i, c in enumerate(counts, start=1))
+    return HypothesisReport(per_clique=rows, parameter=parameter)
+
+
+def brute_check_sy1(inst: Instance) -> HypothesisReport:
+    """SY1 over every vertex: at most floor(sqrt(n)) of clique degree >= 2 per clique."""
+    require_valid(inst)
+    return _brute_per_clique(inst, 2, math.isqrt(inst.n), "sy1")
+
+
+def brute_check_sy2(inst: Instance, d: int, bound_rule: str = "statement") -> HypothesisReport:
+    """SY2 at d over every vertex, with the bound ceil((n+d-1)/d) or ceil(n/d)."""
+    require_valid(inst)
+    n = inst.n
+    bound = math.ceil((n + d - 1) / d) if bound_rule == "statement" else math.ceil(n / d)
+    return _brute_per_clique(inst, d, bound, f"sy2 d={d} ({bound_rule})")
+
+
+def brute_theorem_identity(inst: Instance) -> IdentityResult:
+    """C(d, 2) summed over every vertex, against the pairs of cliques that meet."""
+    require_valid(inst)
+    lhs = sum(math.comb(len(ix), 2) for ix in inst.incidence_map.values())
+    rhs = reference_intersecting_pair_count(inst)
+    return IdentityResult(lhs, rhs, rhs == math.comb(inst.n, 2))
 
 
 def reference_token_ok(token: str) -> bool:
@@ -671,3 +751,27 @@ def instances(draw, max_n: int = 8) -> Instance:
     seed = draw(st.integers(min_value=0, max_value=2**32))
     percent = draw(st.sampled_from([0, 20, 50]))
     return gen_random(n, merges, seed, extension_percent=percent)
+
+
+@st.composite
+def permissive_instances(draw, max_n: int = 8) -> Instance:
+    """A valid cover broken in one clique: a member replaced by a repeat of
+    another, a member dropped, or a token added, fresh or already in the
+    cover.  Each leaves that clique with a repeated token or the wrong
+    number of distinct tokens, so the result never validates."""
+    inst = draw(instances(max_n))
+    cliques = [list(c) for c in inst.cliques]
+    i = draw(st.integers(min_value=0, max_value=inst.n - 1))
+    members = cliques[i]
+    kinds = ["drop", "add"] + (["repeat"] if len(members) >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "repeat":
+        positions = st.integers(0, len(members) - 1)
+        a, b = draw(st.lists(positions, min_size=2, max_size=2, unique=True))
+        members[a] = members[b]
+    elif kind == "drop":
+        del members[draw(st.integers(0, len(members) - 1))]
+    else:
+        token = draw(st.sampled_from(["fresh", *inst.vertices]))
+        members.insert(draw(st.integers(0, len(members))), token)
+    return Instance(inst.n, cliques)

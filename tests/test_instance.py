@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from efl.errors import InvalidInstanceError, ParseError, UnknownVertexError
 from efl.generators import gen_dense, gen_disjoint
+from efl.greedy import check_sy1, check_sy2
 from efl.instance import (
     Instance,
     clique_degree,
@@ -18,11 +19,20 @@ from efl.instance import (
     shared_vertex,
     validate,
 )
+from efl.oracle import theorem_identity
 from support import (
+    brute_check_sy1,
+    brute_check_sy2,
     brute_core_edges,
+    brute_core_split,
+    brute_core_subgraph,
+    brute_degree_profile,
+    brute_theorem_identity,
     instances,
+    permissive_instances,
     reference_intersecting_pair_count,
     reference_token_ok,
+    reference_validate,
 )
 
 
@@ -245,3 +255,79 @@ class TestIntersectingPairs:
         ]
         for inst in covers:
             assert intersecting_pair_count(inst) == reference_intersecting_pair_count(inst)
+
+
+def _assert_split_matches_brute(inst: Instance) -> None:
+    core, private = brute_core_split(inst)
+    # same keys in the same order, with the same tuples
+    assert list(inst.core_incidence.items()) == list(core.items())
+    assert inst.private_members == private
+
+
+def _assert_core_layers_match_brute(inst: Instance) -> None:
+    assert check_sy1(inst) == brute_check_sy1(inst)
+    for d in range(2, inst.n + 1):
+        for rule in ("statement", "proof"):
+            assert check_sy2(inst, d, rule) == brute_check_sy2(inst, d, rule)
+    profile, brute = degree_profile(inst), brute_degree_profile(inst)
+    assert profile == brute
+    assert list(profile.degree_of.items()) == list(brute.degree_of.items())
+    assert list(profile.histogram.items()) == list(brute.histogram.items())
+    assert theorem_identity(inst) == brute_theorem_identity(inst)
+    assert core_subgraph(inst) == brute_core_subgraph(inst)
+
+
+class TestCoreSplit:
+    """``core_incidence`` and ``private_members`` against a filter of the
+    whole incidence map, and every layer that reads only them against its
+    brute version over the whole map."""
+
+    def test_example(self, example):
+        assert list(example.core_incidence) == ["v1", "v6", "v7", "v9", "v16", "v19"]
+        assert example.core_incidence["v16"] == (3, 5, 6)
+        assert [len(p) for p in example.private_members] == [4, 3, 4, 4, 3, 3]
+        # token order, not input order: clique 2 lists v8 before v10
+        assert example.private_members[1] == ("v10", "v11", "v8")
+
+    def test_disjoint_and_single_clique(self):
+        assert gen_disjoint(3).core_incidence == {}
+        assert gen_disjoint(3).private_members[1] == ("v2_1", "v2_2", "v2_3")
+        only = Instance(1, [("x",)])
+        assert only.core_incidence == {}
+        assert only.private_members == (("x",),)
+        _assert_core_layers_match_brute(only)
+
+    def test_token_repeated_in_a_clique(self):
+        inst = Instance(3, [("b", "a", "a"), ("a", "c", "d"), ("e", "f", "g")])
+        assert inst.core_incidence == {"a": (1, 2)}
+        assert inst.private_members == (("b",), ("c", "d"), ("e", "f", "g"))
+        _assert_split_matches_brute(inst)
+
+    def test_clique_of_wrong_size(self):
+        inst = Instance(2, [("z", "x", "y"), ("x",)])
+        assert inst.core_incidence == {"x": (1, 2)}
+        assert inst.private_members == (("y", "z"), ())
+        _assert_split_matches_brute(inst)
+
+    @settings(max_examples=80, deadline=None)
+    @given(inst=instances(max_n=9))
+    def test_generated_covers(self, inst):
+        _assert_split_matches_brute(inst)
+        _assert_core_layers_match_brute(inst)
+
+    def test_random_corpus(self, corpus500):
+        for inst in corpus500:
+            _assert_split_matches_brute(inst)
+            _assert_core_layers_match_brute(inst)
+
+    @settings(max_examples=120, deadline=None)
+    @given(inst=permissive_instances(max_n=8))
+    def test_permissive_covers(self, inst):
+        _assert_split_matches_brute(inst)
+        assert validate(inst) == reference_validate(inst)
+        assert not inst.is_valid
+        for layer in (check_sy1, degree_profile, theorem_identity, core_subgraph):
+            with pytest.raises(InvalidInstanceError):
+                layer(inst)
+        with pytest.raises(InvalidInstanceError):
+            check_sy2(inst, 2)

@@ -144,6 +144,37 @@ class TestColorMatrix:
         with pytest.raises(IndexError):
             m.get(1, 3)
 
+    @pytest.mark.parametrize("bad", [0, -1, 4])
+    @pytest.mark.parametrize("place", ["first", "last"])
+    def test_set_block_refuses_index_outside_range(self, bad, place):
+        # negative indexing once wrote cells (1,3) and (3,1) for [0, 1]
+        m = initial_matrix(gen_dense(3))
+        m.set_block((1, 2), 7)
+        before = m.copy()
+        indices = [bad, 1] if place == "first" else [1, 2, bad]
+        with pytest.raises(IndexError, match=rf"clique index {bad} out of range 1\.\.3"):
+            m.set_block(indices, 5)
+        assert m == before
+        assert m.render() == before.render()
+
+    def test_set_block_in_range_writes_off_diagonal(self):
+        m = initial_matrix(gen_dense(3))
+        m.set_block([1, 3], 5)
+        assert m.row(1) == (DISJOINT, UNASSIGNED, 5)
+        assert m.row(3) == (5, UNASSIGNED, DISJOINT)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1]], [[0, 1, 1], [1, 0, 1]], [[0, 1, 1], [1, 0], [1, 1, 0]], [[0] * 4] * 3, []],
+    )
+    def test_constructor_refuses_wrong_shape(self, rows):
+        with pytest.raises(ValueError, match="a matrix of order 3 needs 3 rows of 3 cells"):
+            ColorMatrix(3, rows)
+
+    def test_from_text_keeps_its_message(self):
+        with pytest.raises(ValueError, match="matrix text is not square"):
+            ColorMatrix.from_text("0 1\n1\n")
+
 
 class TestBlockedColors:
     def test_row_of_fourth_state(self):
@@ -227,6 +258,14 @@ class TestMatrixToColoring:
     def test_order_mismatch(self, example):
         with pytest.raises(ValueError):
             matrix_to_coloring(example, initial_matrix(gen_disjoint(2)))
+
+    @pytest.mark.parametrize("order", [3, 8])
+    def test_replay_refuses_start_of_other_order(self, example, order):
+        # a larger start once took the blocks silently, a smaller one failed
+        # with a bare list IndexError
+        trace = run_matrix_method(example, EngineConfig(trace_enabled=True)).trace
+        with pytest.raises(ValueError, match=f"matrix order {order} does not match instance n=6"):
+            replay_trace(example, trace, initial_matrix(gen_disjoint(order)))
 
 
 class TestExtendToFull:

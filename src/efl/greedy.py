@@ -105,10 +105,12 @@ def check_sy2_all(inst: Instance, bound_rule: str = "statement") -> HypothesisRe
     One pass over the core's incidence lists counts each clique's core
     vertices by clique degree, and suffix sums over the degree give the count
     for every d.  Only the first failing d gets its per-clique rows.  A cover
-    without core vertices has top degree 1, and every d holds.
+    without core vertices has top degree 1, and every d holds.  An unknown
+    ``bound_rule`` raises ``ValueError`` before any d, so also for n = 1.
     """
     require_valid(inst)
     n = inst.n
+    _sy2_bound(n, 2, bound_rule)
     parameter = f"sy2 all d in 2..{n} ({bound_rule})"
     inc = inst.core_incidence
     top = max(map(len, inc.values()), default=1)
@@ -121,7 +123,7 @@ def check_sy2_all(inst: Instance, bound_rule: str = "statement") -> HypothesisRe
         for d in range(top - 1, 1, -1):
             row[d] += row[d + 1]
     for d in range(2, n + 1):
-        bound = _sy2_bound(n, d, bound_rule)  # an unknown rule raises at d = 2
+        bound = _sy2_bound(n, d, bound_rule)
         if d > top:
             break  # no clique has a vertex of clique degree >= d
         if any(row[d] > bound for row in at_least):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import InconsistentBlockError
+from .errors import InconsistentBlockError, UnknownVertexError
 from .instance import Instance, require_valid
 from .oracle import verify_proper
 
@@ -236,17 +236,24 @@ def replay_trace(
     """Fold the write events over a starting matrix of the instance's order.
 
     The blocks are the instance's own incidence tuples, which lie in 1..n,
-    so once the orders match they are written without a range check.
+    so once the orders match they are written without a range check.  An
+    event naming a vertex outside the instance raises
+    :class:`UnknownVertexError`.
     """
     if start.n != inst.n:
         raise ValueError(f"matrix order {start.n} does not match instance n={inst.n}")
     matrix = start.copy()
     inc = inst.incidence_map
-    for ev in events:
-        if isinstance(ev, Assigned):
-            matrix._write_block(inc[ev.vertex], ev.color)
-        elif isinstance(ev, RepairRecolored):
-            matrix._write_block(inc[ev.vertex], ev.new_color)
+    try:
+        for ev in events:
+            if isinstance(ev, Assigned):
+                matrix._write_block(inc[ev.vertex], ev.color)
+            elif isinstance(ev, RepairRecolored):
+                matrix._write_block(inc[ev.vertex], ev.new_color)
+    except KeyError as err:
+        raise UnknownVertexError(
+            f"vertex '{err.args[0]}' does not occur in the instance"
+        ) from None
     return matrix
 
 

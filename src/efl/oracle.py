@@ -3,10 +3,11 @@ and the combinatorial identity and bound that every legal cover must satisfy.
 
 The exact solver is deliberately independent of both coloring engines so that
 their successes can be cross-checked against it.  It works on int bitmasks
-over the core vertices (bit i for ``core.vertices[i]``).  Three lower bounds (a
-greedy clique, the largest clique row and the packing bound) and the color
-count of a certified DSATUR coloring bracket χ; search runs only in the gap
-between them.
+over the core vertices, relabelled once so that bit p is the p-th vertex in
+search order (degree descending, then token); the first vertex of a mask in
+that order is its lowest set bit.  Three lower bounds (a greedy clique, the
+largest clique row and the packing bound) and the color count of a certified
+DSATUR coloring bracket χ; search runs only in the gap between them.
 """
 
 from __future__ import annotations
@@ -74,96 +75,87 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
     )
 
 
-def _core_masks(core: CoreGraph) -> tuple[list[int], list[int]]:
-    """Row masks and adjacency masks, bit i for ``core.vertices[i]``.
-
-    A row mask holds the core vertices of one clique, which are pairwise
-    adjacent; a vertex's adjacency mask is the OR of its rows minus itself.
-    """
-    rows: dict[int, int] = {}
-    for i, v in enumerate(core.vertices):
-        for c in core.incidence[v]:
-            rows[c] = rows.get(c, 0) | 1 << i
-    adj = []
-    for i, v in enumerate(core.vertices):
-        mask = 0
-        for c in core.incidence[v]:
-            mask |= rows[c]
-        adj.append(mask & ~(1 << i))
-    return list(rows.values()), adj
-
-
-def _greedy_clique_size(adj: list[int], by_degree: list[int]) -> int:
-    clique = 0
-    for v in by_degree:
-        if adj[v] & clique == clique:
-            clique |= 1 << v
-    return clique.bit_count()
-
-
-def _packing_bound(core: CoreGraph, row_count: int) -> int:
+def _packing_bound(lists: list[tuple[int, ...]], row_count: int) -> int:
     """⌈|core| / α⌉, α the most core vertices whose clique lists fit in the rows.
 
-    A color class holds pairwise non-adjacent core vertices, whose clique
-    lists are pairwise disjoint, so its degrees sum to at most ``row_count``;
+    ``lists`` holds the clique list of every core vertex.  A color class
+    holds pairwise non-adjacent core vertices, whose clique lists are
+    pairwise disjoint, so its clique degrees sum to at most ``row_count``;
     the largest such class takes the smallest degrees first.
     """
     alpha = total = 0
-    for d in sorted(len(core.incidence[v]) for v in core.vertices):
+    for d in sorted(map(len, lists)):
         total += d
         if total > row_count:
             break
         alpha += 1
-    return -(-len(core.vertices) // alpha)
+    return -(-len(lists) // alpha)
 
 
-def _k_colorable(adj: list[int], by_degree: list[int], k: int) -> bool:
+def _k_colorable(adj: list[int], k: int) -> bool:
     """Exhaustive saturation-ordered search for a proper k-coloring.
 
-    The next vertex has the most distinct colors among its neighbours, then
-    the highest degree, then the least token (``by_degree`` lists vertices by
-    degree, then token).  Colors are tried least first, and color symmetry is
-    broken by never opening more than one fresh color at a time; the search
-    is complete, so a False answer proves infeasibility.  Bit c of ``seen[u]``
-    marks color c at a colored neighbour of u.  The search nests one call per
-    colored vertex; a core too large for the interpreter's recursion limit
-    raises :class:`CoreSizeLimitError`.
+    Bit p of a mask is the core vertex at search position p (see
+    :func:`_search_setup`).  The next vertex has the most distinct colors
+    among its neighbours, then the lowest position: the lowest set bit of the
+    highest non-empty ``level[s]``, the mask of uncolored vertices with s
+    neighbour colors.  ``near[c]`` masks the uncolored vertices with a
+    neighbour of color c.  Colors are tried least first, and color symmetry
+    is broken by never opening more than one fresh color at a time; the
+    search is complete, so a False answer proves infeasibility.  Giving a
+    vertex color c moves its uncolored neighbours outside ``near[c]`` up one
+    level, and a failed branch moves them back.  A branch that leaves a
+    vertex seeing all k colors fails without a call, as that vertex would be
+    picked next and find no color.  The search nests one call per colored
+    vertex; a core too large for the interpreter's recursion limit raises
+    :class:`CoreSizeLimitError`.
     """
-    seen = [0] * len(adj)
-    saturation = [0] * len(adj)
+    level = [0] * (len(adj) + 1)
+    level[0] = (1 << len(adj)) - 1
+    near = [0] * (k + 1)
 
-    def step(uncolored: int, used: int) -> bool:
+    def step(uncolored: int, used: int, top: int) -> bool:
         if not uncolored:
             return True
-        best = -1
-        v = 0
-        for u in by_degree:
-            if uncolored >> u & 1 and saturation[u] > best:
-                v, best = u, saturation[u]
-        uncolored ^= 1 << v
-        free = ~seen[v] & ((2 << min(k, used + 1)) - 2)
-        while free:
-            bit = free & -free
-            free ^= bit
-            touched = []
-            rest = adj[v] & uncolored
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                u = low.bit_length() - 1
-                if not seen[u] & bit:
-                    seen[u] |= bit
-                    saturation[u] += 1
-                    touched.append(u)
-            if step(uncolored, max(used, bit.bit_length() - 1)):
+        while not level[top]:
+            top -= 1
+        bit = level[top] & -level[top]
+        level[top] ^= bit
+        uncolored ^= bit
+        rest = adj[bit.bit_length() - 1] & uncolored
+        for c in range(1, used + 2 if used < k else k + 1):
+            seen = near[c]
+            if seen & bit:
+                continue
+            newly = rest & ~seen
+            near[c] = seen | rest
+            s = top
+            left = newly
+            while left:
+                moved = level[s] & left
+                level[s] ^= moved
+                level[s + 1] |= moved
+                left ^= moved
+                s -= 1
+            if not level[top + 1]:
+                if step(uncolored, c if c > used else used, top):
+                    return True
+            elif top + 1 < k and step(uncolored, c if c > used else used, top + 1):
                 return True
-            for u in touched:
-                seen[u] ^= bit
-                saturation[u] -= 1
+            s = top
+            left = newly
+            while left:
+                moved = level[s + 1] & left
+                level[s + 1] ^= moved
+                level[s] |= moved
+                left ^= moved
+                s -= 1
+            near[c] = seen
+        level[top] |= bit
         return False
 
     try:
-        return step((1 << len(adj)) - 1, 0)
+        return step((1 << len(adj)) - 1, 0, 0)
     except RecursionError:
         raise CoreSizeLimitError(
             f"core has {len(adj)} vertices, too many to search within the "
@@ -171,40 +163,39 @@ def _k_colorable(adj: list[int], by_degree: list[int], k: int) -> bool:
         ) from None
 
 
-def _dsatur(adj: list[int], by_degree: list[int]) -> list[int]:
-    """One DSATUR pass: the color (1, 2, ...) of each core vertex.
+def _dsatur(adj: list[int]) -> list[int]:
+    """One DSATUR pass: the color (1, 2, ...) of each core vertex, by position.
 
     The rules are the search's: the next vertex has the most distinct colors
-    among its neighbours, ties going to the first in ``by_degree``, and takes
-    the least color none of them has.  So its color count equals that of the
+    among its neighbours, ties going to the lowest position, and takes the
+    least color none of them has.  So its color count equals that of the
     search's first descent at any k at or above it.  ``level[s]`` masks the
-    uncolored vertices with s neighbour colors and ``near[c]`` the vertices
-    with a neighbour of color c.  The last entry of ``near`` is always empty,
-    so the scan for the least free color stops there.
+    uncolored vertices with s neighbour colors, and the next vertex is the
+    lowest set bit of the highest non-empty level; ``near[c]`` masks the
+    vertices with a neighbour of color c.  The last entry of ``near`` is
+    always empty, so the scan for the least free color stops there.
     """
     colors = [0] * len(adj)
     near = [0, 0]
     level = [0] * (len(adj) + 1)
     level[0] = uncolored = (1 << len(adj)) - 1
-    order = list(by_degree)
     top = 0
-    while order:
+    while uncolored:
         while not level[top]:
             top -= 1
-        for v in order:
-            if level[top] >> v & 1:
-                break
-        order.remove(v)
-        level[top] ^= 1 << v
-        uncolored ^= 1 << v
+        bit = level[top] & -level[top]
+        level[top] ^= bit
+        uncolored ^= bit
         c = 1
-        while near[c] >> v & 1:
+        while near[c] & bit:
             c += 1
         if c == len(near) - 1:
             near.append(0)
+        v = bit.bit_length() - 1
         colors[v] = c
-        newly = adj[v] & uncolored & ~near[c]
-        near[c] |= adj[v]
+        a = adj[v]
+        newly = a & uncolored & ~near[c]
+        near[c] |= a
         s = top
         while newly:
             moved = level[s] & newly
@@ -220,30 +211,38 @@ def _dsatur(adj: list[int], by_degree: list[int]) -> list[int]:
 def _certified_count(adj: list[int], colors: list[int]) -> int:
     """The number of colors of a proper coloring, checked before it is trusted.
 
-    Every vertex must have a color from 1 up, and the mask of its color class
-    must miss its adjacency mask.  A coloring that fails raises
-    ``RuntimeError``; no uncertified bound is returned.
+    ``colors[p]`` is the color of the core vertex at search position p.
+    Every vertex must have a color from 1 up, and the mask of its color
+    class must miss its adjacency mask.  A coloring that fails raises
+    ``RuntimeError``, naming the first position at fault; no uncertified
+    bound is returned.
     """
     classes = [0] * (max(colors, default=0) + 1)
-    for v, c in enumerate(colors):
-        classes[c] |= 1 << v
+    for p, c in enumerate(colors):
+        classes[c] |= 1 << p
     if classes[0]:
         raise RuntimeError("DSATUR coloring leaves a core vertex uncolored")
-    for v, c in enumerate(colors):
-        if classes[c] & adj[v]:
-            raise RuntimeError(f"DSATUR coloring is not proper at core vertex {v}")
+    for p, c in enumerate(colors):
+        if classes[c] & adj[p]:
+            raise RuntimeError(f"DSATUR coloring is not proper at search position {p}")
     return len(classes) - 1
 
 
 def _search_setup(
     core: CoreGraph, vertex_limit: int
 ) -> tuple[list[int], list[int], tuple[int, ...]]:
-    """Adjacency masks, the search order and lower bounds on χ, after the limit check.
+    """The search order, adjacency masks in its labels and lower bounds on χ.
 
     A negative ``vertex_limit`` is an input error, raised as ``ValueError``
-    before the size check.  The bounds are a greedy clique, the largest row
-    (the core vertices of one clique) and the packing bound; an empty core has
-    none.
+    before the size check, which comes before any mask is built.  The search
+    order lists indices into ``core.vertices`` by degree descending, then
+    token, and bit p of every mask is the p-th vertex in it, so "first in
+    search order" is the lowest set bit.  The cover is linear, so a vertex's
+    rows meet only at it and its degree is the sum over its rows of the other
+    core vertices there.  A row mask holds the core vertices of one clique,
+    which are pairwise adjacent, and a vertex's adjacency mask is the OR of
+    its rows minus itself.  The bounds are a greedy clique taken in search
+    order, the largest row and the packing bound; an empty core has none.
     """
     if vertex_limit < 0:
         raise ValueError("vertex_limit must be at least 0")
@@ -254,32 +253,55 @@ def _search_setup(
         )
     if not count:
         return [], [], ()
-    rows, adj = _core_masks(core)
-    by_degree = sorted(range(count), key=lambda v: -adj[v].bit_count())
-    bounds = (
-        _greedy_clique_size(adj, by_degree),
-        max(row.bit_count() for row in rows),
-        _packing_bound(core, len(rows)),
-    )
-    return adj, by_degree, bounds
+    lists = list(map(core.incidence.__getitem__, core.vertices))
+    others: dict[int, int] = {}  # per clique, its core vertices but one
+    for ix in lists:
+        for c in ix:
+            others[c] = others.get(c, -1) + 1
+    get = others.__getitem__
+    degree = [sum(map(get, ix)) for ix in lists]
+    # a stable sort, so equal degrees keep token order
+    order = sorted(range(count), key=degree.__getitem__, reverse=True)
+    lists = list(map(lists.__getitem__, order))
+    rows = dict.fromkeys(others, 0)
+    bit = 1
+    for ix in lists:
+        for c in ix:
+            rows[c] |= bit
+        bit <<= 1
+    adj = []
+    clique = 0
+    bit = 1
+    for ix in lists:
+        mask = 0
+        for c in ix:
+            mask |= rows[c]
+        mask ^= bit
+        if mask & clique == clique:
+            clique |= bit
+        adj.append(mask)
+        bit <<= 1
+    bounds = (clique.bit_count(), max(others.values()) + 1, _packing_bound(lists, len(rows)))
+    return order, adj, bounds
 
 
 def chromatic_number_exact(core: CoreGraph, vertex_limit: int = 40) -> int:
     """Exact chromatic number of a core graph by branch and bound.
 
-    Adjacency and search state are int bitmasks over the core vertices.  The
-    best of three lower bounds (greedy clique, largest row, packing) is L; the
-    color count of a DSATUR coloring, certified proper, is U.  When L = U, χ
-    is decided with no search.  Otherwise each k from L to U - 1 is closed by
-    complete saturation-ordered search, and the first that succeeds is χ; if
-    none does, χ = U.  Deterministic, and refuses cores above
-    ``vertex_limit`` vertices before any edge is built; a core within the
-    limit but too deep to search also raises :class:`CoreSizeLimitError`.
+    Adjacency and search state are int bitmasks over the core vertices in
+    search order.  The best of three lower bounds (greedy clique, largest
+    row, packing) is L; the color count of a DSATUR coloring, certified
+    proper, is U.  When L = U, χ is decided with no search.  Otherwise each k
+    from L to U - 1 is closed by complete saturation-ordered search, and the
+    first that succeeds is χ; if none does, χ = U.  Deterministic, and refuses
+    cores above ``vertex_limit`` vertices before any edge is built; a core
+    within the limit but too deep to search also raises
+    :class:`CoreSizeLimitError`.
     """
-    adj, by_degree, bounds = _search_setup(core, vertex_limit)
-    upper = _certified_count(adj, _dsatur(adj, by_degree))
+    _, adj, bounds = _search_setup(core, vertex_limit)
+    upper = _certified_count(adj, _dsatur(adj))
     for k in range(max(bounds, default=0), upper):
-        if _k_colorable(adj, by_degree, k):
+        if _k_colorable(adj, k):
             return k
     return upper
 
@@ -294,12 +316,12 @@ def is_n_colorable(inst: Instance, vertex_limit: int = 40) -> bool:
     decide.
     """
     require_valid(inst)
-    adj, by_degree, bounds = _search_setup(core_subgraph(inst), vertex_limit)
+    _, adj, bounds = _search_setup(core_subgraph(inst), vertex_limit)
     if max(bounds, default=0) > inst.n:
         return False
-    if _certified_count(adj, _dsatur(adj, by_degree)) <= inst.n:
+    if _certified_count(adj, _dsatur(adj)) <= inst.n:
         return True
-    return _k_colorable(adj, by_degree, inst.n)
+    return _k_colorable(adj, inst.n)
 
 
 class IdentityResult(NamedTuple):

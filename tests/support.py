@@ -7,6 +7,10 @@ heuristics, bounds, or symmetry breaking beyond feasibility.  The random
 generator's reference builds every candidate list in full before each draw,
 the exact-χ reference is the earlier set-based saturation search, and the
 properness reference is the earlier sort-and-group :func:`verify_proper`.
+``reference_search_setup``, ``reference_dsatur`` and
+``reference_k_colorable`` are the exact oracle's earlier kernel, whose masks
+index ``core.vertices`` and which walk the list of vertices in search order
+to pick the next vertex.
 ``reference_token_ok`` is the parser's earlier per-character token rule,
 ``reference_parse_instance`` and ``reference_validate`` the parser and the
 validator that checked every token and intersected every clique pair,
@@ -45,7 +49,7 @@ from efl.generators import (
     gen_disjoint,
     gen_random,
 )
-from efl.errors import IncompleteColoringError, ParseError
+from efl.errors import CoreSizeLimitError, IncompleteColoringError, ParseError
 from efl.greedy import CliqueCount, HypothesisReport, check_sy2
 from efl.instance import (
     CoreGraph,
@@ -280,8 +284,10 @@ def reference_parse_instance(text: str, *, require_validity: bool = True) -> Ins
 
 def reference_check_sy2_all(inst: Instance, bound_rule: str = "statement") -> HypothesisReport:
     """:func:`efl.greedy.check_sy2_all` running :func:`efl.greedy.check_sy2`
-    for each d = 2..n until one fails."""
+    for each d = 2..n until one fails; an unknown rule raises for every n."""
     require_valid(inst)
+    if bound_rule not in ("statement", "proof"):
+        raise ValueError(f"unknown bound_rule '{bound_rule}'")
     parameter = f"sy2 all d in 2..{inst.n} ({bound_rule})"
     for d in range(2, inst.n + 1):
         report = check_sy2(inst, d, bound_rule)
@@ -639,6 +645,132 @@ def reference_chromatic(core: CoreGraph) -> int:
     while not k_colorable(k):
         k += 1
     return k
+
+
+def _reference_core_masks(core: CoreGraph) -> tuple[list[int], list[int]]:
+    rows: dict[int, int] = {}
+    for i, v in enumerate(core.vertices):
+        for c in core.incidence[v]:
+            rows[c] = rows.get(c, 0) | 1 << i
+    adj = []
+    for i, v in enumerate(core.vertices):
+        mask = 0
+        for c in core.incidence[v]:
+            mask |= rows[c]
+        adj.append(mask & ~(1 << i))
+    return list(rows.values()), adj
+
+
+def reference_search_setup(
+    core: CoreGraph, vertex_limit: int
+) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """The earlier set-up: masks with bit i for ``core.vertices[i]``, the
+    search order ``by_degree`` (degree descending, then token) as indices,
+    and the greedy clique, largest row and packing bounds."""
+    if vertex_limit < 0:
+        raise ValueError("vertex_limit must be at least 0")
+    count = len(core.vertices)
+    if count > vertex_limit:
+        raise CoreSizeLimitError(
+            f"core has {count} vertices, above the limit {vertex_limit}"
+        )
+    if not count:
+        return [], [], ()
+    rows, adj = _reference_core_masks(core)
+    by_degree = sorted(range(count), key=lambda v: -adj[v].bit_count())
+    clique = 0
+    for v in by_degree:
+        if adj[v] & clique == clique:
+            clique |= 1 << v
+    alpha = total = 0
+    for d in sorted(len(core.incidence[v]) for v in core.vertices):
+        total += d
+        if total > len(rows):
+            break
+        alpha += 1
+    bounds = (
+        clique.bit_count(),
+        max(row.bit_count() for row in rows),
+        -(-count // alpha),
+    )
+    return adj, by_degree, bounds
+
+
+def reference_dsatur(adj: list[int], by_degree: list[int]) -> list[int]:
+    """The earlier DSATUR pass, which walked and shrank the list ``by_degree``
+    to find the first vertex of the highest saturation level."""
+    colors = [0] * len(adj)
+    near = [0, 0]
+    level = [0] * (len(adj) + 1)
+    level[0] = uncolored = (1 << len(adj)) - 1
+    order = list(by_degree)
+    top = 0
+    while order:
+        while not level[top]:
+            top -= 1
+        for v in order:
+            if level[top] >> v & 1:
+                break
+        order.remove(v)
+        level[top] ^= 1 << v
+        uncolored ^= 1 << v
+        c = 1
+        while near[c] >> v & 1:
+            c += 1
+        if c == len(near) - 1:
+            near.append(0)
+        colors[v] = c
+        newly = adj[v] & uncolored & ~near[c]
+        near[c] |= adj[v]
+        s = top
+        while newly:
+            moved = level[s] & newly
+            level[s] ^= moved
+            level[s + 1] |= moved
+            newly ^= moved
+            s -= 1
+        if level[top + 1]:
+            top += 1
+    return colors
+
+
+def reference_k_colorable(adj: list[int], by_degree: list[int], k: int) -> bool:
+    """The earlier search, which scanned all of ``by_degree`` for the next
+    vertex and kept each vertex's neighbour colors as a mask and a count."""
+    seen = [0] * len(adj)
+    saturation = [0] * len(adj)
+
+    def step(uncolored: int, used: int) -> bool:
+        if not uncolored:
+            return True
+        best = -1
+        v = 0
+        for u in by_degree:
+            if uncolored >> u & 1 and saturation[u] > best:
+                v, best = u, saturation[u]
+        uncolored ^= 1 << v
+        free = ~seen[v] & ((2 << min(k, used + 1)) - 2)
+        while free:
+            bit = free & -free
+            free ^= bit
+            touched = []
+            rest = adj[v] & uncolored
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                if not seen[u] & bit:
+                    seen[u] |= bit
+                    saturation[u] += 1
+                    touched.append(u)
+            if step(uncolored, max(used, bit.bit_length() - 1)):
+                return True
+            for u in touched:
+                seen[u] ^= bit
+                saturation[u] -= 1
+        return False
+
+    return step((1 << len(adj)) - 1, 0)
 
 
 def reference_build_random(spec: GenSpec) -> RandomBuildResult:

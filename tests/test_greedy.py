@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from efl.export import serialize_instance
 from efl.generators import gen_dense, gen_disjoint
 from efl.greedy import check_sy1, check_sy2, check_sy2_all, run_greedy
-from efl.instance import core_subgraph, intersecting_pair_count, parse_instance
+from efl.instance import Instance, core_subgraph, intersecting_pair_count, parse_instance
 from efl.matrix_engine import run_matrix_method
 from efl.oracle import chromatic_number_exact, is_n_colorable, verify_proper
 from support import clique_pairs_cover, instances
@@ -128,6 +128,15 @@ class TestCheckSy2All:
         report = check_sy2_all(example)
         assert report.holds
         assert report.first_failing_d is None
+
+    def test_unknown_bound_rule_raises_for_every_n(self):
+        # n = 1 has no d in 2..n, and the rule was once checked only per d
+        messages = []
+        for inst in (Instance(1, [("a",)]), gen_dense(3)):
+            with pytest.raises(ValueError) as raised:
+                check_sy2_all(inst, "bogus")
+            messages.append(str(raised.value))
+        assert messages == ["unknown bound_rule 'bogus'"] * 2
 
 
 class TestBehavioralClaims:

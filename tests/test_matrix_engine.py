@@ -7,7 +7,7 @@ from itertools import takewhile
 import pytest
 from hypothesis import given, settings
 
-from efl.errors import InconsistentBlockError
+from efl.errors import InconsistentBlockError, UnknownVertexError
 from efl.generators import (
     EXAMPLE_ASSIGNMENTS,
     EXAMPLE_FINAL_MATRIX,
@@ -266,6 +266,18 @@ class TestMatrixToColoring:
         trace = run_matrix_method(example, EngineConfig(trace_enabled=True)).trace
         with pytest.raises(ValueError, match=f"matrix order {order} does not match instance n=6"):
             replay_trace(example, trace, initial_matrix(gen_disjoint(order)))
+
+    @pytest.mark.parametrize(
+        "event", [Assigned("nope", 1), RepairRecolored("nope", 2, 1)], ids=["assigned", "recolored"]
+    )
+    def test_replay_refuses_unknown_vertex(self, event):
+        # it once raised a bare KeyError
+        inst = gen_dense(3)
+        with pytest.raises(UnknownVertexError) as raised:
+            replay_trace(inst, [event], initial_matrix(inst))
+        with pytest.raises(UnknownVertexError) as reference:
+            clique_degree(inst, "nope")
+        assert str(raised.value) == str(reference.value)
 
 
 class TestExtendToFull:

@@ -233,10 +233,10 @@ class TestLowerBounds:
 def _check_witness(core, chi: int) -> None:
     """The DSATUR coloring is proper on ``core.edges``, uses exactly U colors,
     and the lower bound L and U bracket ``chi``."""
-    adj, by_degree, bounds = _search_setup(core, len(core.vertices))
-    colors = _dsatur(adj, by_degree)
+    order, adj, bounds = _search_setup(core, len(core.vertices))
+    colors = _dsatur(adj)
     upper = _certified_count(adj, colors)
-    color_of = dict(zip(core.vertices, colors))
+    color_of = dict(zip((core.vertices[i] for i in order), colors))
     assert all(color_of[u] != color_of[v] for u, v in core.edges)
     assert set(colors) == set(range(1, upper + 1))
     assert max(bounds, default=0) <= chi <= upper
@@ -264,12 +264,12 @@ class TestDsaturWitness:
         "broken, message", [("same-color", "not proper"), ("uncolored", "uncolored")]
     )
     def test_improper_coloring_raises(self, broken, message):
-        adj, by_degree, _ = _search_setup(core_subgraph(gen_dense(4)), 6)
-        colors = _dsatur(adj, by_degree)
+        _, adj, _ = _search_setup(core_subgraph(gen_dense(4)), 6)
+        colors = _dsatur(adj)
         if broken == "same-color":
             colors = [1] * len(colors)
         else:
-            colors[by_degree[-1]] = 0
+            colors[-1] = 0
         with pytest.raises(RuntimeError, match=message):
             _certified_count(adj, colors)
 
@@ -282,9 +282,9 @@ class TestSearchCalls:
         made = []
         search = oracle._k_colorable
 
-        def counted(adj, by_degree, k):
+        def counted(adj, k):
             made.append(k)
-            return search(adj, by_degree, k)
+            return search(adj, k)
 
         monkeypatch.setattr(oracle, "_k_colorable", counted)
         return made

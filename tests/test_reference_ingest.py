@@ -167,10 +167,11 @@ class TestSy2AllReference:
             reference_check_sy2_all, inst, rule
         )
 
-    def test_unknown_rule_at_one_clique_raises_nothing(self):
-        report = check_sy2_all(gen_disjoint(1), "unknown")
-        assert report == reference_check_sy2_all(gen_disjoint(1), "unknown")
-        assert report.holds and report.parameter == "sy2 all d in 2..1 (unknown)"
+    def test_unknown_rule_at_one_clique_raises(self):
+        # n = 1 has no d in 2..n; the rule is checked before the first d
+        outcome = _outcome(check_sy2_all, gen_disjoint(1), "unknown")
+        assert outcome == _outcome(reference_check_sy2_all, gen_disjoint(1), "unknown")
+        assert outcome == ("error", "ValueError", "unknown bound_rule 'unknown'")
 
     def test_invalid_cover_rejected_alike(self):
         inst = Instance(1, [("a", "a")])

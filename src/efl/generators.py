@@ -3,54 +3,82 @@
 The random generator is driven by SplitMix64, a widely documented 64-bit
 pseudorandom generator whose seed is its full state.  Identical generator
 parameters therefore reproduce identical instances on any platform, which the
-test corpora rely on; each draw is one call of ``SplitMix64.below``, which
-also refuses a seed outside 0..2^64-1.  The random generator holds its clique
-sets as int masks (bit c for clique c) and picks each move as the k-th set bit
-over them, never building the list of candidate moves that the draw indexes.
-It keeps, per clique i, the count of cliques above i that i does not meet yet,
-so a merge draw subtracts stored counts row by row and builds the partner
-mask only for the row it lands in.  It keeps each clique's private vertices
-as slot positions in its member list, so a move writes its token straight
-into the drawn slot.  Its extension scan walks a ``live`` list of shared
-vertices and drops, for good, each vertex whose cliques already meet every
-clique: clique sets and owner lists only grow, so such a vertex never
-becomes extendable again.
+test corpora rely on.  SplitMix64 mixes a plain counter, so its outputs are
+mixed ``_LANES`` at a time in one int, a lane per 128-bit slot, and each draw
+takes the next output from an iterator without a Python call.  The random
+generator holds its clique sets as int masks (bit c for clique c) and picks
+each move as the k-th set bit over them, never building the list of
+candidate moves that the draw indexes.  It keeps, per clique i, the count of
+cliques above i that i does not meet yet, so a merge draw subtracts stored
+counts row by row and builds the partner mask only for the row it lands in.
+It keeps each clique's private vertices as slot positions in its member
+list, so a move writes its token straight into the drawn slot.  Its
+extension scan walks a ``live`` list of shared vertices and drops, for good,
+each vertex whose cliques already meet every clique: clique sets and owner
+lists only grow, so such a vertex never becomes extendable again.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import insort
+from itertools import chain, count
 from typing import NamedTuple
 
 from .instance import Instance
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the step of the SplitMix64 counter
+
+# A block holds _LANES outputs: lane i sits in bits 128*i .. 128*i+63 of one
+# int, and the upper half of each 128-bit slot takes a 64x64-bit product whole.
+_LANES = 32
+_LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")  # the low halves
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")  # 1 in every lane
+_STEPS = int.from_bytes(  # (i+1)*gamma mod 2^64 in lane i
+    b"".join(
+        ((i + 1) * _GAMMA & _MASK64).to_bytes(8, "little") + bytes(8) for i in range(_LANES)
+    ),
+    "little",
+)
+_UNPACK = struct.Struct(f"<{2 * _LANES}Q").unpack
+
+
+def _mix_block(state: int) -> tuple[int, ...]:
+    """The _LANES outputs that follow counter ``state``, taken mod 2^64.
+
+    The three rounds run on every lane at once.  The first two shifts are
+    masked back to the low halves, so no bits cross into a product; the last
+    one's stray bits land in upper halves, which the unpacking drops.
+    """
+    z = ((state & _MASK64) * _ONES + _STEPS) & _LOW
+    z = ((z ^ ((z >> 30) & _LOW)) * 0xBF58476D1CE4E5B9) & _LOW
+    z = ((z ^ ((z >> 27) & _LOW)) * 0x94D049BB133111EB) & _LOW
+    return _UNPACK((z ^ (z >> 31)).to_bytes(16 * _LANES, "little"))[::2]
 
 
 class SplitMix64:
     """SplitMix64 stream; the 64-bit seed is the entire generator state.
 
-    ``below`` is the one mixing routine, so a draw in a hot loop is a single
-    call; ``next_u64`` is ``below(2**64)``, the raw 64-bit output.
+    Output k mixes the counter ``seed + k*gamma mod 2^64``, so the stream is
+    the chain of the blocks :func:`_mix_block` mixes ``_LANES`` counters
+    apart.  ``next_u64()`` is the C-level ``__next__`` of that chain and
+    returns the raw 64-bit output without a Python frame; ``below(bound)``
+    is ``next_u64() % bound``.
     """
 
     def __init__(self, seed: int):
         if not 0 <= seed <= _MASK64:
             # masking to 64 bits would alias the seed with one in range
             raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
-        self._state = seed
-
-    def next_u64(self) -> int:
-        return self.below(1 << 64)
+        blocks = map(_mix_block, count(seed, _LANES * _GAMMA))
+        self.next_u64 = chain.from_iterable(blocks).__next__
 
     def below(self, bound: int) -> int:
         """Advance and return the next output mod bound; modulo bias is irrelevant."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) % bound
+        return self.next_u64() % bound
 
 
 class _GenSpecFields(NamedTuple):
@@ -165,12 +193,13 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     counting each one's targets with ``int.bit_count()``.  A dropped vertex
     would count zero, so every draw picks the move that a full candidate
     list would hold at the same index, and no such list is built.  Every
-    draw is one call of the bound ``SplitMix64.below``.  The stream is read
+    draw is ``draw() % bound``, ``draw`` being the bound
+    ``SplitMix64.next_u64``, so it makes no Python call.  The stream is read
     in the same order: for a merge the pair, slot a, slot b and the
     extension roll; for an extension the target, then its slot.
     """
     n = spec.n
-    below = SplitMix64(spec.seed).below
+    draw = SplitMix64(spec.seed).next_u64
     suffixes = [str(j) for j in range(1, n + 1)]
     cliques: list[list[str]] = []
     for i in range(1, n + 1):
@@ -192,7 +221,7 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
         """
         nonlocal meeting
         slots = private[c]
-        cliques[c - 1][slots.pop(below(len(slots)))] = new
+        cliques[c - 1][slots.pop(draw() % len(slots))] = new
         holders = owners[new]
         for k in holders:
             meets[k] |= 1 << c
@@ -207,7 +236,7 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
         total = n * (n - 1) // 2 - meeting
         if not total:
             break
-        k = below(total)
+        k = draw() % total
         i = 1
         while k >= (count := open_[i]):
             k -= count
@@ -221,7 +250,7 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
         put(i, fresh)
         put(j, fresh)
 
-        if below(100) < spec.extension_percent:
+        if draw() % 100 < spec.extension_percent:
             # a clique holding v meets v's other cliques, so it never qualifies
             kept = []
             targets = []
@@ -236,7 +265,7 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
                     total += missed.bit_count()
             live = kept
             if total:
-                k = below(total)
+                k = draw() % total
                 t = 0
                 while k >= (count := targets[t].bit_count()):
                     k -= count

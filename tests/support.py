@@ -4,9 +4,11 @@ The oracles here deliberately ignore the library's own data paths: core edges
 come from a direct pairwise incidence scan, properness from an all-pairs scan,
 and chromatic numbers from plain fixed-order backtracking with no ordering
 heuristics, bounds, or symmetry breaking beyond feasibility.  The random
-generator's reference builds every candidate list in full before each draw,
-the exact-χ reference is the earlier set-based saturation search, and the
-properness reference is the earlier sort-and-group :func:`verify_proper`.
+generator's reference builds every candidate list in full before each draw
+and draws from ``ReferenceSplitMix64``, the earlier stream that mixes one
+output per call, not the library's blocks of lanes; the exact-χ reference is
+the earlier set-based saturation search, and the properness reference is the
+earlier sort-and-group :func:`verify_proper`.
 ``reference_search_setup``, ``reference_dsatur`` and
 ``reference_k_colorable`` are the exact oracle's earlier kernel, whose masks
 index ``core.vertices`` and which walk the list of vertices in search order
@@ -43,7 +45,6 @@ from hypothesis import strategies as st
 from efl.generators import (
     GenSpec,
     RandomBuildResult,
-    SplitMix64,
     build_random,
     gen_dense,
     gen_disjoint,
@@ -773,6 +774,35 @@ def reference_k_colorable(adj: list[int], by_degree: list[int], k: int) -> bool:
     return step((1 << len(adj)) - 1, 0)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+class ReferenceSplitMix64:
+    """SplitMix64 stream; the 64-bit seed is the entire generator state.
+
+    ``below`` is the one mixing routine, so a draw in a hot loop is a single
+    call; ``next_u64`` is ``below(2**64)``, the raw 64-bit output.
+    """
+
+    def __init__(self, seed: int):
+        if not 0 <= seed <= _MASK64:
+            # masking to 64 bits would alias the seed with one in range
+            raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
+        self._state = seed
+
+    def next_u64(self) -> int:
+        return self.below(1 << 64)
+
+    def below(self, bound: int) -> int:
+        """Advance and return the next output mod bound; modulo bias is irrelevant."""
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (z ^ (z >> 31)) % bound
+
+
 def reference_build_random(spec: GenSpec) -> RandomBuildResult:
     """:func:`efl.generators.build_random` with every candidate list built in full.
 
@@ -780,10 +810,11 @@ def reference_build_random(spec: GenSpec) -> RandomBuildResult:
     vertex, that do not meet; extension candidates are the pairs (v, c), v a
     shared vertex in sorted order, c a clique with a private vertex that meets
     none of v's cliques.  Each draw indexes the list, so the library must pick
-    the same move from the same SplitMix64 stream.
+    the same move from the same SplitMix64 stream, here the scalar
+    :class:`ReferenceSplitMix64`.
     """
     n = spec.n
-    rng = SplitMix64(spec.seed)
+    rng = ReferenceSplitMix64(spec.seed)
     cliques = [[f"v{i}_{j}" for j in range(1, n + 1)] for i in range(1, n + 1)]
     private: list[list[str]] = [[]] + [sorted(members) for members in cliques]
     meets: list[set[int]] = [set() for _ in range(n + 1)]

@@ -46,7 +46,7 @@ class TestSplitMix64:
 
     @pytest.mark.parametrize("bound", [1, 100, 2**64, 2**64 + 1])
     def test_below_is_next_u64_mod_bound(self, bound):
-        # below is the one mixing routine; next_u64 must read the same stream
+        # below(bound) is next_u64() % bound on the same stream
         a, b = SplitMix64(12345), SplitMix64(12345)
         assert [a.below(bound) for _ in range(50)] == [
             b.next_u64() % bound for _ in range(50)

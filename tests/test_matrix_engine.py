@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import random
 from itertools import takewhile
 
@@ -631,9 +632,12 @@ class TestFanPlanOwnershipCheck:
         assert answers == [False]
 
 
-def _random_stuck_states(seeds: int):
-    """``(n, rng, state)`` for every stuck state ``_stuck_state`` builds on
-    ``gen_random(n, C(n,2), seed, extension)``, n 4..12, extension 0/20/50/100 %."""
+@functools.cache
+def _built_stuck_states(seeds: int) -> tuple:
+    """``(n, rng state, state)`` for every stuck state ``_stuck_state`` builds
+    on ``gen_random(n, C(n,2), seed, extension)``, n 4..12, extension
+    0/20/50/100 %; built once per seed count and never handed out itself."""
+    built = []
     for n in range(4, 13):
         for extension_percent in (0, 20, 50, 100):
             for seed in range(seeds):
@@ -641,7 +645,23 @@ def _random_stuck_states(seeds: int):
                 inst = gen_random(n, n * (n - 1) // 2, seed, extension_percent)
                 state = _stuck_state(inst, rng)
                 if state is not None:
-                    yield n, rng, state
+                    built.append((n, rng.getstate(), state))
+    return tuple(built)
+
+
+def _random_stuck_states(seeds: int):
+    """``(n, rng, state)`` for every state of :func:`_built_stuck_states`: a
+    deep copy of the state and a generator where ``_stuck_state`` left it, so
+    a test may mutate both.
+
+    Every leaf of a state is an int, a str or a tuple of ints, so copying its
+    containers copies it deeply; ``copy.deepcopy`` took 2.4 s per pass over
+    the 400-seed states, against 8 s to build them.
+    """
+    for n, rng_state, (rows, used, color, inc, u) in _built_stuck_states(seeds):
+        rng = random.Random()
+        rng.setstate(rng_state)
+        yield n, rng, ([r.copy() for r in rows], used.copy(), color.copy(), inc.copy(), u)
 
 
 class TestFanPlanReference:

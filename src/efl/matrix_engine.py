@@ -8,16 +8,21 @@ receives the least color that does not already appear at least k-1 times in any
 of its incident rows, written into every cell of its block.
 
 The engine keeps that matrix implicitly as per-row color ownership:
-``rows[i][c]`` is the core vertex colored c in clique i, and the int mask
-``used[i]`` has bit c set exactly while color c is owned in row i.  The colors
-free for a vertex are ``full & ~(used[i] | used[j] | ...)`` over its rows,
-and the least of them is the lowest set bit.  A colored vertex w of clique
-degree d fills d-1 cells of each of its rows, and under the non-increasing
-order every colored vertex has degree at least k when a degree-k vertex is
-placed.  So every color present in a row already appears at least k-1 times
-there, and the paper's threshold test equals "color owned in the row".
-The tests keep the paper's form as a reference to compare against, and the
-final matrix is derived from a result's coloring on first read.
+``rows[i]`` is a list of n+1 slots indexed by color, ``rows[i][c]`` the core
+vertex colored c in clique i or None (slot 0 is always None), and the int
+mask ``used[i]`` has bit c set exactly while color c is owned in row i.  The
+colors free for a vertex are ``full & ~(used[a] | used[b] | ...)`` over its
+rows, and the least of them is the lowest set bit.  Every core vertex meets
+at least two rows, so the engine splits each incidence tuple once into its
+first two rows a, b and the rest, empty for a vertex in two cliques, and
+every free-color test ORs ``used[a] | used[b]`` and then the rest only when
+there is one.  A colored vertex w of clique degree d fills d-1 cells of each
+of its rows, and under the non-increasing order every colored vertex has
+degree at least k when a degree-k vertex is placed.  So every color present
+in a row already appears at least k-1 times there, and the paper's threshold
+test equals "color owned in the row".  The tests keep the paper's form as a
+reference to compare against, and the final matrix is derived from a
+result's coloring on first read.
 
 When all n colors are blocked, a repair pass recolors previously placed
 vertices to free one.  Plain one-vertex recolors alone provably cannot finish
@@ -238,7 +243,9 @@ def replay_trace(
     The blocks are the instance's own incidence tuples, which lie in 1..n,
     so once the orders match they are written without a range check.  An
     event naming a vertex outside the instance raises
-    :class:`UnknownVertexError`.
+    :class:`UnknownVertexError`.  ``RepairSkipped`` and ``BudgetExhausted``
+    write nothing; any other object raises ``TypeError``, as in
+    :func:`render_trace`, even a plain tuple that compares equal to an event.
     """
     if start.n != inst.n:
         raise ValueError(f"matrix order {start.n} does not match instance n={inst.n}")
@@ -250,6 +257,8 @@ def replay_trace(
                 matrix._write_block(inc[ev.vertex], ev.color)
             elif isinstance(ev, RepairRecolored):
                 matrix._write_block(inc[ev.vertex], ev.new_color)
+            elif not isinstance(ev, (RepairSkipped, BudgetExhausted)):
+                raise TypeError(f"unknown trace event {ev!r}")
     except KeyError as err:
         raise UnknownVertexError(
             f"vertex '{err.args[0]}' does not occur in the instance"
@@ -307,7 +316,7 @@ def _bits(mask: int) -> list[int]:
 
 
 def _recolor(
-    rows: list[dict[int, str]],
+    rows: list[list[Optional[str]]],
     used: list[int],
     color: dict[str, int],
     inc: dict[str, tuple[int, ...]],
@@ -316,16 +325,19 @@ def _recolor(
 ) -> None:
     """Give core vertex v color x in every row it meets.
 
-    A row entry is dropped only while v still owns it: inside a path swap the
-    vertex written just before v may already have taken over v's old color in
-    the row they share.  ``used[i]`` keeps bit c set exactly while c is owned
-    in row i.
+    A row slot is released, by writing None, only while v still owns it:
+    inside a path swap the vertex written just before v may already have
+    taken over v's old color in the row they share.  ``used[i]`` keeps bit c
+    set exactly while c is owned in row i.  An uncolored v is accepted and
+    releases nothing: its old color reads as 0, and slot 0 of every row,
+    which no color indexes, stays None.  The tests build their states this
+    way; the engine assigns an uncolored vertex inline.
     """
-    old = color.get(v)
+    old = color.get(v, 0)
     for i in inc[v]:
         row = rows[i]
-        if row.get(old) == v:
-            del row[old]
+        if row[old] == v:
+            row[old] = None
             used[i] &= ~(1 << old)
         row[x] = v
         used[i] |= 1 << x
@@ -333,7 +345,7 @@ def _recolor(
 
 
 def _fan_path_plan(
-    rows: list[dict[int, str]],
+    rows: list[list[Optional[str]]],
     used: list[int],
     color: dict[str, int],
     inc: dict[str, tuple[int, ...]],
@@ -389,12 +401,12 @@ def _fan_path_plan(
     The scratch copy is copy-on-write.  ``work`` starts as a shallow list of
     the caller's rows, and ``write()``, the only step that mutates, replaces
     each row of its vertex by a copy before the first change to it, so the
-    caller's ``rows`` stay untouched.  A row not yet copied is still the
-    caller's row, and as nothing has written into it, reading it gives what
-    a copy would hold.  ``used`` and the color map are copied whole: the
-    rotation and the closing check read colors of vertices the plan never
-    wrote.  The fan's rows are also kept as a mask, for the test whether a
-    spoke leads back into the fan.
+    caller's ``rows`` stay untouched; a copy is a slice of the row's list.
+    A row not yet copied is still the caller's row, and as nothing has
+    written into it, reading it gives what a copy would hold.  ``used`` and
+    the color map are copied whole: the rotation and the closing check read
+    colors of vertices the plan never wrote.  The fan's rows are also kept
+    as a mask, for the test whether a spoke leads back into the fan.
     """
     row_a, row_b = inc[u]
     work = list(rows)  # write() copies a row the first time it touches it
@@ -413,10 +425,10 @@ def _fan_path_plan(
     def write(v: str, x: int) -> None:
         # v and every vertex that owned x in one of v's rows before the write
         touched.append(v)
-        touched.extend(work[i][x] for i in inc[v] if x in work[i])
+        touched.extend(w for i in inc[v] if (w := work[i][x]) is not None)
         for i in inc[v]:
             if work[i] is rows[i]:
-                work[i] = dict(rows[i])
+                work[i] = rows[i][:]
         _recolor(work, work_used, work_color, inc, v, x)
         writes.append((v, x))
 
@@ -425,7 +437,7 @@ def _fan_path_plan(
     spokes: list[str] = []
     while True:
         for cand in _bits(free(fan[-1])):
-            w = work[row_a].get(cand)
+            w = work[row_a][cand]
             if w is None or len(inc[w]) != 2 or fan_rows >> across(w, row_a) & 1:
                 continue
             fan.append(across(w, row_a))
@@ -439,7 +451,7 @@ def _fan_path_plan(
     d = _least(free(fan[-1]))
     path: list[tuple[str, int]] = []  # (vertex, new color), read-only walk
     r, x = row_a, d
-    while (w := work[r].get(x)) is not None:
+    while (w := work[r][x]) is not None:
         if len(inc[w]) != 2 or len(path) > n:
             return None
         x = c if x == d else d
@@ -459,13 +471,13 @@ def _fan_path_plan(
 
 
 def _owns_colors(
-    rows: list[dict[int, str]],
+    rows: list[list[Optional[str]]],
     color: dict[str, int],
     inc: dict[str, tuple[int, ...]],
     vertices: Sequence[str],
 ) -> bool:
     """Whether each of ``vertices`` owns its color in every row it meets."""
-    return all(rows[i].get(color[v]) == v for v in vertices for i in inc[v])
+    return all(rows[i][color[v]] == v for v in vertices for i in inc[v])
 
 
 def color_cover(
@@ -501,20 +513,25 @@ def color_cover(
     events equal those of re-testing every owner after each commit.  Trace
     events are built only when ``trace`` is a list.
 
-    Every free-color test ORs the row masks inline: over ``ix_u`` for the
-    vertex being placed, and over ``rank_ix[r]``, the rows of rank r listed
-    once per run, in the scan, which looks up the token ``by_rank[r]`` only
-    for the rank it picks.  The least free color is the lowest set bit.  A
-    vertex being placed owns no color yet, so its assignment writes
-    ``rows[i][x]``, ``used[i]`` and ``members[i]`` in one loop over its rows;
-    ``_recolor``, which releases the old color, serves only repairs.
+    Every free-color test ORs the row masks inline.  ``split[r]`` is rank
+    r's incidence tuple split once per run into ``(a, b, rest)``, with
+    ``rest`` empty for a vertex in two cliques; as every core vertex meets
+    at least two rows, the test is ``used[a] | used[b]``, with the masks of
+    ``rest`` ORed in only when it is non-empty.  That one test serves the
+    vertex being placed and the scan, which looks up the token
+    ``by_rank[r]`` only for the rank it picks.  The least free color, the
+    lowest set bit, is taken inline at both sites.  A vertex being placed
+    owns no color yet, so its assignment writes ``rows[i][x]``, ``used[i]``
+    and ``members[i]`` in one loop over its rows; ``_recolor``, which
+    releases the old color, serves only repairs.
 
     The set-up sorts the core once.  In a valid cover no two core vertices
     have the same incidence tuple, as their two shared cliques would then
     share two vertices; so the ranks are a strict order, and a stable sort
-    of the ranks by descending clique degree keeps that order among equal
-    degrees.  That is exactly the placement order of a sort by
-    ``(-degree, incidence tuple)``, and a vertex's rank bit is ``1 << rank``.
+    of the ranks by descending clique degree, keyed on the list of clique
+    degrees by rank, keeps that order among equal degrees.  That is exactly
+    the placement order of a sort by ``(-degree, incidence tuple)``, and a
+    vertex's rank bit is ``1 << rank``.
     The core and, for the extension, each clique's private vertices (clique
     degree 1) in token order are the instance's cached split
     (:attr:`Instance.core_incidence` and :attr:`Instance.private_members`),
@@ -524,23 +541,29 @@ def color_cover(
     n = inst.n
     full = ((1 << n) - 1) << 1  # every color 1..n
     inc = inst.core_incidence
-    rows: list[dict[int, str]] = [{} for _ in range(n + 1)]  # 1-based cliques
+    # rows[i][c]: the owner of color c in clique i, or None; slot 0 stays None
+    rows: list[list[Optional[str]]] = [[None] * (n + 1) for _ in range(n + 1)]
     used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
     by_rank = sorted(inc, key=inc.__getitem__)
     rank_ix = [inc[v] for v in by_rank]
+    # every core vertex meets at least two rows; rest is empty for two
+    split = [(ix[0], ix[1], ix[2:]) for ix in rank_ix]
+    degrees = [len(ix) for ix in rank_ix]
     members = [0] * (n + 1)  # members[i]: the ranks colored in row i, as a mask
     core: dict[str, int] = {}
     budget_used = 0
     tracing = trace is not None
 
-    for rank in sorted(range(len(rank_ix)), key=lambda r: len(rank_ix[r]), reverse=True):
+    for rank in sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True):
         u = by_rank[rank]
         ix_u = rank_ix[rank]
+        a, b, rest = split[rank]
         neighbors = None
         while True:
-            taken = 0
-            for i in ix_u:
-                taken |= used[i]
+            taken = used[a] | used[b]
+            if rest:
+                for i in rest:
+                    taken |= used[i]
             if free_u := full & ~taken:
                 break
             if repair_budget is None:
@@ -558,12 +581,14 @@ def color_cover(
             while todo:
                 low = todo & -todo
                 r = low.bit_length() - 1
-                taken = 0
-                for i in rank_ix[r]:
-                    taken |= used[i]
+                va, vb, vrest = split[r]
+                taken = used[va] | used[vb]
+                if vrest:
+                    for i in vrest:
+                        taken |= used[i]
                 if free_v := full & ~taken:
                     tried |= low
-                    plan = [(by_rank[r], _least(free_v))]
+                    plan = [(by_rank[r], (free_v & -free_v).bit_length() - 1)]
                     below = low - 1
                     break
                 blocked |= low
@@ -586,7 +611,7 @@ def color_cover(
                     blocked &= ~members[i]
             budget_used += len(plan)
         # u is uncolored, so unlike _recolor this releases no old color
-        x = _least(free_u)
+        x = (free_u & -free_u).bit_length() - 1
         color_bit = 1 << x
         rank_bit = 1 << rank
         for i in ix_u:

@@ -27,6 +27,10 @@ check over every colored core vertex, and ``reference_fan_path_plan`` the fan
 plan with every guard it once carried.  ``reference_color_cover`` is the
 coloring loop that tested every free color through a helper call, and
 ``reference_export_dot`` the DOT writer that built each edge run as a line.
+The engine references keep the earlier row form, one dict per clique from
+each color owned there to its owner, written through ``reference_recolor``,
+the earlier ``_recolor``; ``dict_rows`` turns the library's color-indexed
+list rows into that form wherever a test compares the two.
 ``brute_core_split``, ``brute_degree_profile``, ``brute_check_sy1``,
 ``brute_check_sy2``, ``brute_theorem_identity`` and ``brute_core_subgraph``
 read every entry of the incidence map, where the library reads the cached
@@ -74,10 +78,7 @@ from efl.matrix_engine import (
     RepairSkipped,
     TraceEvent,
     _bits,
-    _fan_path_plan,
     _least,
-    _owns_colors,
-    _recolor,
 )
 from efl.export import _dot_color
 from efl.oracle import IdentityResult, VerifyReport, verify_proper
@@ -319,6 +320,38 @@ def blocked_colors(matrix: ColorMatrix, i: int, threshold: int) -> set[int]:
     return {color for color, c in counts.items() if c >= threshold}
 
 
+def dict_rows(rows: list[list[Optional[str]]]) -> list[dict[int, str]]:
+    """The library's color-indexed list rows in the references' dict form:
+    each row maps the colors it owns to their owners."""
+    return [{c: w for c, w in enumerate(row) if w is not None} for row in rows]
+
+
+def reference_recolor(
+    rows: list[dict[int, str]],
+    used: list[int],
+    color: dict[str, int],
+    inc: dict[str, tuple[int, ...]],
+    v: str,
+    x: int,
+) -> None:
+    """Give core vertex v color x in every row it meets.
+
+    A row entry is dropped only while v still owns it: inside a path swap the
+    vertex written just before v may already have taken over v's old color in
+    the row they share.  ``used[i]`` keeps bit c set exactly while c is owned
+    in row i.
+    """
+    old = color.get(v)
+    for i in inc[v]:
+        row = rows[i]
+        if row.get(old) == v:
+            del row[old]
+            used[i] &= ~(1 << old)
+        row[x] = v
+        used[i] |= 1 << x
+    color[v] = x
+
+
 def reference_owns_colors(
     rows: list[dict[int, str]], color: dict[str, int], inc: dict[str, tuple[int, ...]]
 ) -> bool:
@@ -358,7 +391,7 @@ def reference_fan_path_plan(
         # v and every vertex that owned x in one of v's rows before the write
         touched.append(v)
         touched.extend(work[i][x] for i in inc[v] if x in work[i])
-        _recolor(work, work_used, work_color, inc, v, x)
+        reference_recolor(work, work_used, work_color, inc, v, x)
         writes.append((v, x))
 
     # maximal fan from row_b: each next row is reached through a 2-clique
@@ -415,7 +448,8 @@ def reference_fan_path_plan(
 
     if not free(row_a) & free(row_b):
         return None
-    if not _owns_colors(work, work_color, inc, touched):
+    # each vertex written or overwritten still owns its color in its rows
+    if not all(work[i].get(work_color[v]) == v for v in touched for i in inc[v]):
         return None
     return writes
 
@@ -432,7 +466,9 @@ def reference_color_cover(
     inst: Instance, repair_budget: Optional[int], trace: Optional[list[TraceEvent]]
 ) -> ColoringResult:
     """:func:`efl.matrix_engine.color_cover` testing each vertex's free colors
-    through :func:`_reference_free_mask` and assigning through ``_recolor``.
+    through :func:`_reference_free_mask`, assigning through
+    :func:`reference_recolor` and escalating through
+    :func:`reference_fan_path_plan`, all on dict rows.
 
     The library loop must return the same colors, reason and trace events.
     """
@@ -477,7 +513,7 @@ def reference_color_cover(
             if tracing:
                 trace.extend(RepairSkipped(by_rank[r]) for r in _bits(blocked & below))
             if plan is None and len(ix_u) == 2:
-                plan = _fan_path_plan(rows, used, core, inc, u, n)
+                plan = reference_fan_path_plan(rows, used, core, inc, u, n)
             if not plan:
                 return ColoringResult(inst, core, REASON_STUCK_NO_REPAIR, trace)
             if budget_used + len(plan) > repair_budget:
@@ -487,12 +523,12 @@ def reference_color_cover(
             for v, x in plan:
                 if tracing:
                     trace.append(RepairRecolored(v, core[v], x))
-                _recolor(rows, used, core, inc, v, x)
+                reference_recolor(rows, used, core, inc, v, x)
                 for i in inc[v]:
                     blocked &= ~members[i]
             budget_used += len(plan)
         x = _least(free_u)
-        _recolor(rows, used, core, inc, u, x)
+        reference_recolor(rows, used, core, inc, u, x)
         for i in ix_u:
             members[i] |= bit[u]
         if tracing:

@@ -4,6 +4,7 @@ import copy
 import functools
 import random
 from itertools import takewhile
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from efl.matrix_engine import (
 from efl.oracle import chromatic_number_exact, verify_proper
 from support import (
     blocked_colors,
+    dict_rows,
     instances,
     reference_fan_path_plan,
     reference_owns_colors,
@@ -280,6 +282,35 @@ class TestMatrixToColoring:
             clique_degree(inst, "nope")
         assert str(raised.value) == str(reference.value)
 
+    @pytest.mark.parametrize("event", [("v1", 1), 7], ids=["tuple", "int"])
+    def test_replay_refuses_objects_that_are_not_events(self, example, event):
+        # a plain tuple equals an Assigned event, yet once replayed to the
+        # unchanged start matrix; render_trace refuses both in the same way
+        assert ("v1", 1) == Assigned("v1", 1)
+        trace = [Assigned("v16", 2), event]
+        with pytest.raises(TypeError, match="unknown trace event") as raised:
+            replay_trace(example, trace, initial_matrix(example))
+        with pytest.raises(TypeError) as rendered:
+            render_trace(trace)
+        assert str(raised.value) == str(rendered.value)
+
+    def test_replay_of_a_mixed_trace(self, example):
+        # skips and the budget event write nothing, and the write events
+        # replay in order, the later write winning
+        mixed = [
+            Assigned("v1", 1),
+            RepairSkipped("v1"),
+            Assigned("v16", 2),
+            RepairRecolored("v1", 1, 3),
+            BudgetExhausted(),
+        ]
+        writes = [e for e in mixed if isinstance(e, (Assigned, RepairRecolored))]
+        start = initial_matrix(example)
+        replayed = replay_trace(example, mixed, start)
+        assert replayed == replay_trace(example, writes, start)
+        assert matrix_to_coloring(example, replayed) == {"v1": 3, "v16": 2}
+        assert start == initial_matrix(example)
+
 
 class TestExtendToFull:
     """On success the core coloring extends to every vertex of the cover."""
@@ -505,7 +536,8 @@ def _stuck_state(inst: Instance, rng: random.Random):
 
     u's neighbors are colored first, each preferring a color still free in
     u's rows; the rest of the core follows, and a vertex with every color
-    blocked stays uncolored.
+    blocked stays uncolored.  Each is colored through ``_recolor``, which
+    takes an uncolored vertex.
     """
     n = inst.n
     inc = {v: ix for v, ix in inst.incidence_map.items() if len(ix) > 1}
@@ -513,7 +545,7 @@ def _stuck_state(inst: Instance, rng: random.Random):
     if not pairs:
         return None
     u = rng.choice(pairs)
-    rows: list[dict[int, str]] = [{} for _ in range(n + 1)]
+    rows: list[list[Optional[str]]] = [[None] * (n + 1) for _ in range(n + 1)]
     used = [0] * (n + 1)
     color: dict[str, int] = {}
 
@@ -560,9 +592,12 @@ class TestFanPathPlan:
                     _recolor(rows, used, color, inc, v, x)
                 full = ((1 << n) - 1) << 1
                 assert full & ~(used[inc[u][0]] | used[inc[u][1]])
+                # used[i] is the set of colors owned in rows[i], and every
+                # colored vertex owns its color in each of its rows
                 for i in range(1, n + 1):
-                    assert used[i] == sum(1 << c for c in rows[i])
-                assert all(rows[i].get(x) == v for v, x in color.items() for i in inc[v])
+                    owned = [c for c, w in enumerate(rows[i]) if w is not None]
+                    assert used[i] == sum(1 << c for c in owned)
+                assert all(rows[i][x] == v for v, x in color.items() for i in inc[v])
             yield plan
 
     def test_two_clique_covers_never_abort(self):
@@ -590,7 +625,7 @@ def _checked_ownership(monkeypatch) -> list[bool]:
 
     def both(rows, color, inc, vertices):
         answer = local(rows, color, inc, vertices)
-        assert answer == reference_owns_colors(rows, color, inc)
+        assert answer == reference_owns_colors(dict_rows(rows), color, inc)
         answers.append(answer)
         return answer
 
@@ -617,7 +652,7 @@ class TestFanPlanOwnershipCheck:
         # the core of dense(4) with b1_2 stuck in rows 1 and 2; b3_4 is uncolored
         n = 4
         inc = {v: ix for v, ix in gen_dense(n).incidence_map.items() if len(ix) > 1}
-        rows: list[dict[int, str]] = [{} for _ in range(n + 1)]
+        rows: list[list[Optional[str]]] = [[None] * (n + 1) for _ in range(n + 1)]
         used = [0] * (n + 1)
         color: dict[str, int] = {}
         for v, x in (("b1_4", 1), ("b1_3", 2), ("b2_4", 3), ("b2_3", 4)):
@@ -632,33 +667,41 @@ class TestFanPlanOwnershipCheck:
         assert answers == [False]
 
 
+STUCK_SEEDS = 400
+
+
 @functools.cache
-def _built_stuck_states(seeds: int) -> tuple:
-    """``(n, rng state, state)`` for every stuck state ``_stuck_state`` builds
-    on ``gen_random(n, C(n,2), seed, extension)``, n 4..12, extension
-    0/20/50/100 %; built once per seed count and never handed out itself."""
+def _built_stuck_states() -> tuple:
+    """``(n, seed, rng state, state)`` for every stuck state ``_stuck_state``
+    builds on ``gen_random(n, C(n,2), seed, extension)``, n 4..12, extension
+    0/20/50/100 %, seed below ``STUCK_SEEDS``; built once and never handed
+    out itself."""
     built = []
     for n in range(4, 13):
         for extension_percent in (0, 20, 50, 100):
-            for seed in range(seeds):
+            for seed in range(STUCK_SEEDS):
                 rng = random.Random(seed)
                 inst = gen_random(n, n * (n - 1) // 2, seed, extension_percent)
                 state = _stuck_state(inst, rng)
                 if state is not None:
-                    built.append((n, rng.getstate(), state))
+                    built.append((n, seed, rng.getstate(), state))
     return tuple(built)
 
 
 def _random_stuck_states(seeds: int):
-    """``(n, rng, state)`` for every state of :func:`_built_stuck_states`: a
-    deep copy of the state and a generator where ``_stuck_state`` left it, so
-    a test may mutate both.
+    """``(n, rng, state)`` for every state of :func:`_built_stuck_states`
+    with a seed below ``seeds``: a deep copy of the state and a generator
+    where ``_stuck_state`` left it, so a test may mutate both.
 
-    Every leaf of a state is an int, a str or a tuple of ints, so copying its
-    containers copies it deeply; ``copy.deepcopy`` took 2.4 s per pass over
-    the 400-seed states, against 8 s to build them.
+    A state depends only on (n, extension, seed), so these are the states
+    a build over ``seeds`` seeds makes, in the same order.  Every leaf of a state is None, an int, a str or a tuple of
+    ints, so copying its containers copies it deeply; ``copy.deepcopy``
+    took 2.4 s per pass over the 400-seed states, against 8 s to build them.
     """
-    for n, rng_state, (rows, used, color, inc, u) in _built_stuck_states(seeds):
+    assert seeds <= STUCK_SEEDS
+    for n, seed, rng_state, (rows, used, color, inc, u) in _built_stuck_states():
+        if seed >= seeds:
+            continue
         rng = random.Random()
         rng.setstate(rng_state)
         yield n, rng, ([r.copy() for r in rows], used.copy(), color.copy(), inc.copy(), u)
@@ -671,7 +714,7 @@ class TestFanPlanReference:
     def test_random_stuck_states(self):
         states = 0
         for n, _, (rows, used, color, inc, u) in _random_stuck_states(400):
-            expected = reference_fan_path_plan(rows, used, color, inc, u, n)
+            expected = reference_fan_path_plan(dict_rows(rows), used, color, inc, u, n)
             assert _fan_path_plan(rows, used, color, inc, u, n) == expected
             states += 1
         assert states >= 5000
@@ -681,7 +724,7 @@ class TestFanPlanReference:
         local = matrix_engine._fan_path_plan
 
         def both(rows, used, color, inc, u, n):
-            expected = reference_fan_path_plan(rows, used, color, inc, u, n)
+            expected = reference_fan_path_plan(dict_rows(rows), used, color, inc, u, n)
             plan = local(rows, used, color, inc, u, n)
             assert plan == expected
             plans.append(plan)
@@ -698,15 +741,16 @@ class TestFanPlanReference:
         # vertex owning its color in each of its rows
         plans = 0
         for n, rng, (rows, used, color, inc, u) in _random_stuck_states(100):
-            i = rng.choice([i for i in range(1, n + 1) if rows[i]])
-            used[i] &= ~(1 << rng.choice(sorted(rows[i])))
+            owned = dict_rows(rows)
+            i = rng.choice([i for i in range(1, n + 1) if owned[i]])
+            used[i] &= ~(1 << rng.choice(sorted(owned[i])))
             plan = _fan_path_plan(rows, used, color, inc, u, n)
             if plan is None:
                 continue
             plans += 1
             for v, x in plan:
                 _recolor(rows, used, color, inc, v, x)
-            assert reference_owns_colors(rows, color, inc)
+            assert reference_owns_colors(dict_rows(rows), color, inc)
         assert plans >= 1000
 
 

@@ -1,7 +1,8 @@
 """The coloring loop and the DOT writer against their reference copies.
 
 ``tests/support.py`` keeps the loop that tested every free color through a
-helper call and the DOT writer that joined one line per edge run.  The
+helper call, on the earlier dict rows, and the DOT writer that joined one
+line per edge run.  The
 library must give the same colors, failure reason and trace, with repair off,
 under small budgets and under the default one, traced and untraced, and the
 same DOT text or refusal.
@@ -19,7 +20,13 @@ from efl.errors import EflError
 from efl.export import export_dot
 from efl.generators import gen_dense
 from efl.instance import Instance, parse_instance
-from efl.matrix_engine import color_cover, render_trace, run_matrix_method
+from efl.matrix_engine import (
+    EngineConfig,
+    RepairRecolored,
+    color_cover,
+    render_trace,
+    run_matrix_method,
+)
 from support import instances, reference_color_cover, reference_export_dot
 
 # None switches repair off; "default" is the n^2 budget of run_matrix_method
@@ -71,6 +78,21 @@ class TestColorCoverReference:
         assert len(deep_corpus) >= 100
         for inst in deep_corpus:
             _assert_same_runs(inst)
+
+    def test_corpus_reaches_scan_tests_of_deep_vertices(self, deep_corpus):
+        # the fan plan writes only vertices in two cliques, so a REPAIR of a
+        # vertex in three or more comes from the repair scan, whose free-color
+        # test then read the rows past the first two; the comparison above
+        # covers that branch only while such events occur (8 REPAIR events,
+        # and no SKIP events, name such a vertex over these traces)
+        events = 0
+        for inst in deep_corpus:
+            inc = inst.incidence_map
+            trace = run_matrix_method(inst, EngineConfig(trace_enabled=True)).trace
+            events += sum(
+                isinstance(e, RepairRecolored) and len(inc[e.vertex]) >= 3 for e in trace
+            )
+        assert events > 0
 
     @pytest.mark.parametrize("n", range(2, 26))
     def test_dense_covers(self, n):

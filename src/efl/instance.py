@@ -17,7 +17,6 @@ that looks only at the core reads that split.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from typing import Iterable, NamedTuple, Optional
@@ -139,21 +138,19 @@ class DegreeProfile(NamedTuple):
     max_degree: int
 
 
-# a dataclass, unlike the other records: cached_property needs an instance __dict__
-@dataclass(frozen=True)
-class CoreGraph:
+class CoreGraph(NamedTuple):
     """Subgraph induced by the vertices of clique degree greater than one.
 
     Two core vertices are adjacent exactly when their incidence lists meet,
     i.e. when some clique contains both.  Only the vertices and their
-    incidence lists are stored; the edge list is derived on first use, so a
-    core that is refused for its size never builds it.
+    incidence lists are stored; the edge list is derived on each read of
+    ``edges``, so a core that is refused for its size never builds it.
     """
 
     vertices: tuple[VertexId, ...]
     incidence: dict[VertexId, tuple[int, ...]]
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
         """Sorted pairs (u, v), u < v, of core vertices sharing a clique."""
         rows: dict[int, list[VertexId]] = {}

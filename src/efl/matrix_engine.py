@@ -21,8 +21,8 @@ of its rows, and under the non-increasing order every colored vertex has
 degree at least k when a degree-k vertex is placed.  So every color present
 in a row already appears at least k-1 times there, and the paper's threshold
 test equals "color owned in the row".  The tests keep the paper's form as a
-reference to compare against, and the final matrix is derived from a
-result's coloring on first read.
+reference to compare against, and a result's final matrix is derived from
+its coloring on each read.
 
 When all n colors are blocked, a repair pass recolors previously placed
 vertices to free one.  Plain one-vertex recolors alone provably cannot finish
@@ -30,13 +30,12 @@ tight instances (on the dense family the deterministic least-color choice ends
 up flipping a single vertex back and forth), so the repair escalates: first the
 scan of single legal recolors, then, for a stuck vertex shared by exactly two
 cliques, a fan-and-alternating-path recoloring in the style of the constructive
-proof of Vizing's theorem, planned on a copy of the row state that copies a
-row only when the plan first writes into it, and kept only when every row
-stays conflict-free.  Each stage only plans a list of writes; one commit step
-charges every write against a budget, records it and applies it.  The scan is
-memoized per stuck episode: an owner found fully blocked is not tested again
-until a commit writes into one of its rows, and its ``SKIP`` events are still
-those of a scan restarted after every commit.
+proof of Vizing's theorem, planned on a copy of the row state and kept only
+when every row stays conflict-free.  Each stage only plans a list of writes;
+one commit step charges every write against a budget, records it and
+applies it.  The scan is memoized per stuck episode: an owner found fully
+blocked is not tested again until a commit writes into one of its rows, and
+its ``SKIP`` events are still those of a scan restarted after every commit.
 Trace events are built only when a trace is asked for.  Runs that exhaust the
 budget, or that find no applicable repair, fail loudly with their trace.  With
 repair switched off the same loop is the degree-ordered greedy of
@@ -49,8 +48,6 @@ still certifies that total coloring, with at most n colors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InconsistentBlockError, UnknownVertexError
@@ -266,14 +263,12 @@ def replay_trace(
     return matrix
 
 
-# a dataclass, unlike the other records: cached_property needs an instance __dict__
-@dataclass(frozen=True)
-class ColoringResult:
+class ColoringResult(NamedTuple):
     """A run's outcome; ``reason`` is None exactly on success.
 
     ``colors`` is the verified total coloring on success and the partial core
     coloring on failure.  The rest is derived: ``final_matrix`` is built from
-    ``colors`` on first read, and as a private vertex's block over its one
+    ``colors`` on each read, and as a private vertex's block over its one
     clique writes no cell, only the core colors show in it.
     """
 
@@ -295,7 +290,7 @@ class ColoringResult:
         """The total coloring, or None when the run failed."""
         return self.colors if self.ok else None
 
-    @cached_property
+    @property
     def final_matrix(self) -> ColorMatrix:
         return _block_matrix(self.instance, self.colors)
 
@@ -397,19 +392,9 @@ def _fan_path_plan(
     - The ownership check looks only at ``touched``: a write changes only its
       vertex's rows, and there only the entries of its old and new color, so
       a vertex neither written nor overwritten keeps its ownership.
-
-    The scratch copy is copy-on-write.  ``work`` starts as a shallow list of
-    the caller's rows, and ``write()``, the only step that mutates, replaces
-    each row of its vertex by a copy before the first change to it, so the
-    caller's ``rows`` stay untouched; a copy is a slice of the row's list.
-    A row not yet copied is still the caller's row, and as nothing has
-    written into it, reading it gives what a copy would hold.  ``used`` and
-    the color map are copied whole: the rotation and the closing check read
-    colors of vertices the plan never wrote.  The fan's rows are also kept
-    as a mask, for the test whether a spoke leads back into the fan.
     """
     row_a, row_b = inc[u]
-    work = list(rows)  # write() copies a row the first time it touches it
+    work = [row[:] for row in rows]
     work_used = list(used)
     work_color = dict(color)
     writes: list[tuple[str, int]] = []
@@ -426,22 +411,17 @@ def _fan_path_plan(
         # v and every vertex that owned x in one of v's rows before the write
         touched.append(v)
         touched.extend(w for i in inc[v] if (w := work[i][x]) is not None)
-        for i in inc[v]:
-            if work[i] is rows[i]:
-                work[i] = rows[i][:]
         _recolor(work, work_used, work_color, inc, v, x)
         writes.append((v, x))
 
     fan = [row_b]
-    fan_rows = 1 << row_b  # the rows of ``fan``, as a mask
     spokes: list[str] = []
     while True:
         for cand in _bits(free(fan[-1])):
             w = work[row_a][cand]
-            if w is None or len(inc[w]) != 2 or fan_rows >> across(w, row_a) & 1:
+            if w is None or len(inc[w]) != 2 or across(w, row_a) in fan:
                 continue
             fan.append(across(w, row_a))
-            fan_rows |= 1 << fan[-1]
             spokes.append(w)
             break
         else:

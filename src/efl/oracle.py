@@ -43,11 +43,14 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
 
     The coloring must be total on the instance's vertex universe, the keys
     of its incidence map; only for a coloring that is not are the missing
-    vertices listed, to name the lexicographically first.  Conflicts list every
-    same-colored pair within a clique as (clique, u, v, color), clique by
-    clique, by ascending color and then token.  Only a clique whose colors
-    repeat is de-duplicated, sorted and grouped, so a token listed twice in
-    one clique is one vertex and never conflicts with itself.
+    vertices listed, to name the lexicographically first.  Colors start at 1:
+    a color below 1 raises ``ValueError`` naming the least vertex that has
+    one, so a proper report with ``max_color`` at most n certifies an
+    n-coloring.  Conflicts list every same-colored pair within a clique as
+    (clique, u, v, color), clique by clique, by ascending color and then
+    token.  Only a clique whose colors repeat is de-duplicated, sorted and
+    grouped, so a token listed twice in one clique is one vertex and never
+    conflicts with itself.
     """
     inc = inst.incidence_map
     if not all(map(coloring.__contains__, inc)):
@@ -56,6 +59,10 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
             f"coloring is missing {len(missing)} vertices, e.g. '{min(missing)}'"
         )
     color_of = coloring.__getitem__
+    used = set(map(color_of, inc))
+    if min(used, default=1) < 1:
+        v = min(v for v in inc if coloring[v] < 1)
+        raise ValueError(f"vertex '{v}' has color {coloring[v]}, below 1")
     conflicts: list[tuple[int, str, str, int]] = []
     for i, members in enumerate(inst.cliques, start=1):
         if len(set(map(color_of, members))) == len(members):
@@ -67,7 +74,6 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
             for a in range(len(group)):
                 for b in range(a + 1, len(group)):
                     conflicts.append((i, group[a], group[b], color))
-    used = set(map(color_of, inc))
     return VerifyReport(
         conflicts=tuple(conflicts),
         colors_used=len(used),

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from efl.errors import CoreSizeLimitError, IncompleteColoringError
+from efl.export import export_dot
 from efl.generators import gen_dense, gen_disjoint, gen_random
-from efl.instance import Instance, core_subgraph, parse_instance
+from efl.instance import CoreGraph, Instance, core_subgraph, parse_instance
 from efl.matrix_engine import run_matrix_method
 from efl import oracle
 from efl.oracle import (
@@ -65,6 +66,23 @@ class TestVerifyProper:
         with pytest.raises(IncompleteColoringError) as err:
             verify_proper(example, coloring)
         assert str(err.value) == "coloring is missing 4 vertices, e.g. 'v10'"
+
+    @pytest.mark.parametrize(
+        "coloring, message",
+        [
+            # proper, with max_color 2 <= n, yet three colors on dense(2)
+            ({"b1_2": 0, "p1": 1, "p2": 2}, "vertex 'b1_2' has color 0, below 1"),
+            ({"b1_2": 1, "p1": -1, "p2": 0}, "vertex 'p1' has color -1, below 1"),
+        ],
+        ids=["zero", "negative"],
+    )
+    def test_color_below_one_refused(self, coloring, message):
+        inst = gen_dense(2)
+        with pytest.raises(ValueError) as refused:
+            verify_proper(inst, coloring)
+        assert str(refused.value) == message
+        with pytest.raises(ValueError, match="below 1"):
+            export_dot(inst, coloring)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_cover_without_vertices(self, n):
@@ -171,11 +189,15 @@ class TestChromaticNumberExact:
         with pytest.raises(CoreSizeLimitError):
             chromatic_number_exact(core, vertex_limit=10)
 
-    def test_refused_before_edges_built(self):
+    def test_refused_before_edges_built(self, monkeypatch):
+        # the search reads the clique lists only, so the edge list is never built
+        def unread(core):
+            raise AssertionError("the core's edge list was read")
+
+        monkeypatch.setattr(CoreGraph, "edges", property(unread))
         core = core_subgraph(gen_dense(8))
         with pytest.raises(CoreSizeLimitError):
             chromatic_number_exact(core, vertex_limit=27)
-        assert "edges" not in vars(core)
         assert chromatic_number_exact(core, vertex_limit=28) == 7
 
     def test_deterministic(self):

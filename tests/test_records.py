@@ -4,14 +4,20 @@ immutability and the tuple protocol.  The range checks of ``GenSpec`` and
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from efl.generators import GenSpec, RandomBuildResult
 from efl.greedy import CliqueCount, HypothesisReport
-from efl.instance import DegreeProfile, Instance, ValidationReport, Violation
+from efl.instance import CoreGraph, DegreeProfile, Instance, ValidationReport, Violation
 from efl.matrix_engine import (
     Assigned,
     BudgetExhausted,
+    ColoringResult,
     EngineConfig,
     RepairRecolored,
     RepairSkipped,
@@ -71,6 +77,17 @@ RECORDS = [
         "RandomBuildResult(instance=Instance(n=1, vertices=1), merges_done=3, "
         "extensions_done=4)",
     ),
+    (
+        ColoringResult,
+        (Instance(1, [("a",)]), {"a": 1}, None, [Assigned("a", 1)]),
+        "ColoringResult(instance=Instance(n=1, vertices=1), colors={'a': 1}, "
+        "reason=None, trace=[Assigned(vertex='a', color=1)])",
+    ),
+    (
+        CoreGraph,
+        (("a", "b"), {"a": (1, 2), "b": (1, 2)}),
+        "CoreGraph(vertices=('a', 'b'), incidence={'a': (1, 2), 'b': (1, 2)})",
+    ),
 ]
 
 FIELDS = {
@@ -89,6 +106,8 @@ FIELDS = {
     HypothesisReport: ("per_clique", "parameter", "first_failing_d"),
     GenSpec: ("kind", "n", "seed", "merges", "extension_percent"),
     RandomBuildResult: ("instance", "merges_done", "extensions_done"),
+    ColoringResult: ("instance", "colors", "reason", "trace"),
+    CoreGraph: ("vertices", "incidence"),
 }
 
 _ids = [cls.__name__ for cls, _, _ in RECORDS]
@@ -189,3 +208,17 @@ def test_replace_and_make_run_the_range_checks(record, change, message):
         with pytest.raises(ValueError) as refused:
             make()
         assert str(refused.value) == message
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # every efl command pays for ``import efl``; no record needs the module
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, efl; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -2,14 +2,14 @@
 
 The greedy procedure colors core vertices in non-increasing clique degree,
 giving each the least color unused in all of its cliques so far; it runs the
-matrix engine's coloring loop with repair switched off.  The two checkers
-test per-clique core-vertex counts: at most sqrt(n) core vertices per clique
-(SY1), or, for every d in 2..n, at most ceil((n+d-1)/d) vertices of clique
-degree >= d per clique (SY2, the statement rule; the proof rule bounds by
-ceil(n/d)).  SY1 or the proof rule is what the tests find sufficient for the
-greedy.  The statement rule is not: it holds on
-``tests/data/sy2_statement_n6.efl`` and the greedy fails there, while the
-matrix engine colors it.
+matrix engine's coloring loop with repair switched off.  The paper's two
+conditions bound the same count, a clique's vertices of clique degree >= d:
+SY1 at d = 2 by sqrt(n), SY2 at every d in 2..n by ceil((n+d-1)/d) (the
+statement rule; the proof rule bounds by ceil(n/d)).  Every checker reads
+that count from one table, built from the core's incidence lists.  SY1 or
+the proof rule is what the tests find sufficient for the greedy.  The
+statement rule is not: it holds on ``tests/data/sy2_statement_n6.efl`` and
+the greedy fails there, while the matrix engine colors it.
 """
 
 from __future__ import annotations
@@ -53,28 +53,41 @@ def run_greedy(inst: Instance) -> ColoringResult:
     return color_cover(inst, None, None)
 
 
-def _per_clique_report(
-    inst: Instance, min_degree: int, bound: int, parameter: str
-) -> HypothesisReport:
-    """Each clique's count of vertices of clique degree >= ``min_degree`` (at
-    least 2, so only the core is read), against ``bound``."""
-    counts = [0] * inst.n
-    for ix in inst.core_incidence.values():
-        if len(ix) >= min_degree:
-            for i in ix:
-                counts[i - 1] += 1
-    rows = tuple(CliqueCount(i, c, bound) for i, c in enumerate(counts, start=1))
-    return HypothesisReport(per_clique=rows, parameter=parameter)
+def _degree_table(inst: Instance) -> list[list[int]]:
+    """Per clique (0-based), the count of its vertices of clique degree >= d at index d.
+
+    One pass over the core's incidence lists counts each clique's core
+    vertices by clique degree, and suffix sums over the degree give the count
+    for every d from 2 up.  Each row ends at index top + 1, top the largest
+    clique degree (1 for a cover without core vertices), and that last entry
+    is 0: no vertex has a larger degree.  Entries below 2 are not summed.
+    """
+    inc = inst.core_incidence
+    top = max(map(len, inc.values()), default=1)
+    at_least = [[0] * (top + 2) for _ in range(inst.n)]
+    for ix in inc.values():
+        for i in ix:
+            at_least[i - 1][len(ix)] += 1
+    for row in at_least:
+        for d in range(top - 1, 1, -1):
+            row[d] += row[d + 1]
+    return at_least
+
+
+def _counts(table: list[list[int]], d: int, bound: int) -> tuple[CliqueCount, ...]:
+    """Each clique's entry of ``table`` at d, against ``bound``."""
+    return tuple(CliqueCount(i, row[d], bound) for i, row in enumerate(table, start=1))
 
 
 def check_sy1(inst: Instance) -> HypothesisReport:
     """At most sqrt(n) vertices of clique degree > 1 in every clique.
 
-    The comparison count <= sqrt(n) is evaluated exactly as count <= isqrt(n),
-    avoiding floating point at perfect-square boundaries.
+    The count is the degree table's entry at d = 2, the one SY2 reads at
+    d = 2.  The comparison count <= sqrt(n) is evaluated exactly as
+    count <= isqrt(n), avoiding floating point at perfect-square boundaries.
     """
     require_valid(inst)
-    return _per_clique_report(inst, 2, math.isqrt(inst.n), "sy1")
+    return HypothesisReport(_counts(_degree_table(inst), 2, math.isqrt(inst.n)), "sy1")
 
 
 def _sy2_bound(n: int, d: int, bound_rule: str) -> int:
@@ -89,44 +102,37 @@ def _sy2_bound(n: int, d: int, bound_rule: str) -> int:
 def check_sy2(inst: Instance, d: int, bound_rule: str = "statement") -> HypothesisReport:
     """At most ceil((n+d-1)/d) vertices of clique degree >= d in every clique.
 
-    ``bound_rule="proof"`` switches to the tighter ceil(n/d) variant.
+    ``bound_rule="proof"`` switches to the tighter ceil(n/d) variant.  The
+    counts are the degree table's entries at d; a d above the top clique
+    degree reads the table's last entry, 0.  An invalid cover raises
+    :class:`InvalidInstanceError` first; then a d outside 2..n, and then an
+    unknown rule, raise ``ValueError``.
     """
     require_valid(inst)
     n = inst.n
     if not 2 <= d <= n:
         raise ValueError(f"d must lie in 2..{n}, got {d}")
     bound = _sy2_bound(n, d, bound_rule)
-    return _per_clique_report(inst, d, bound, f"sy2 d={d} ({bound_rule})")
+    table = _degree_table(inst)
+    rows = _counts(table, min(d, len(table[0]) - 1), bound)
+    return HypothesisReport(rows, f"sy2 d={d} ({bound_rule})")
 
 
 def check_sy2_all(inst: Instance, bound_rule: str = "statement") -> HypothesisReport:
     """Conjunction of :func:`check_sy2` over d = 2..n; records the first failing d.
 
-    One pass over the core's incidence lists counts each clique's core
-    vertices by clique degree, and suffix sums over the degree give the count
-    for every d.  Only the first failing d gets its per-clique rows.  A cover
-    without core vertices has top degree 1, and every d holds.  An unknown
+    One degree table gives the count for every d.  Only the first failing d
+    gets its per-clique rows.  No d above the top clique degree can fail, so
+    a cover without core vertices holds at every d.  An unknown
     ``bound_rule`` raises ``ValueError`` before any d, so also for n = 1.
     """
     require_valid(inst)
     n = inst.n
     _sy2_bound(n, 2, bound_rule)
     parameter = f"sy2 all d in 2..{n} ({bound_rule})"
-    inc = inst.core_incidence
-    top = max(map(len, inc.values()), default=1)
-    # at_least[i - 1][d]: vertices of clique degree >= d in clique i
-    at_least = [[0] * (top + 2) for _ in range(n)]
-    for ix in inc.values():
-        for i in ix:
-            at_least[i - 1][len(ix)] += 1
-    for row in at_least:
-        for d in range(top - 1, 1, -1):
-            row[d] += row[d + 1]
-    for d in range(2, n + 1):
+    table = _degree_table(inst)
+    for d in range(2, len(table[0]) - 1):
         bound = _sy2_bound(n, d, bound_rule)
-        if d > top:
-            break  # no clique has a vertex of clique degree >= d
-        if any(row[d] > bound for row in at_least):
-            rows = tuple(CliqueCount(i, row[d], bound) for i, row in enumerate(at_least, start=1))
-            return HypothesisReport(rows, parameter, first_failing_d=d)
+        if any(row[d] > bound for row in table):
+            return HypothesisReport(_counts(table, d, bound), parameter, first_failing_d=d)
     return HypothesisReport(per_clique=(), parameter=parameter)

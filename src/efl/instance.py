@@ -67,8 +67,8 @@ class Instance:
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
-        """The vertex universe in lexicographic token order."""
-        return tuple(sorted({t for c in self.cliques for t in c}))
+        """The vertex universe, the keys of :attr:`incidence_map`, in token order."""
+        return tuple(sorted(self.incidence_map))
 
     @cached_property
     def incidence_map(self) -> dict[VertexId, tuple[int, ...]]:
@@ -317,11 +317,9 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
 
 
 def clique_degree(inst: Instance, v: VertexId) -> int:
-    """Number of cliques containing v."""
-    try:
-        return len(inst.incidence_map[v])
-    except KeyError:
-        raise UnknownVertexError(f"vertex '{v}' does not occur in the instance") from None
+    """Number of cliques containing v: the length of :func:`incidence`, whose
+    :class:`UnknownVertexError` it raises for a token not in the cover."""
+    return len(incidence(inst, v))
 
 
 def incidence(inst: Instance, v: VertexId) -> list[int]:

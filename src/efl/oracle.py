@@ -13,6 +13,7 @@ DSATUR coloring bracket χ; search runs only in the gap between them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, NamedTuple
 
 from .errors import CoreSizeLimitError, IncompleteColoringError
@@ -20,7 +21,6 @@ from .instance import (
     CoreGraph,
     Instance,
     core_subgraph,
-    degree_profile,
     intersecting_pair_count,
     require_valid,
 )
@@ -291,6 +291,18 @@ def _search_setup(
     return order, adj, bounds
 
 
+def _bracket(core: CoreGraph, vertex_limit: int) -> tuple[list[int], int, int]:
+    """The adjacency masks in search order and the bracket L <= χ <= U.
+
+    L is the best of the lower bounds of :func:`_search_setup` (0 for an
+    empty core), and U the color count of a DSATUR coloring, certified by
+    :func:`_certified_count`.  Both exact decisions start here, so they
+    refuse the same cores with the same errors.
+    """
+    _, adj, bounds = _search_setup(core, vertex_limit)
+    return adj, max(bounds, default=0), _certified_count(adj, _dsatur(adj))
+
+
 def chromatic_number_exact(core: CoreGraph, vertex_limit: int = 40) -> int:
     """Exact chromatic number of a core graph by branch and bound.
 
@@ -304,9 +316,8 @@ def chromatic_number_exact(core: CoreGraph, vertex_limit: int = 40) -> int:
     within the limit but too deep to search also raises
     :class:`CoreSizeLimitError`.
     """
-    _, adj, bounds = _search_setup(core, vertex_limit)
-    upper = _certified_count(adj, _dsatur(adj))
-    for k in range(max(bounds, default=0), upper):
+    adj, lower, upper = _bracket(core, vertex_limit)
+    for k in range(lower, upper):
         if _k_colorable(adj, k):
             return k
     return upper
@@ -317,17 +328,14 @@ def is_n_colorable(inst: Instance, vertex_limit: int = 40) -> bool:
 
     Equivalent to the core being n-colorable: a proper n-coloring of the core
     leaves every clique with enough unused colors for its private vertices.
-    A lower bound above n answers no, and a certified DSATUR coloring with at
-    most n colors answers yes; only in between does one search with k = n
-    decide.
+    It reads the same bracket L <= χ <= U as :func:`chromatic_number_exact`:
+    L above n answers no, U at most n answers yes, and only in between does
+    one search with k = n decide.
     """
     require_valid(inst)
-    _, adj, bounds = _search_setup(core_subgraph(inst), vertex_limit)
-    if max(bounds, default=0) > inst.n:
-        return False
-    if _certified_count(adj, _dsatur(adj)) <= inst.n:
-        return True
-    return _k_colorable(adj, inst.n)
+    adj, lower, upper = _bracket(core_subgraph(inst), vertex_limit)
+    n = inst.n
+    return lower <= n and (upper <= n or _k_colorable(adj, n))
 
 
 class IdentityResult(NamedTuple):
@@ -377,14 +385,17 @@ class CheckReport(NamedTuple):
 def corollary_bound_check(inst: Instance) -> CheckReport:
     """At most C(n,2)/C(m,2) vertices of clique degree m, for every m >= 2.
 
-    Checked in integer arithmetic as count * C(m,2) <= C(n,2).
+    Checked in integer arithmetic as count * C(m,2) <= C(n,2).  The counts
+    are a histogram of the core's clique degrees, read off its incidence
+    lists; there is one row per m from 2 up to the top degree, and none for
+    a cover without core vertices.
     """
     require_valid(inst)
-    profile = degree_profile(inst)
+    histogram = Counter(map(len, inst.core_incidence.values()))
     n_pairs = math.comb(inst.n, 2)
     return CheckReport(
         rows=tuple(
-            CheckRow(m=m, count=profile.histogram.get(m, 0), bound=n_pairs)
-            for m in range(2, profile.max_degree + 1)
+            CheckRow(m=m, count=histogram[m], bound=n_pairs)
+            for m in range(2, max(histogram, default=1) + 1)
         )
     )

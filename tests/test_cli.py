@@ -6,7 +6,7 @@ import pytest
 
 from efl.cli import main
 from efl.export import serialize_instance
-from efl.generators import gen_dense, gen_disjoint
+from efl.generators import EXAMPLE_FINAL_MATRIX, gen_dense, gen_disjoint
 
 
 @pytest.fixture
@@ -273,6 +273,18 @@ class TestTraceExample:
         ]
         assert "golden match: ok" in out
         assert ". 1 1 1 3 ." in out
+
+    def test_one_changed_cell_fails(self, capsys, monkeypatch):
+        golden = EXAMPLE_FINAL_MATRIX.split("\n")
+        assert golden[0] == ". 1 1 1 3 ."
+        changed = "\n".join([". 1 1 1 4 .", *golden[1:]])
+        monkeypatch.setattr("efl.cli.EXAMPLE_FINAL_MATRIX", changed)
+        code, out, _ = run_cli(capsys, "trace-example")
+        assert code == 1
+        assert [line for line in out.split("\n") if line.startswith("cell ")] == [
+            "cell (1,5): got 3, expected 4"
+        ]
+        assert out.endswith("golden match: FAIL\n")
 
 
 class TestDeterminism:

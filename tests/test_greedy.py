@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 
 from efl.export import serialize_instance
-from efl.generators import gen_dense, gen_disjoint
+from efl.generators import gen_dense, gen_disjoint, gen_random
 from efl.greedy import check_sy1, check_sy2, check_sy2_all, run_greedy
 from efl.instance import Instance, core_subgraph, intersecting_pair_count, parse_instance
 from efl.matrix_engine import run_matrix_method
 from efl.oracle import chromatic_number_exact, is_n_colorable, verify_proper
-from support import clique_pairs_cover, instances
+from support import brute_check_sy2, clique_pairs_cover, instances
 
 
 class TestRunGreedy:
@@ -70,6 +70,55 @@ class TestCheckSy1:
         assert check_sy1(gen_disjoint(4)).per_clique[0].bound == 2
 
 
+class TestSy1AtTheBound:
+    """SY1 at n = 4, where sqrt(n) = 2 exactly."""
+
+    def test_four_cycle_holds_at_the_bound(self):
+        # cliques 1-2-3-4-1 meet in a cycle, so each holds two shared vertices
+        inst = Instance(
+            4,
+            [
+                ("s41", "s12", "p1", "q1"),
+                ("s12", "s23", "p2", "q2"),
+                ("s23", "s34", "p3", "q3"),
+                ("s34", "s41", "p4", "q4"),
+            ],
+        )
+        report = check_sy1(inst)
+        assert [(r.count, r.bound) for r in report.per_clique] == [(2, 2)] * 4
+        assert report.holds
+        assert run_greedy(inst).ok
+
+    def test_dense4_fails_one_past(self):
+        report = check_sy1(gen_dense(4))
+        assert [(r.count, r.bound) for r in report.per_clique] == [(3, 2)] * 4
+        assert not report.holds
+
+
+class TestSy2AtTheBounds:
+    """Seeded random covers whose largest count at d = 3 sits exactly at a
+    bound or one past it: ceil((n+2)/3) for the statement rule, ceil(n/3)
+    for the proof rule.  Specs are (n, merges, seed, extension percent)."""
+
+    @pytest.mark.parametrize(
+        "spec, rule, bound, holds",
+        [
+            ((6, 15, 2, 20), "proof", 2, True),
+            ((9, 36, 3, 50), "statement", 4, True),
+            ((9, 36, 3, 50), "proof", 3, False),
+            ((13, 78, 6, 50), "statement", 5, False),
+        ],
+    )
+    def test_d3(self, spec, rule, bound, holds):
+        n, merges, seed, percent = spec
+        inst = gen_random(n, merges, seed, extension_percent=percent)
+        report = check_sy2(inst, 3, rule)
+        assert report == brute_check_sy2(inst, 3, rule)
+        assert {r.bound for r in report.per_clique} == {bound}
+        assert max(r.count for r in report.per_clique) == (bound if holds else bound + 1)
+        assert report.holds == holds
+
+
 class TestCheckSy2:
     def test_example_d2(self, example):
         report = check_sy2(example, 2)
@@ -111,6 +160,11 @@ class TestCountRecomputation:
                 members = example.clique(row.clique)
                 expected = sum(1 for v in members if profile.degree_of[v] >= d)
                 assert row.count == expected
+
+    def test_sy1_counts_are_sy2_counts_at_two(self, corpus500):
+        for inst in corpus500:
+            sy1 = [r.count for r in check_sy1(inst).per_clique]
+            assert sy1 == [r.count for r in check_sy2(inst, 2).per_clique]
 
 
 class TestCheckSy2All:

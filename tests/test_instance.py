@@ -144,6 +144,13 @@ class TestQueries:
         with pytest.raises(UnknownVertexError):
             incidence(example, "nope")
 
+    def test_unknown_vertex_text(self, example):
+        # clique_degree raises the error of incidence, word for word
+        message = "^vertex 'nope' does not occur in the instance$"
+        for query in (clique_degree, incidence):
+            with pytest.raises(UnknownVertexError, match=message):
+                query(example, "nope")
+
     def test_incidence(self, example):
         assert incidence(example, "v16") == [3, 5, 6]
         assert incidence(example, "v19") == [4, 6]
@@ -319,6 +326,12 @@ class TestCoreSplit:
         for inst in corpus500:
             _assert_split_matches_brute(inst)
             _assert_core_layers_match_brute(inst)
+
+    @settings(max_examples=120, deadline=None)
+    @given(inst=permissive_instances(max_n=8))
+    def test_vertices_on_permissive_covers(self, inst):
+        # tokens repeat inside and across cliques; each is one vertex
+        assert inst.vertices == tuple(sorted({t for c in inst.cliques for t in c}))
 
     @settings(max_examples=120, deadline=None)
     @given(inst=permissive_instances(max_n=8))

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from efl.errors import CoreSizeLimitError, IncompleteColoringError
 from efl.export import export_dot
 from efl.generators import gen_dense, gen_disjoint, gen_random
-from efl.instance import CoreGraph, Instance, core_subgraph, parse_instance
+from efl.instance import CoreGraph, Instance, core_subgraph, degree_profile, parse_instance
 from efl.matrix_engine import run_matrix_method
 from efl import oracle
 from efl.oracle import (
+    CheckRow,
     VerifyReport,
     chromatic_number_exact,
     corollary_bound_check,
@@ -410,3 +411,31 @@ class TestCorollaryBound:
     @given(inst=instances())
     def test_bound_holds_everywhere(self, inst):
         assert corollary_bound_check(inst).ok
+
+
+def _rows_from_degree_profile(inst: Instance) -> tuple[CheckRow, ...]:
+    profile = degree_profile(inst)
+    n_pairs = math.comb(inst.n, 2)
+    return tuple(
+        CheckRow(m, profile.histogram.get(m, 0), n_pairs)
+        for m in range(2, profile.max_degree + 1)
+    )
+
+
+class TestCorollaryRowsFromDegreeProfile:
+    """The bound check counts the core's degrees itself; its rows are those
+    read off :func:`degree_profile`'s histogram."""
+
+    def test_corpus(self, corpus500):
+        for inst in corpus500:
+            assert corollary_bound_check(inst).rows == _rows_from_degree_profile(inst)
+
+    def test_dense(self):
+        for n in range(2, 51):
+            inst = gen_dense(n)
+            assert corollary_bound_check(inst).rows == _rows_from_degree_profile(inst)
+
+    @settings(max_examples=80)
+    @given(inst=instances())
+    def test_generated_covers(self, inst):
+        assert corollary_bound_check(inst).rows == _rows_from_degree_profile(inst)

@@ -1,12 +1,13 @@
 """Greedy degree-ordered coloring and the paper's two per-clique conditions.
 
 The greedy procedure colors core vertices in non-increasing clique degree,
-giving each the least color unused in all of its cliques so far; it runs the
-matrix engine's coloring loop with repair switched off.  The paper's two
-conditions bound the same count, a clique's vertices of clique degree >= d:
-SY1 at d = 2 by sqrt(n), SY2 at every d in 2..n by ceil((n+d-1)/d) (the
-statement rule; the proof rule bounds by ceil(n/d)).  Every checker reads
-that count from one table, built from the core's incidence lists.  SY1 or
+giving each the least color unused in all of its cliques so far; it is the
+matrix engine's unrepaired pass, which it leaves on the instance for the
+engine to resume.  The paper's two conditions bound the same count, a
+clique's vertices of clique degree >= d: SY1 at d = 2 by sqrt(n), SY2 at
+every d in 2..n by ceil((n+d-1)/d) (the statement rule; the proof rule
+bounds by ceil(n/d)).  Every checker reads that count from one table, built
+once per instance from the core's incidence lists.  SY1 or
 the proof rule is what the tests find sufficient for the greedy.  The
 statement rule is not: it holds on ``tests/data/sy2_statement_n6.efl`` and
 the greedy fails there, while the matrix engine colors it.
@@ -44,37 +45,19 @@ class HypothesisReport(NamedTuple):
 def run_greedy(inst: Instance) -> ColoringResult:
     """Color core vertices greedily in non-increasing clique degree.
 
-    This is the matrix method's loop with repair switched off: ties break on
-    the lexicographically smallest incidence tuple, and the run fails with
+    This is the matrix method's unrepaired pass: ties break on the
+    lexicographically smallest incidence tuple, and the run fails with
     ``no-color-available`` when some vertex finds all n colors used in its
     cliques; otherwise the core coloring is extended to a verified total one.
-    The result carries no trace; its matrix is derived like the engine's.
+    The pass stays on ``inst`` until :func:`efl.run_matrix_method` takes it
+    off and resumes it with repair, so the result's ``colors`` is a copy
+    that no engine run touches.  The result carries no trace; its matrix is
+    derived like the engine's.
     """
     return color_cover(inst, None, None)
 
 
-def _degree_table(inst: Instance) -> list[list[int]]:
-    """Per clique (0-based), the count of its vertices of clique degree >= d at index d.
-
-    One pass over the core's incidence lists counts each clique's core
-    vertices by clique degree, and suffix sums over the degree give the count
-    for every d from 2 up.  Each row ends at index top + 1, top the largest
-    clique degree (1 for a cover without core vertices), and that last entry
-    is 0: no vertex has a larger degree.  Entries below 2 are not summed.
-    """
-    inc = inst.core_incidence
-    top = max(map(len, inc.values()), default=1)
-    at_least = [[0] * (top + 2) for _ in range(inst.n)]
-    for ix in inc.values():
-        for i in ix:
-            at_least[i - 1][len(ix)] += 1
-    for row in at_least:
-        for d in range(top - 1, 1, -1):
-            row[d] += row[d + 1]
-    return at_least
-
-
-def _counts(table: list[list[int]], d: int, bound: int) -> tuple[CliqueCount, ...]:
+def _counts(table: tuple[tuple[int, ...], ...], d: int, bound: int) -> tuple[CliqueCount, ...]:
     """Each clique's entry of ``table`` at d, against ``bound``."""
     return tuple(CliqueCount(i, row[d], bound) for i, row in enumerate(table, start=1))
 
@@ -87,7 +70,7 @@ def check_sy1(inst: Instance) -> HypothesisReport:
     count <= isqrt(n), avoiding floating point at perfect-square boundaries.
     """
     require_valid(inst)
-    return HypothesisReport(_counts(_degree_table(inst), 2, math.isqrt(inst.n)), "sy1")
+    return HypothesisReport(_counts(inst._degree_table, 2, math.isqrt(inst.n)), "sy1")
 
 
 def _sy2_bound(n: int, d: int, bound_rule: str) -> int:
@@ -113,7 +96,7 @@ def check_sy2(inst: Instance, d: int, bound_rule: str = "statement") -> Hypothes
     if not 2 <= d <= n:
         raise ValueError(f"d must lie in 2..{n}, got {d}")
     bound = _sy2_bound(n, d, bound_rule)
-    table = _degree_table(inst)
+    table = inst._degree_table
     rows = _counts(table, min(d, len(table[0]) - 1), bound)
     return HypothesisReport(rows, f"sy2 d={d} ({bound_rule})")
 
@@ -130,7 +113,7 @@ def check_sy2_all(inst: Instance, bound_rule: str = "statement") -> HypothesisRe
     n = inst.n
     _sy2_bound(n, 2, bound_rule)
     parameter = f"sy2 all d in 2..{n} ({bound_rule})"
-    table = _degree_table(inst)
+    table = inst._degree_table
     for d in range(2, len(table[0]) - 1):
         bound = _sy2_bound(n, d, bound_rule)
         if any(row[d] > bound for row in table):

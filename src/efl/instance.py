@@ -32,9 +32,13 @@ class Instance:
     Construction is permissive about clique contents (wrong sizes, duplicate
     tokens, oversized intersections) so that :func:`validate` can report the
     violations; only the clique count itself must match ``n``.  Instances are
-    immutable and hashable, and all derived views are cached: the incidence
-    map, its split into ``core_incidence`` and ``private_members``, and the
-    validation report.
+    immutable and hashable, and all derived views are cached: the vertex
+    tuple, the incidence map, its split into ``core_incidence`` and
+    ``private_members``, the validation report and the degree table of the
+    paper's two conditions.  Besides them, :func:`efl.greedy.run_greedy`
+    leaves its unrepaired pass under ``_unrepaired_pass``, and the next
+    :func:`efl.matrix_engine.run_matrix_method` on the instance takes it off
+    and resumes it.  A copy or a pickle carries ``n`` and the cliques only.
     """
 
     def __init__(self, n: int, cliques: Iterable[Iterable[VertexId]]):
@@ -55,6 +59,11 @@ class Instance:
 
     def __hash__(self) -> int:
         return hash((self.n, self.cliques))
+
+    def __getstate__(self) -> dict:
+        # a pass left by the greedy is a suspended loop that its own
+        # instance's engine run resumes; a copy rebuilds every view instead
+        return {"n": self.n, "cliques": self.cliques}
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, vertices={len(self.vertices)})"
@@ -103,6 +112,29 @@ class Instance:
             if len(ix) == 1:
                 private[ix[0] - 1].append(v)
         return tuple(tuple(sorted(p)) for p in private)
+
+    @cached_property
+    def _degree_table(self) -> tuple[tuple[int, ...], ...]:
+        """Per clique (0-based), the count of its vertices of clique degree >= d at index d.
+
+        The table behind the paper's two per-clique conditions in
+        :mod:`efl.greedy`.  One pass over the core's incidence lists counts
+        each clique's core vertices by clique degree, and suffix sums over
+        the degree give the count for every d from 2 up.  Each row ends at
+        index top + 1, top the largest clique degree (1 for a cover without
+        core vertices), and that last entry is 0: no vertex has a larger
+        degree.  Entries below 2 are not summed.
+        """
+        inc = self.core_incidence
+        top = max(map(len, inc.values()), default=1)
+        at_least = [[0] * (top + 2) for _ in range(self.n)]
+        for ix in inc.values():
+            for i in ix:
+                at_least[i - 1][len(ix)] += 1
+        for row in at_least:
+            for d in range(top - 1, 1, -1):
+                row[d] += row[d + 1]
+        return tuple(map(tuple, at_least))
 
     @cached_property
     def validation(self) -> "ValidationReport":

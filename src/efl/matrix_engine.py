@@ -37,18 +37,25 @@ applies it.  The scan is memoized per stuck episode: an owner found fully
 blocked is not tested again until a commit writes into one of its rows, and
 its ``SKIP`` events are still those of a scan restarted after every commit.
 Trace events are built only when a trace is asked for.  Runs that exhaust the
-budget, or that find no applicable repair, fail loudly with their trace.  With
-repair switched off the same loop is the degree-ordered greedy of
-:mod:`efl.greedy`.
+budget, or that find no applicable repair, fail loudly with their trace.
 
-On success the private (degree-1) vertices of each clique i, in token order,
-take the colors free in its row mask ``used[i]``, ascending; ``verify_proper``
-still certifies that total coloring, with at most n colors.
+Placement and repair are two parts.  The unrepaired pass sorts the core once
+and places vertices until the first one with no free color; that pass alone
+is the degree-ordered greedy of :mod:`efl.greedy`.  The repair continuation
+runs the stuck episodes, each starting at the stuck vertex on the pass's own
+rows, and resumes the pass after each.  The greedy leaves its pass on the
+instance, and the engine takes it off and resumes it, so on a cover the
+greedy colors the engine does no placement of its own.
+
+Once the core is colored, the private (degree-1) vertices of each clique i,
+in token order, take the colors free in its row mask ``used[i]``, ascending;
+``verify_proper`` certifies that total coloring, with at most n colors, for
+each result that returns it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InconsistentBlockError, UnknownVertexError
 from .instance import Instance, require_valid
@@ -460,101 +467,177 @@ def _owns_colors(
     return all(rows[i][color[v]] == v for v in vertices for i in inc[v])
 
 
-def color_cover(
-    inst: Instance, repair_budget: Optional[int], trace: Optional[list[TraceEvent]]
-) -> ColoringResult:
-    """The one coloring loop behind both methods, and the only place a result is built.
+_PASS = "_unrepaired_pass"  # where run_greedy leaves its pass on the instance
 
-    Core vertices are colored in non-increasing clique degree, ties broken on
-    the lexicographically smallest incidence tuple, each with the least color
-    owned in none of its rows.  ``repair_budget=None`` switches repair off: a
-    vertex with all n colors blocked then fails the run with
-    ``no-color-available``.  Otherwise each repair stage only plans a list of
-    ``(vertex, color)`` writes, and one commit charges the budget, records and
-    writes it.  The first stage scans the owners in the stuck vertex's rows in
-    incidence order and plans the least free color of the first one that is
-    neither fully blocked nor already tried in this stuck episode.  When the
-    scan runs dry the fan-and-path plan takes over for a vertex in two
-    cliques.  On success each clique's private vertices, in token order,
-    take the colors free in its row mask, ascending; ``verify_proper``
-    certifies that total coloring with at most n colors, and it becomes the
-    result's ``colors``.  On failure ``colors`` is the partial core coloring,
-    with ``reason`` set.
 
-    The scan is memoized.  Each core vertex has a rank, its position in
-    incidence order, and ``members[i]`` holds the rank bits of the colored
-    vertices of row i.  Within a stuck episode ``tried`` and ``blocked`` are
-    rank masks; a vertex found fully blocked stays in ``blocked`` until a
-    commit writes a vertex sharing one of its rows, as only such a write can
-    change the colors owned in its rows.  Each scan therefore tests only the
-    ranks in neither mask, ascending.  The blocked ranks below the chosen one
-    (all of them when the scan runs dry) are exactly the vertices a scan
-    restarted from the lowest rank would test and pass over, so the ``SKIP``
-    events equal those of re-testing every owner after each commit.  Trace
-    events are built only when ``trace`` is a list.
+class _UnrepairedPass:
+    """One cover's core placed in the paper's order, stopping at each stuck vertex.
 
-    Every free-color test ORs the row masks inline.  ``split[r]`` is rank
-    r's incidence tuple split once per run into ``(a, b, rest)``, with
-    ``rest`` empty for a vertex in two cliques; as every core vertex meets
-    at least two rows, the test is ``used[a] | used[b]``, with the masks of
-    ``rest`` ORed in only when it is non-empty.  That one test serves the
-    vertex being placed and the scan, which looks up the token
-    ``by_rank[r]`` only for the rank it picks.  The least free color, the
-    lowest set bit, is taken inline at both sites.  A vertex being placed
-    owns no color yet, so its assignment writes ``rows[i][x]``, ``used[i]``
-    and ``members[i]`` in one loop over its rows; ``_recolor``, which
-    releases the old color, serves only repairs.
+    Core vertices are placed in non-increasing clique degree, ties broken on
+    the lexicographically smallest incidence tuple, each with the least
+    color owned in none of its rows.  Building the pass places them up to
+    the first vertex whose rows own all n colors, its rank kept in
+    ``stuck``; ``stuck`` is None once the whole core is colored.  The pass
+    never repairs: the greedy is the pass alone.  The engine repairs the
+    stuck vertex's rows and resumes the pass with ``next(stops, None)``,
+    which re-tests that vertex, places on and returns the rank of the next
+    stuck vertex, or None.  Once every core vertex is placed, ``total``
+    holds the core coloring extended to the private vertices: each clique's
+    private vertices (:attr:`Instance.private_members`), in token order,
+    take the colors free in its row, ascending.  ``core`` gains each vertex
+    as it is placed and a recolor keeps its place, so its first k items are
+    the first k vertices of ``order``.
 
     The set-up sorts the core once.  In a valid cover no two core vertices
     have the same incidence tuple, as their two shared cliques would then
-    share two vertices; so the ranks are a strict order, and a stable sort
-    of the ranks by descending clique degree, keyed on the list of clique
-    degrees by rank, keeps that order among equal degrees.  That is exactly
-    the placement order of a sort by ``(-degree, incidence tuple)``, and a
-    vertex's rank bit is ``1 << rank``.
-    The core and, for the extension, each clique's private vertices (clique
-    degree 1) in token order are the instance's cached split
-    (:attr:`Instance.core_incidence` and :attr:`Instance.private_members`),
-    so the greedy and the engine on one cover share one split and one sort.
-    """
-    require_valid(inst)
-    n = inst.n
-    full = ((1 << n) - 1) << 1  # every color 1..n
-    inc = inst.core_incidence
-    # rows[i][c]: the owner of color c in clique i, or None; slot 0 stays None
-    rows: list[list[Optional[str]]] = [[None] * (n + 1) for _ in range(n + 1)]
-    used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
-    by_rank = sorted(inc, key=inc.__getitem__)
-    rank_ix = [inc[v] for v in by_rank]
-    # every core vertex meets at least two rows; rest is empty for two
-    split = [(ix[0], ix[1], ix[2:]) for ix in rank_ix]
-    degrees = [len(ix) for ix in rank_ix]
-    members = [0] * (n + 1)  # members[i]: the ranks colored in row i, as a mask
-    core: dict[str, int] = {}
-    budget_used = 0
-    tracing = trace is not None
+    share two vertices; so the ranks, the positions in incidence order, are
+    a strict order, and a stable sort of the ranks by descending clique
+    degree, keyed on the list of clique degrees by rank, keeps that order
+    among equal degrees.  That is exactly the placement order of a sort by
+    ``(-degree, incidence tuple)``, and a vertex's rank bit is
+    ``1 << rank``.  ``members[i]`` holds the rank bits of the colored
+    vertices of row i.  The core is the instance's cached split
+    (:attr:`Instance.core_incidence`).
 
-    for rank in sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True):
-        u = by_rank[rank]
+    Every free-color test ORs the row masks inline.  ``split[r]`` is rank
+    r's incidence tuple split once into ``(a, b, rest)``, with ``rest``
+    empty for a vertex in two cliques; as every core vertex meets at least
+    two rows, the test is ``used[a] | used[b]``, with the masks of ``rest``
+    ORed in only when it is non-empty.  The engine's repair scan makes the
+    same test on ``split``.  A vertex being placed owns no color yet, so its
+    assignment writes ``rows[i][x]``, ``used[i]`` and ``members[i]`` in one
+    loop over its rows; ``_recolor``, which releases the old color, serves
+    only repairs.
+    """
+
+    __slots__ = (
+        "full", "rows", "used", "members", "core", "by_rank", "rank_ix", "split", "order",
+        "private", "total", "stops", "stuck",
+    )
+
+    def __init__(self, inst: Instance):
+        require_valid(inst)
+        n = inst.n
+        inc = inst.core_incidence
+        self.full = ((1 << n) - 1) << 1  # every color 1..n
+        # rows[i][c]: the owner of color c in clique i, or None; slot 0 stays None
+        self.rows: list[list[Optional[str]]] = [[None] * (n + 1) for _ in range(n + 1)]
+        self.used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
+        self.members = [0] * (n + 1)  # members[i]: the ranks colored in row i, as a mask
+        self.core: dict[str, int] = {}
+        self.by_rank = by_rank = sorted(inc, key=inc.__getitem__)
+        self.rank_ix = rank_ix = [inc[v] for v in by_rank]
+        # every core vertex meets at least two rows; rest is empty for two
+        self.split = [(ix[0], ix[1], ix[2:]) for ix in rank_ix]
+        degrees = [len(ix) for ix in rank_ix]
+        self.order = sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True)
+        self.private = inst.private_members
+        self.total: Optional[dict[str, int]] = None
+        self.stops = self._place()
+        self.stuck = next(self.stops, None)
+
+    def _place(self) -> Iterator[int]:
+        """Place ``order``, yielding the rank of each vertex found stuck; resumed, re-test it."""
+        full, used, rows, members, core = self.full, self.used, self.rows, self.members, self.core
+        by_rank, rank_ix, split = self.by_rank, self.rank_ix, self.split
+        for rank in self.order:
+            a, b, rest = split[rank]
+            while True:
+                taken = used[a] | used[b]
+                if rest:
+                    for i in rest:
+                        taken |= used[i]
+                if free := full & ~taken:
+                    break
+                yield rank
+            # u is uncolored, so unlike _recolor this releases no old color
+            u = by_rank[rank]
+            x = (free & -free).bit_length() - 1
+            color_bit = 1 << x
+            rank_bit = 1 << rank
+            for i in rank_ix[rank]:
+                rows[i][x] = u
+                used[i] |= color_bit
+                members[i] |= rank_bit
+            core[u] = x
+        self.total = total = dict(core)
+        for i, private in enumerate(self.private, start=1):
+            total.update(zip(private, _bits(full & ~used[i])))
+
+
+def color_cover(
+    inst: Instance, repair_budget: Optional[int], trace: Optional[list[TraceEvent]]
+) -> ColoringResult:
+    """The repair continuation of the unrepaired pass, and the only place a result is built.
+
+    Both methods color from an :class:`_UnrepairedPass`.  ``repair_budget=None``
+    is the greedy: it builds a pass and leaves it on the instance, and a
+    stuck pass fails the run with ``no-color-available``.  Otherwise the run
+    takes the pass the greedy left on the instance off it, or builds one,
+    and runs a stuck episode each time the pass stops: one repair stage
+    plans a list of ``(vertex, color)`` writes, and one commit charges the
+    budget, records and writes it, until the stuck vertex has a free color;
+    then the pass resumes.  The first stage scans the owners in the stuck
+    vertex's rows in incidence order and plans the least free color of the
+    first one that is neither fully blocked nor already tried in this
+    episode.  When the scan runs dry the fan-and-path plan takes over for a
+    vertex in two cliques.
+
+    On success the pass's ``total`` is certified by ``verify_proper`` with
+    at most n colors and becomes the result's ``colors``; the greedy
+    certifies and returns a copy, so the greedy and a later engine run on
+    the instance never share a dict.  On failure ``colors`` is the partial
+    core coloring, with ``reason`` set, and again a copy for the greedy,
+    whose pass the engine may still recolor.
+
+    The scan is memoized.  Within a stuck episode ``tried`` and ``blocked``
+    are rank masks; a vertex found fully blocked stays in ``blocked`` until
+    a commit writes a vertex sharing one of its rows, as only such a write
+    can change the colors owned in its rows.  Each scan therefore tests only
+    the ranks in neither mask, ascending, and looks up the token
+    ``by_rank[r]`` only for the rank it picks.  The blocked ranks below the
+    chosen one (all of them when the scan runs dry) are exactly the vertices
+    a scan restarted from the lowest rank would test and pass over, so the
+    ``SKIP`` events equal those of re-testing every owner after each commit.
+
+    Trace events are built only when ``trace`` is a list.  The pass builds
+    none: each time it stops, the ``ASSIGN`` events of the vertices placed
+    since it last stopped are read off ``order`` and ``core``, which no
+    repair has touched since, so they precede the episode's ``SKIP`` and
+    ``REPAIR`` events just as if appended at each placement.
+    """
+    repair = repair_budget is not None
+    if repair:
+        p = vars(inst).pop(_PASS, None) or _UnrepairedPass(inst)
+    else:
+        p = vars(inst)[_PASS] = _UnrepairedPass(inst)
+    n = inst.n
+    inc = inst.core_incidence
+    full, rows, used, members, core = p.full, p.rows, p.used, p.members, p.core
+    by_rank, rank_ix, split, order = p.by_rank, p.rank_ix, p.split, p.order
+    tracing = trace is not None
+    traced = 0  # the placements already in the trace
+    budget_used = 0
+
+    rank = p.stuck
+    while True:
+        if tracing:
+            placed = [by_rank[r] for r in order[traced:len(core)]]
+            trace.extend(map(Assigned, placed, map(core.__getitem__, placed)))
+            traced = len(core)
+        if rank is None:
+            break
+        if not repair:
+            return ColoringResult(inst, dict(core), REASON_NO_COLOR_AVAILABLE, trace)
         ix_u = rank_ix[rank]
         a, b, rest = split[rank]
-        neighbors = None
+        # a recolor never moves a vertex out of a row, so u's colored
+        # neighbors stay the same for the whole stuck episode
+        neighbors = 0
+        for i in ix_u:
+            neighbors |= members[i]
+        tried = blocked = 0
         while True:
-            taken = used[a] | used[b]
-            if rest:
-                for i in rest:
-                    taken |= used[i]
-            if free_u := full & ~taken:
-                break
-            if repair_budget is None:
-                return ColoringResult(inst, core, REASON_NO_COLOR_AVAILABLE, trace)
-            if neighbors is None:
-                # a recolor never moves a vertex out of a row, so u's colored
-                # neighbors stay the same for the whole stuck episode
-                neighbors = 0
-                for i in ix_u:
-                    neighbors |= members[i]
-                tried = blocked = 0
             plan = None
             below = -1  # the ranks below the chosen one; all while none is chosen
             todo = neighbors & ~(tried | blocked)
@@ -576,7 +659,7 @@ def color_cover(
             if tracing:
                 trace.extend(RepairSkipped(by_rank[r]) for r in _bits(blocked & below))
             if plan is None and len(ix_u) == 2:
-                plan = _fan_path_plan(rows, used, core, inc, u, n)
+                plan = _fan_path_plan(rows, used, core, inc, by_rank[rank], n)
             if not plan:
                 return ColoringResult(inst, core, REASON_STUCK_NO_REPAIR, trace)
             if budget_used + len(plan) > repair_budget:
@@ -590,31 +673,29 @@ def color_cover(
                 for i in inc[v]:
                     blocked &= ~members[i]
             budget_used += len(plan)
-        # u is uncolored, so unlike _recolor this releases no old color
-        x = (free_u & -free_u).bit_length() - 1
-        color_bit = 1 << x
-        rank_bit = 1 << rank
-        for i in ix_u:
-            rows[i][x] = u
-            used[i] |= color_bit
-            members[i] |= rank_bit
-        core[u] = x
-        if tracing:
-            trace.append(Assigned(u, x))
+            taken = used[a] | used[b]
+            if rest:
+                for i in rest:
+                    taken |= used[i]
+            if full & ~taken:
+                break
+        rank = p.stuck = next(p.stops, None)
 
-    total = dict(core)
-    for i, private in enumerate(inst.private_members, start=1):
-        total.update(zip(private, _bits(full & ~used[i])))
+    total = p.total if repair else dict(p.total)
     report = verify_proper(inst, total)
     if not report.proper or report.max_color > n:
-        return ColoringResult(inst, core, REASON_INTERNAL_VERIFICATION, trace)
+        partial = core if repair else dict(core)
+        return ColoringResult(inst, partial, REASON_INTERNAL_VERIFICATION, trace)
     return ColoringResult(inst, total, None, trace)
 
 
 def run_matrix_method(inst: Instance, config: Optional[EngineConfig] = None) -> ColoringResult:
     """Color the core by the matrix method with repair, then extend to a total coloring.
 
-    All free choices are pinned for determinism (see :func:`color_cover`).
+    The unrepaired pass that :func:`efl.greedy.run_greedy` left on ``inst``
+    is taken off it and resumed, so no vertex is placed twice; without one
+    the run makes its own.  All free choices are pinned for determinism (see
+    :func:`color_cover`).
     """
     cfg = config or EngineConfig()
     budget = cfg.repair_budget if cfg.repair_budget is not None else inst.n * inst.n

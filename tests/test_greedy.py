@@ -166,6 +166,14 @@ class TestCountRecomputation:
             sy1 = [r.count for r in check_sy1(inst).per_clique]
             assert sy1 == [r.count for r in check_sy2(inst, 2).per_clique]
 
+    def test_one_immutable_table_per_instance(self, example):
+        check_sy1(example)
+        table = vars(example)["_degree_table"]
+        assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+        check_sy2_all(example)
+        check_sy2(example, 3, "proof")
+        assert vars(example)["_degree_table"] is table
+
 
 class TestCheckSy2All:
     def test_disjoint_holds(self):

@@ -1,0 +1,137 @@
+"""The greedy's unrepaired pass handed to the matrix engine.
+
+``run_greedy`` leaves its pass on the instance and the next
+``run_matrix_method`` on that instance takes it off and resumes it.  A run
+after the greedy must equal a run on a fresh equal instance, byte for byte,
+leave the greedy's result alone, and leave nothing behind on the instance.
+Every success stays the dict that ``verify_proper`` certified.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from efl import matrix_engine
+from efl.generators import gen_dense
+from efl.greedy import run_greedy
+from efl.instance import Instance, parse_instance
+from efl.matrix_engine import EngineConfig, render_trace, run_matrix_method
+from efl.oracle import VerifyReport
+
+TRACED = EngineConfig(trace_enabled=True)
+
+# the cached views an instance may hold once no pass is left on it
+VIEWS = {
+    "n",
+    "cliques",
+    "vertices",
+    "incidence_map",
+    "core_incidence",
+    "private_members",
+    "validation",
+    "_degree_table",
+}
+
+
+def _fresh(inst: Instance) -> Instance:
+    """An equal instance with nothing cached."""
+    return Instance(inst.n, inst.cliques)
+
+
+def _outcome(result) -> tuple:
+    """Everything observable of a result, read now."""
+    trace = None if result.trace is None else render_trace(result.trace)
+    return (result.reason, trace, result.final_matrix.render(), list(result.colors.items()))
+
+
+@pytest.fixture
+def covers(corpus500, gap_n8_file, sy2_statement_n6_file) -> list[Instance]:
+    files = [parse_instance(f.read_text()) for f in (gap_n8_file, sy2_statement_n6_file)]
+    return [*corpus500, *(gen_dense(n) for n in range(2, 31)), *files]
+
+
+def test_engine_after_greedy_equals_engine_alone(covers):
+    stuck = resumed = 0
+    for cover in covers:
+        inst = _fresh(cover)
+        greedy = run_greedy(inst)
+        before = _outcome(greedy)
+        engine = run_matrix_method(inst, TRACED)
+        assert _outcome(engine) == _outcome(run_matrix_method(_fresh(cover), TRACED))
+        assert _outcome(greedy) == before
+        assert greedy.colors is not engine.colors
+        assert set(vars(inst)) <= VIEWS
+        stuck += not greedy.ok
+        resumed += not greedy.ok and engine.ok
+    # the engine resumes stuck passes, not only finished ones
+    assert stuck >= 10 and resumed >= 5
+
+
+def test_repeated_and_reordered_runs_agree(covers):
+    for cover in covers:
+        greedy = _outcome(run_greedy(_fresh(cover)))
+        engine = _outcome(run_matrix_method(_fresh(cover), TRACED))
+        inst = _fresh(cover)
+        assert _outcome(run_matrix_method(inst, TRACED)) == engine
+        assert _outcome(run_matrix_method(inst, TRACED)) == engine
+        assert set(vars(inst)) <= VIEWS
+        assert _outcome(run_greedy(inst)) == greedy
+        assert _outcome(run_greedy(inst)) == greedy
+        assert _outcome(run_matrix_method(inst, TRACED)) == engine
+        assert set(vars(inst)) <= VIEWS
+
+
+def test_stuck_fixtures_hand_over_a_stuck_pass(gap_n8_file, sy2_statement_n6_file):
+    for path, reason in ((gap_n8_file, "stuck-no-repair"), (sy2_statement_n6_file, None)):
+        inst = parse_instance(path.read_text())
+        assert run_greedy(inst).reason == "no-color-available"
+        assert "_unrepaired_pass" in vars(inst)
+        assert run_matrix_method(inst).reason == reason
+        assert "_unrepaired_pass" not in vars(inst)
+
+
+def test_copies_leave_the_pass_behind(example):
+    run_greedy(example)
+    for twin in (copy.copy(example), copy.deepcopy(example), pickle.loads(pickle.dumps(example))):
+        assert twin == example and set(vars(twin)) == {"n", "cliques"}
+        assert _outcome(run_matrix_method(twin, TRACED)) == _outcome(
+            run_matrix_method(_fresh(example), TRACED)
+        )
+    assert "_unrepaired_pass" in vars(example)
+
+
+@pytest.mark.parametrize("greedy_first", [True, False])
+def test_successes_are_the_certified_dicts(monkeypatch, example, greedy_first):
+    certified = []
+    verify = matrix_engine.verify_proper
+
+    def recording(inst, coloring):
+        certified.append(coloring)
+        return verify(inst, coloring)
+
+    monkeypatch.setattr(matrix_engine, "verify_proper", recording)
+    if greedy_first:
+        greedy = run_greedy(example)
+        engine = run_matrix_method(example)
+    else:
+        engine = run_matrix_method(example)
+        greedy = run_greedy(example)
+    assert greedy.ok and engine.ok
+    assert greedy.colors is not engine.colors
+    assert any(c is greedy.colors for c in certified)
+    assert any(c is engine.colors for c in certified)
+
+
+@pytest.mark.parametrize("greedy_first", [True, False])
+def test_certification_is_not_skipped(monkeypatch, example, greedy_first):
+    def conflicted(inst, coloring):
+        return VerifyReport(conflicts=((1, "a", "b", 1),), colors_used=1, max_color=1)
+
+    assert run_greedy(_fresh(example)).ok
+    monkeypatch.setattr(matrix_engine, "verify_proper", conflicted)
+    methods = [run_greedy, run_matrix_method]
+    for method in methods if greedy_first else methods[::-1]:
+        assert method(example).reason == "internal-verification"

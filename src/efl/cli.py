@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from typing import Optional
 
 from .errors import CoreSizeLimitError, EflError, ParseError
@@ -27,6 +26,7 @@ from .greedy import HypothesisReport, check_sy1, check_sy2_all, run_greedy
 from .instance import (
     Instance,
     core_subgraph,
+    degree_profile,
     parse_instance,
     validate,
 )
@@ -117,14 +117,10 @@ def _print_hypothesis(title: str, report: HypothesisReport) -> None:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     inst = _read_instance(args.file)
-    core = inst.core_incidence
-    histogram = Counter(map(len, core.values()))
-    if len(inst.incidence_map) > len(core):
-        histogram[1] = len(inst.incidence_map) - len(core)
     print(f"n: {inst.n}")
     print(f"vertices: {len(inst.vertices)}")
     print("degree histogram:")
-    for d, count in sorted(histogram.items()):
+    for d, count in degree_profile(inst).histogram.items():
         print(f"  {d}: {count}")
     ident = theorem_identity(inst)
     print(

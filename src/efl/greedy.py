@@ -2,15 +2,16 @@
 
 The greedy procedure colors core vertices in non-increasing clique degree,
 giving each the least color unused in all of its cliques so far; it is the
-matrix engine's unrepaired pass, which it leaves on the instance for the
-engine to resume.  The paper's two conditions bound the same count, a
-clique's vertices of clique degree >= d: SY1 at d = 2 by sqrt(n), SY2 at
-every d in 2..n by ceil((n+d-1)/d) (the statement rule; the proof rule
-bounds by ceil(n/d)).  Every checker reads that count from one table, built
-once per instance from the core's incidence lists.  SY1 or
-the proof rule is what the tests find sufficient for the greedy.  The
-statement rule is not: it holds on ``tests/data/sy2_statement_n6.efl`` and
-the greedy fails there, while the matrix engine colors it.
+matrix engine's coloring loop with repair off, and it leaves the loop's
+state on the instance for the engine to continue.  The paper's two
+conditions bound the same count, a clique's vertices of clique degree >= d:
+SY1 at d = 2 by sqrt(n), SY2 at every d in 2..n by ceil((n+d-1)/d) (the
+statement rule; the proof rule bounds by ceil(n/d)).  Every checker reads
+that count from one table, built once per instance from the core's
+incidence lists.  SY1 or the proof rule is what the tests find sufficient
+for the greedy.  The statement rule is not: it holds on
+``tests/data/sy2_statement_n6.efl`` and the greedy fails there, while the
+matrix engine colors it.
 """
 
 from __future__ import annotations
@@ -45,14 +46,16 @@ class HypothesisReport(NamedTuple):
 def run_greedy(inst: Instance) -> ColoringResult:
     """Color core vertices greedily in non-increasing clique degree.
 
-    This is the matrix method's unrepaired pass: ties break on the
-    lexicographically smallest incidence tuple, and the run fails with
-    ``no-color-available`` when some vertex finds all n colors used in its
-    cliques; otherwise the core coloring is extended to a verified total one.
-    The pass stays on ``inst`` until :func:`efl.run_matrix_method` takes it
-    off and resumes it with repair, so the result's ``colors`` is a copy
-    that no engine run touches.  The result carries no trace; its matrix is
-    derived like the engine's.
+    This is the matrix method's coloring loop with repair off: ties break on
+    the lexicographically smallest incidence tuple, and the run fails with
+    ``no-color-available`` at the first vertex that finds all n colors used
+    in its cliques; otherwise the core coloring is extended to a verified
+    total one.  The loop's state, its cursor at that vertex, stays on
+    ``inst`` until :func:`efl.run_matrix_method` takes it off and continues
+    from the cursor with repair, so the result's ``colors`` is a copy that no
+    engine run touches.  The result carries no trace; its matrix is derived
+    like the engine's and, on failure, shows the core colored up to the
+    stuck vertex.
     """
     return color_cover(inst, None, None)
 

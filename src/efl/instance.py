@@ -36,9 +36,11 @@ class Instance:
     tuple, the incidence map, its split into ``core_incidence`` and
     ``private_members``, the validation report and the degree table of the
     paper's two conditions.  Besides them, :func:`efl.greedy.run_greedy`
-    leaves its unrepaired pass under ``_unrepaired_pass``, and the next
-    :func:`efl.matrix_engine.run_matrix_method` on the instance takes it off
-    and resumes it.  A copy or a pickle carries ``n`` and the cliques only.
+    leaves its coloring state, with a cursor at the vertex it stopped at,
+    under ``_unrepaired_pass``, and the next
+    :func:`efl.matrix_engine.run_matrix_method` on the instance takes it
+    off and continues from the cursor.  A copy or a pickle carries ``n`` and
+    the cliques only.
     """
 
     def __init__(self, n: int, cliques: Iterable[Iterable[VertexId]]):
@@ -61,8 +63,8 @@ class Instance:
         return hash((self.n, self.cliques))
 
     def __getstate__(self) -> dict:
-        # a pass left by the greedy is a suspended loop that its own
-        # instance's engine run resumes; a copy rebuilds every view instead
+        # the greedy's coloring state belongs to this instance's next engine
+        # run; a copy rebuilds every view instead
         return {"n": self.n, "cliques": self.cliques}
 
     def __repr__(self) -> str:

@@ -39,13 +39,14 @@ its ``SKIP`` events are still those of a scan restarted after every commit.
 Trace events are built only when a trace is asked for.  Runs that exhaust the
 budget, or that find no applicable repair, fail loudly with their trace.
 
-Placement and repair are two parts.  The unrepaired pass sorts the core once
-and places vertices until the first one with no free color; that pass alone
-is the degree-ordered greedy of :mod:`efl.greedy`.  The repair continuation
-runs the stuck episodes, each starting at the stuck vertex on the pass's own
-rows, and resumes the pass after each.  The greedy leaves its pass on the
-instance, and the engine takes it off and resumes it, so on a cover the
-greedy colors the engine does no placement of its own.
+One loop, :func:`color_cover`, places and repairs.  It walks the placement
+order from a cursor, and a vertex's free-color test is also its stuck test:
+with repair on, each failed test runs one repair stage and tests the vertex
+again.  The degree-ordered greedy of :mod:`efl.greedy` is the same loop with
+repair off, ending at the first failed test.  It leaves its state, an
+:class:`_UnrepairedPass` with the cursor at that vertex, on the instance, and
+the next engine run takes it off and continues from the cursor, so on a
+cover the greedy colors the engine places no vertex again.
 
 Once the core is colored, the private (degree-1) vertices of each clique i,
 in token order, take the colors free in its row mask ``used[i]``, ascending;
@@ -55,7 +56,7 @@ each result that returns it.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InconsistentBlockError, UnknownVertexError
 from .instance import Instance, require_valid
@@ -276,7 +277,9 @@ class ColoringResult(NamedTuple):
     ``colors`` is the verified total coloring on success and the partial core
     coloring on failure.  The rest is derived: ``final_matrix`` is built from
     ``colors`` on each read, and as a private vertex's block over its one
-    clique writes no cell, only the core colors show in it.
+    clique writes no cell, only the core colors show in it.  Nothing is
+    cached, as no caller reads it twice, so a run whose matrix is never read,
+    such as ``efl color``, builds none.
     """
 
     instance: Instance
@@ -471,48 +474,40 @@ _PASS = "_unrepaired_pass"  # where run_greedy leaves its pass on the instance
 
 
 class _UnrepairedPass:
-    """One cover's core placed in the paper's order, stopping at each stuck vertex.
+    """One cover's placement state: the core's placement order, the row state and a cursor.
 
     Core vertices are placed in non-increasing clique degree, ties broken on
-    the lexicographically smallest incidence tuple, each with the least
-    color owned in none of its rows.  Building the pass places them up to
-    the first vertex whose rows own all n colors, its rank kept in
-    ``stuck``; ``stuck`` is None once the whole core is colored.  The pass
-    never repairs: the greedy is the pass alone.  The engine repairs the
-    stuck vertex's rows and resumes the pass with ``next(stops, None)``,
-    which re-tests that vertex, places on and returns the rank of the next
-    stuck vertex, or None.  Once every core vertex is placed, ``total``
-    holds the core coloring extended to the private vertices: each clique's
-    private vertices (:attr:`Instance.private_members`), in token order,
-    take the colors free in its row, ascending.  ``core`` gains each vertex
-    as it is placed and a recolor keeps its place, so its first k items are
-    the first k vertices of ``order``.
+    the lexicographically smallest incidence tuple.  The set-up sorts the
+    core once.  In a valid cover no two core vertices have the same
+    incidence tuple, as their two shared cliques would then share two
+    vertices; so the ranks, the positions in incidence order, are a strict
+    order, and a stable sort of the ranks by descending clique degree, keyed
+    on the list of clique degrees by rank, keeps that order among equal
+    degrees.  That is exactly the placement order ``order`` of a sort by
+    ``(-degree, incidence tuple)``, and a vertex's rank bit is ``1 << rank``.
+    The core is the instance's cached split (:attr:`Instance.core_incidence`),
+    and ``private`` its private vertices by clique
+    (:attr:`Instance.private_members`), in token order, so the greedy and
+    the engine on one cover share one split and one sort of the private
+    vertices.
 
-    The set-up sorts the core once.  In a valid cover no two core vertices
-    have the same incidence tuple, as their two shared cliques would then
-    share two vertices; so the ranks, the positions in incidence order, are
-    a strict order, and a stable sort of the ranks by descending clique
-    degree, keyed on the list of clique degrees by rank, keeps that order
-    among equal degrees.  That is exactly the placement order of a sort by
-    ``(-degree, incidence tuple)``, and a vertex's rank bit is
-    ``1 << rank``.  ``members[i]`` holds the rank bits of the colored
-    vertices of row i.  The core is the instance's cached split
-    (:attr:`Instance.core_incidence`).
+    ``split[r]`` is rank r's incidence tuple split once into ``(a, b, rest)``,
+    with ``rest`` empty for a vertex in two cliques; as every core vertex
+    meets at least two rows, a free-color test ORs ``used[a] | used[b]``
+    and the masks of ``rest`` only when it is non-empty.  ``members[i]``
+    holds the rank bits of the colored vertices of row i.
 
-    Every free-color test ORs the row masks inline.  ``split[r]`` is rank
-    r's incidence tuple split once into ``(a, b, rest)``, with ``rest``
-    empty for a vertex in two cliques; as every core vertex meets at least
-    two rows, the test is ``used[a] | used[b]``, with the masks of ``rest``
-    ORed in only when it is non-empty.  The engine's repair scan makes the
-    same test on ``split``.  A vertex being placed owns no color yet, so its
-    assignment writes ``rows[i][x]``, ``used[i]`` and ``members[i]`` in one
-    loop over its rows; ``_recolor``, which releases the old color, serves
-    only repairs.
+    ``pos`` is the cursor: ``order[:pos]`` is placed, and a pass the greedy
+    left stuck has ``order[pos]`` as its stuck vertex.  No repair has
+    touched such a pass, so ``core``, which gains each vertex as it is
+    placed, lists ``order[:pos]`` with their placement colors.  ``total`` is
+    None until the whole core is placed and then holds the core coloring
+    extended to the private vertices.
     """
 
     __slots__ = (
         "full", "rows", "used", "members", "core", "by_rank", "rank_ix", "split", "order",
-        "private", "total", "stops", "stuck",
+        "private", "total", "pos",
     )
 
     def __init__(self, inst: Instance):
@@ -533,55 +528,29 @@ class _UnrepairedPass:
         self.order = sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True)
         self.private = inst.private_members
         self.total: Optional[dict[str, int]] = None
-        self.stops = self._place()
-        self.stuck = next(self.stops, None)
-
-    def _place(self) -> Iterator[int]:
-        """Place ``order``, yielding the rank of each vertex found stuck; resumed, re-test it."""
-        full, used, rows, members, core = self.full, self.used, self.rows, self.members, self.core
-        by_rank, rank_ix, split = self.by_rank, self.rank_ix, self.split
-        for rank in self.order:
-            a, b, rest = split[rank]
-            while True:
-                taken = used[a] | used[b]
-                if rest:
-                    for i in rest:
-                        taken |= used[i]
-                if free := full & ~taken:
-                    break
-                yield rank
-            # u is uncolored, so unlike _recolor this releases no old color
-            u = by_rank[rank]
-            x = (free & -free).bit_length() - 1
-            color_bit = 1 << x
-            rank_bit = 1 << rank
-            for i in rank_ix[rank]:
-                rows[i][x] = u
-                used[i] |= color_bit
-                members[i] |= rank_bit
-            core[u] = x
-        self.total = total = dict(core)
-        for i, private in enumerate(self.private, start=1):
-            total.update(zip(private, _bits(full & ~used[i])))
+        self.pos = 0
 
 
 def color_cover(
     inst: Instance, repair_budget: Optional[int], trace: Optional[list[TraceEvent]]
 ) -> ColoringResult:
-    """The repair continuation of the unrepaired pass, and the only place a result is built.
+    """The coloring loop of both methods, and the only place a result is built.
 
-    Both methods color from an :class:`_UnrepairedPass`.  ``repair_budget=None``
-    is the greedy: it builds a pass and leaves it on the instance, and a
-    stuck pass fails the run with ``no-color-available``.  Otherwise the run
-    takes the pass the greedy left on the instance off it, or builds one,
-    and runs a stuck episode each time the pass stops: one repair stage
-    plans a list of ``(vertex, color)`` writes, and one commit charges the
-    budget, records and writes it, until the stuck vertex has a free color;
-    then the pass resumes.  The first stage scans the owners in the stuck
-    vertex's rows in incidence order and plans the least free color of the
-    first one that is neither fully blocked nor already tried in this
-    episode.  When the scan runs dry the fan-and-path plan takes over for a
-    vertex in two cliques.
+    ``repair_budget=None`` is the greedy: it builds an :class:`_UnrepairedPass`
+    and leaves it on the instance.  Otherwise the run takes the pass the
+    greedy left on the instance off it, or builds one.  The loop walks
+    ``order`` from the pass's cursor.  Each step tests the vertex's free
+    colors; with one, the vertex takes the least, and as it owns no color
+    yet its color, row owners, row masks and row member bits are written in
+    one loop over its rows (``_recolor``, which releases an old color, serves
+    only repairs).  With none, the greedy stores the cursor and fails with
+    ``no-color-available``; with repair on, one repair stage plans a list of
+    ``(vertex, color)`` writes, one commit charges the budget, records and
+    writes it, and the loop tests the same vertex again.  The first stage
+    scans the owners in the stuck vertex's rows in incidence order and plans
+    the least free color of the first one that is neither fully blocked nor
+    already tried in this stuck episode.  When the scan runs dry the
+    fan-and-path plan takes over for a vertex in two cliques.
 
     On success the pass's ``total`` is certified by ``verify_proper`` with
     at most n colors and becomes the result's ``colors``; the greedy
@@ -590,21 +559,20 @@ def color_cover(
     core coloring, with ``reason`` set, and again a copy for the greedy,
     whose pass the engine may still recolor.
 
-    The scan is memoized.  Within a stuck episode ``tried`` and ``blocked``
-    are rank masks; a vertex found fully blocked stays in ``blocked`` until
-    a commit writes a vertex sharing one of its rows, as only such a write
-    can change the colors owned in its rows.  Each scan therefore tests only
-    the ranks in neither mask, ascending, and looks up the token
-    ``by_rank[r]`` only for the rank it picks.  The blocked ranks below the
-    chosen one (all of them when the scan runs dry) are exactly the vertices
-    a scan restarted from the lowest rank would test and pass over, so the
-    ``SKIP`` events equal those of re-testing every owner after each commit.
+    The scan is memoized.  A stuck episode starts at the vertex's first
+    failed test, and within it ``tried`` and ``blocked`` are rank masks; a
+    vertex found fully blocked stays in ``blocked`` until a commit writes a
+    vertex sharing one of its rows, as only such a write can change the
+    colors owned in its rows.  Each scan therefore tests only the ranks in
+    neither mask, ascending, and looks up the token ``by_rank[r]`` only for
+    the rank it picks.  The blocked ranks below the chosen one (all of them
+    when the scan runs dry) are exactly the vertices a scan restarted from
+    the lowest rank would test and pass over, so the ``SKIP`` events equal
+    those of re-testing every owner after each commit.
 
-    Trace events are built only when ``trace`` is a list.  The pass builds
-    none: each time it stops, the ``ASSIGN`` events of the vertices placed
-    since it last stopped are read off ``order`` and ``core``, which no
-    repair has touched since, so they precede the episode's ``SKIP`` and
-    ``REPAIR`` events just as if appended at each placement.
+    Trace events are built only when ``trace`` is a list.  A run that
+    resumes the greedy's pass first records the ``ASSIGN`` events of the
+    vertices the greedy placed, read off ``core``.
     """
     repair = repair_budget is not None
     if repair:
@@ -616,28 +584,31 @@ def color_cover(
     full, rows, used, members, core = p.full, p.rows, p.used, p.members, p.core
     by_rank, rank_ix, split, order = p.by_rank, p.rank_ix, p.split, p.order
     tracing = trace is not None
-    traced = 0  # the placements already in the trace
+    if tracing:
+        trace.extend(map(Assigned, core, core.values()))
     budget_used = 0
 
-    rank = p.stuck
-    while True:
-        if tracing:
-            placed = [by_rank[r] for r in order[traced:len(core)]]
-            trace.extend(map(Assigned, placed, map(core.__getitem__, placed)))
-            traced = len(core)
-        if rank is None:
-            break
-        if not repair:
-            return ColoringResult(inst, dict(core), REASON_NO_COLOR_AVAILABLE, trace)
-        ix_u = rank_ix[rank]
+    for pos in range(p.pos, len(order)):
+        rank = order[pos]
         a, b, rest = split[rank]
-        # a recolor never moves a vertex out of a row, so u's colored
-        # neighbors stay the same for the whole stuck episode
-        neighbors = 0
-        for i in ix_u:
-            neighbors |= members[i]
-        tried = blocked = 0
+        neighbors = None
         while True:
+            taken = used[a] | used[b]
+            if rest:
+                for i in rest:
+                    taken |= used[i]
+            if free := full & ~taken:
+                break
+            if not repair:
+                p.pos = pos
+                return ColoringResult(inst, dict(core), REASON_NO_COLOR_AVAILABLE, trace)
+            if neighbors is None:
+                # a recolor never moves a vertex out of a row, so u's colored
+                # neighbors stay the same for the whole stuck episode
+                neighbors = 0
+                for i in rank_ix[rank]:
+                    neighbors |= members[i]
+                tried = blocked = 0
             plan = None
             below = -1  # the ranks below the chosen one; all while none is chosen
             todo = neighbors & ~(tried | blocked)
@@ -658,7 +629,7 @@ def color_cover(
                 todo ^= low
             if tracing:
                 trace.extend(RepairSkipped(by_rank[r]) for r in _bits(blocked & below))
-            if plan is None and len(ix_u) == 2:
+            if plan is None and not rest:
                 plan = _fan_path_plan(rows, used, core, inc, by_rank[rank], n)
             if not plan:
                 return ColoringResult(inst, core, REASON_STUCK_NO_REPAIR, trace)
@@ -673,14 +644,23 @@ def color_cover(
                 for i in inc[v]:
                     blocked &= ~members[i]
             budget_used += len(plan)
-            taken = used[a] | used[b]
-            if rest:
-                for i in rest:
-                    taken |= used[i]
-            if full & ~taken:
-                break
-        rank = p.stuck = next(p.stops, None)
+        u = by_rank[rank]
+        x = (free & -free).bit_length() - 1
+        color_bit = 1 << x
+        rank_bit = 1 << rank
+        for i in rank_ix[rank]:
+            rows[i][x] = u
+            used[i] |= color_bit
+            members[i] |= rank_bit
+        core[u] = x
+        if tracing:
+            trace.append(Assigned(u, x))
+    p.pos = len(order)
 
+    if p.total is None:
+        p.total = dict(core)
+        for i, private in enumerate(p.private, start=1):
+            p.total.update(zip(private, _bits(full & ~used[i])))
     total = p.total if repair else dict(p.total)
     report = verify_proper(inst, total)
     if not report.proper or report.max_color > n:
@@ -692,9 +672,9 @@ def color_cover(
 def run_matrix_method(inst: Instance, config: Optional[EngineConfig] = None) -> ColoringResult:
     """Color the core by the matrix method with repair, then extend to a total coloring.
 
-    The unrepaired pass that :func:`efl.greedy.run_greedy` left on ``inst``
-    is taken off it and resumed, so no vertex is placed twice; without one
-    the run makes its own.  All free choices are pinned for determinism (see
+    The pass that :func:`efl.greedy.run_greedy` left on ``inst`` is taken
+    off it and the loop continues from its cursor, so no vertex is placed
+    twice; without one the run makes its own.  All free choices are pinned for determinism (see
     :func:`color_cover`).
     """
     cfg = config or EngineConfig()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -53,21 +54,30 @@ def covers(corpus500, gap_n8_file, sy2_statement_n6_file) -> list[Instance]:
     return [*corpus500, *(gen_dense(n) for n in range(2, 31)), *files]
 
 
+# as test_reference_engine.BUDGETS: small budgets and the default n^2 (None)
+BUDGETS = [1, 2, 3, None]
+
+
 def test_engine_after_greedy_equals_engine_alone(covers):
-    stuck = resumed = 0
-    for cover in covers:
-        inst = _fresh(cover)
-        greedy = run_greedy(inst)
-        before = _outcome(greedy)
-        engine = run_matrix_method(inst, TRACED)
-        assert _outcome(engine) == _outcome(run_matrix_method(_fresh(cover), TRACED))
-        assert _outcome(greedy) == before
-        assert greedy.colors is not engine.colors
-        assert set(vars(inst)) <= VIEWS
-        stuck += not greedy.ok
-        resumed += not greedy.ok and engine.ok
-    # the engine resumes stuck passes, not only finished ones
-    assert stuck >= 10 and resumed >= 5
+    for budget in BUDGETS:
+        config = EngineConfig(repair_budget=budget, trace_enabled=True)
+        resumed = Counter()  # the engine's reasons on the passes the greedy left stuck
+        for cover in covers:
+            inst = _fresh(cover)
+            greedy = run_greedy(inst)
+            before = _outcome(greedy)
+            engine = run_matrix_method(inst, config)
+            assert _outcome(engine) == _outcome(run_matrix_method(_fresh(cover), config))
+            assert _outcome(greedy) == before
+            assert greedy.colors is not engine.colors
+            assert set(vars(inst)) <= VIEWS
+            if not greedy.ok:
+                resumed[engine.reason] += 1
+        # the engine resumes stuck passes, not only finished ones, and a
+        # small budget ends some of them
+        assert sum(resumed.values()) >= 10 and resumed[None] >= 5, budget
+        if budget is not None:
+            assert resumed["budget-exhausted"] >= 5, budget
 
 
 def test_repeated_and_reordered_runs_agree(covers):

@@ -529,6 +529,53 @@ class TestTraceProperties:
                 assert [total[v] for v in privates] == missing
 
 
+def _episode_vertices(result) -> list[str]:
+    """The vertex of each stuck episode in a traced engine run.
+
+    An episode's events (``SKIP``, ``REPAIR``, ``BUDGET``) come before the
+    ``ASSIGN`` of its vertex; a failed run's last episode has no ``ASSIGN``,
+    and its vertex is the first in placement order without a color.
+    """
+    inc = result.instance.core_incidence
+    stuck, open_episode = [], False
+    for event in result.trace:
+        if isinstance(event, Assigned):
+            if open_episode:
+                stuck.append(event.vertex)
+            open_episode = False
+        else:
+            open_episode = True
+    if not result.ok:
+        order = sorted(inc, key=lambda v: (-len(inc[v]), inc[v]))
+        stuck.append(next(v for v in order if v not in result.colors))
+    return stuck
+
+
+class TestCountingBound:
+    """A vertex of clique degree d placed after vertices of degree >= d sees
+    at most floor((n-d)/(d-1)) colored vertices in each of its d rows, as
+    each of them and the vertex itself meets d-1 further cliques of its own.
+    So every stuck vertex has d * floor((n-d)/(d-1)) >= n."""
+
+    @staticmethod
+    def _check(covers) -> int:
+        episodes = 0
+        for inst in covers:
+            result = run_matrix_method(inst, EngineConfig(trace_enabled=True))
+            for v in _episode_vertices(result):
+                n, d = inst.n, len(inst.core_incidence[v])
+                assert d * ((n - d) // (d - 1)) >= n, (inst, v)
+                episodes += 1
+        return episodes
+
+    def test_corpus_and_fixtures(self, corpus500, gap_n8_file, sy2_statement_n6_file):
+        files = [parse_instance(f.read_text()) for f in (gap_n8_file, sy2_statement_n6_file)]
+        assert self._check([*corpus500, *files]) >= 10
+
+    def test_dense_covers(self):
+        assert self._check(gen_dense(n) for n in range(2, 51)) >= 1000
+
+
 def _stuck_state(inst: Instance, rng: random.Random):
     """A random proper partial core coloring in the engine's row form, built so
     that a random two-clique vertex u is stuck; None if u keeps a free color.

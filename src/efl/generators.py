@@ -135,19 +135,22 @@ def gen_disjoint(n: int) -> Instance:
 def gen_dense(n: int) -> Instance:
     """The dense cover: every clique pair meets in its own degree-2 vertex.
 
-    Clique i holds the shared vertices b{i}_{j} (one per other clique) plus a
-    single private vertex p{i}; the core is the line graph of the complete
-    graph on n points.
+    Clique i lists the shared vertices b{k}_{i} for k < i, ascending, then
+    b{i}_{j} for j > i, ascending, then its single private vertex p{i}; the
+    core is the line graph of the complete graph on n points.  Each shared
+    token b{i}_{j} (i < j) is formatted once and appended to both cliques.
+    Raises ``ValueError`` for n < 2.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    cliques = []
-    for i in range(1, n + 1):
-        members = [
-            f"b{min(i, j)}_{max(i, j)}" for j in range(1, n + 1) if j != i
-        ]
+    cliques: list[list[str]] = [[] for _ in range(n)]
+    for i, members in enumerate(cliques, start=1):
+        # the cliques below i have already appended b{k}_{i} here
+        for j, other in enumerate(cliques[i:], start=i + 1):
+            token = f"b{i}_{j}"
+            members.append(token)
+            other.append(token)
         members.append(f"p{i}")
-        cliques.append(tuple(members))
     return Instance(n, cliques)
 
 
@@ -182,11 +185,12 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     of row i are the cliques above i missing from ``meets[i]``; ``open_[i]``
     counts them.  It starts at n-i, and each new meeting pair {k, c} lowers
     ``open_[min(k, c)]`` by one, so the rows sum to C(n, 2) minus the meeting
-    pairs.  The extension candidates of a shared vertex v are the cliques met
-    by none of v's owners.  ``live`` holds the shared vertices in sorted
-    order, less those a scan found with no candidate: masks in ``meets`` and
-    owner lists only grow, so the cliques a vertex's owners meet only grow
-    and a vertex with no candidate never gains one.  A merge draw walks the
+    pairs, which ``meeting`` counts to bound the merge draw.  ``owners[v]``
+    lists the cliques of shared vertex v, and its extension candidates are
+    the cliques met by none of them.  ``live`` holds the shared vertices in
+    sorted order, less those a scan found with no candidate: masks in
+    ``meets`` and owner lists only grow, so the cliques a vertex's owners
+    meet only grow and a vertex with no candidate never gains one.  A merge draw walks the
     rows in ascending order, subtracting the stored counts, and builds the
     partner mask only for the row it lands in, taking its k-th set bit; an
     extension draw walks the live vertices in sorted order the same way,

@@ -1,10 +1,12 @@
-"""Byte-identity pins for the seeded random generator.
+"""Byte-identity pins for the generators.
 
-Each digest is the sha256 over, per spec in order, the serialized instance and
-the ``merges_done,extensions_done`` counts of :func:`build_random`.  The values
-were computed once and must never be updated to follow a code change: a
-mismatch means the generator's output moved, and with it every corpus, fixture
-and benchmark instance built from a seed.
+Each random digest is the sha256 over, per spec in order, the serialized
+instance and the ``merges_done,extensions_done`` counts of
+:func:`build_random`; each family digest is the sha256 over, per n in order,
+the serialized instance.  A ``NUL`` byte ends every entry.  The values were
+computed once and must never be updated to follow a code change: a mismatch
+means the generator's output moved, and with it every corpus, fixture and
+benchmark instance built from a seed or an n.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import hashlib
 from typing import Iterable
 
 from efl.export import serialize_instance
-from efl.generators import GenSpec, build_random
+from efl.generators import GenSpec, build_random, gen_dense, gen_disjoint
 from support import corpus_specs
 
 
@@ -67,4 +69,24 @@ def test_grid():
 def test_grid_large():
     assert _digest(_grid_large()) == (
         "9ca5d79c5dd11616acc9df9403e230498dca4e6572be7795f2611b1e29fa4eed"
+    )
+
+
+def _family_digest(gen, ns: Iterable[int]) -> str:
+    h = hashlib.sha256()
+    for n in ns:
+        h.update(serialize_instance(gen(n)).encode("utf-8"))
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_dense_family():
+    assert _family_digest(gen_dense, range(2, 61)) == (
+        "ba60203c9808a994cca555e2560bed9aa1532d0bb1a19f23ef14a044854fee92"
+    )
+
+
+def test_disjoint_family():
+    assert _family_digest(gen_disjoint, range(1, 31)) == (
+        "0826bb13ab09f1186ec7cdb823c81a3827bd420bebf920fe37620ede38f3f1bb"
     )

@@ -385,6 +385,20 @@ class TestEngineRuns:
         assert result.ok
         assert verify_proper(gen_disjoint(n), result.coloring).proper
 
+    def test_two_clique_covers_succeed(self):
+        # with no extensions every shared vertex lies in exactly two cliques,
+        # and no such cover has been seen to end stuck (ROADMAP item 7)
+        for n in range(4, 17):
+            full = n * (n - 1) // 2
+            for merges in (full // 3, full):
+                for seed in range(20):
+                    inst = gen_random(n, merges, seed, 0)
+                    assert all(len(ix) == 2 for ix in inst.core_incidence.values())
+                    result = run_matrix_method(inst)
+                    assert result.ok, (n, merges, seed, result.reason)
+                    report = verify_proper(inst, result.coloring)
+                    assert report.proper and report.max_color <= n
+
     def test_escalation_beyond_single_recolors(self):
         # dense(11) is the smallest case where the plain recolor scan runs dry
         result = run_matrix_method(gen_dense(11), EngineConfig(trace_enabled=True))

@@ -79,7 +79,8 @@ def _dot_id(token: str) -> str:
 
     Inside the quotes ``\\"`` is an escaped quote and ``\\\\`` keeps a backslash
     from escaping the closing quote, so backslashes are doubled first and
-    quotes escaped next; a token with neither is only quoted.
+    quotes escaped next; a token with neither is only quoted.  So any
+    visible ASCII token gives a well-formed ID.
     """
     return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

@@ -2,8 +2,9 @@
 
 The greedy procedure colors core vertices in non-increasing clique degree,
 giving each the least color unused in all of its cliques so far; it is the
-matrix engine's coloring loop with repair off, and it leaves the loop's
-state on the instance for the engine to continue.  The paper's two
+matrix engine's coloring loop with repair off (see
+:func:`efl.matrix_engine.color_cover` for what it hands the engine).  The
+paper's two
 conditions bound the same count, a clique's vertices of clique degree >= d:
 SY1 at d = 2 by sqrt(n), SY2 at every d in 2..n by ceil((n+d-1)/d) (the
 statement rule; the proof rule bounds by ceil(n/d)).  Every checker reads
@@ -34,6 +35,9 @@ class CliqueCount(NamedTuple):
 
 
 class HypothesisReport(NamedTuple):
+    """One condition's per-clique rows; ``holds``, like each row's ``ok``, is
+    derived from them."""
+
     per_clique: tuple[CliqueCount, ...]
     parameter: str
     first_failing_d: Optional[int] = None
@@ -50,12 +54,10 @@ def run_greedy(inst: Instance) -> ColoringResult:
     the lexicographically smallest incidence tuple, and the run fails with
     ``no-color-available`` at the first vertex that finds all n colors used
     in its cliques; otherwise the core coloring is extended to a verified
-    total one.  The loop's state, its cursor at that vertex, stays on
-    ``inst`` until :func:`efl.run_matrix_method` takes it off and continues
-    from the cursor with repair, so the result's ``colors`` is a copy that no
-    engine run touches.  The result carries no trace; its matrix is derived
-    like the engine's and, on failure, shows the core colored up to the
-    stuck vertex.
+    total one, which :func:`efl.matrix_engine.color_cover` hands on to the
+    next engine run on ``inst``.  The result carries no trace; its matrix is
+    derived like the engine's and, on failure, shows the core colored up to
+    the stuck vertex.
     """
     return color_cover(inst, None, None)
 

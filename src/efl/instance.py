@@ -35,12 +35,10 @@ class Instance:
     immutable and hashable, and all derived views are cached: the vertex
     tuple, the incidence map, its split into ``core_incidence`` and
     ``private_members``, the validation report and the degree table of the
-    paper's two conditions.  Besides them, :func:`efl.greedy.run_greedy`
-    leaves its coloring state, with a cursor at the vertex it stopped at,
-    under ``_unrepaired_pass``, and the next
-    :func:`efl.matrix_engine.run_matrix_method` on the instance takes it
-    off and continues from the cursor.  A copy or a pickle carries ``n`` and
-    the cliques only.
+    paper's two conditions.  Besides them, an instance holds at most a
+    finished greedy coloring for its next engine run (see
+    :func:`efl.matrix_engine.color_cover`).  A copy or a pickle carries
+    ``n`` and the cliques only.
     """
 
     def __init__(self, n: int, cliques: Iterable[Iterable[VertexId]]):
@@ -63,8 +61,7 @@ class Instance:
         return hash((self.n, self.cliques))
 
     def __getstate__(self) -> dict:
-        # the greedy's coloring state belongs to this instance's next engine
-        # run; a copy rebuilds every view instead
+        # only n and the cliques; see efl.matrix_engine.color_cover
         return {"n": self.n, "cliques": self.cliques}
 
     def __repr__(self) -> str:
@@ -178,7 +175,8 @@ class CoreGraph(NamedTuple):
     Two core vertices are adjacent exactly when their incidence lists meet,
     i.e. when some clique contains both.  Only the vertices and their
     incidence lists are stored; the edge list is derived on each read of
-    ``edges``, so a core that is refused for its size never builds it.
+    ``edges``, which the exact search never reads, so a core that is refused
+    for its size never builds it.
     """
 
     vertices: tuple[VertexId, ...]
@@ -303,6 +301,9 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
     Grammar errors (bad header, wrong counts, malformed or duplicated tokens)
     raise :class:`ParseError` naming the line.  With ``require_validity`` the
     parsed cover must also satisfy the at-most-one-shared-vertex invariant.
+    Each clique line is checked at once, by ``isascii`` and ``isprintable``
+    on its joined tokens and the count of its distinct tokens; the tokens are
+    walked one by one only to name the first bad one.
     """
     content: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -365,7 +366,10 @@ def incidence(inst: Instance, v: VertexId) -> list[int]:
 
 
 def shared_vertex(inst: Instance, i: int, j: int) -> Optional[VertexId]:
-    """The unique vertex shared by cliques i and j, or None when disjoint."""
+    """The unique vertex shared by cliques i and j, or None when disjoint.
+
+    Read off the two clique tuples; no per-clique set is cached.
+    """
     if i == j:
         raise ValueError("clique indices must differ")
     for k in (i, j):

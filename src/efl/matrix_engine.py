@@ -39,14 +39,11 @@ its ``SKIP`` events are still those of a scan restarted after every commit.
 Trace events are built only when a trace is asked for.  Runs that exhaust the
 budget, or that find no applicable repair, fail loudly with their trace.
 
-One loop, :func:`color_cover`, places and repairs.  It walks the placement
-order from a cursor, and a vertex's free-color test is also its stuck test:
-with repair on, each failed test runs one repair stage and tests the vertex
-again.  The degree-ordered greedy of :mod:`efl.greedy` is the same loop with
-repair off, ending at the first failed test.  It leaves its state, an
-:class:`_UnrepairedPass` with the cursor at that vertex, on the instance, and
-the next engine run takes it off and continues from the cursor, so on a
-cover the greedy colors the engine places no vertex again.
+One loop, :func:`color_cover`, places and repairs, and a vertex's
+free-color test is also its stuck test: with repair on, each failed test
+runs one repair stage and tests the vertex again.  The degree-ordered greedy
+of :mod:`efl.greedy` is the same loop with repair off, ending at the first
+failed test; :func:`color_cover` states what a greedy run hands the engine.
 
 Once the core is colored, the private (degree-1) vertices of each clique i,
 in token order, take the colors free in its row mask ``used[i]``, ascending;
@@ -91,21 +88,26 @@ class ColorMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "ColorMatrix":
-        """Parse the render format: '.' disjoint, '?' unassigned, integer color."""
-        rows = []
-        for line in text.strip().split("\n"):
-            row = []
-            for tok in line.split():
-                if tok == ".":
-                    row.append(DISJOINT)
-                elif tok == "?":
-                    row.append(UNASSIGNED)
-                else:
-                    row.append(int(tok))
-            rows.append(row)
+        """Parse the render format: '.' disjoint, '?' unassigned, a color from 1.
+
+        Text that is not square raises ``ValueError`` first.  A color is ASCII
+        digits only, as ``int`` would also take a sign, ``_`` separators and
+        other scripts' digits; any other token, or the color 0, raises
+        ``ValueError`` naming its 1-based row and column.
+        """
+        cells = {".": DISJOINT, "?": UNASSIGNED}
+        rows = [line.split() for line in text.strip().split("\n")]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix text is not square")
+        for i, row in enumerate(rows, start=1):
+            for j, tok in enumerate(row, start=1):
+                if tok in cells:
+                    row[j - 1] = cells[tok]
+                elif tok.isascii() and tok.isdigit() and int(tok) >= 1:
+                    row[j - 1] = int(tok)
+                else:
+                    raise ValueError(f"row {i}, column {j}: {tok!r} is not '.', '?' or a color")
         return cls(n, rows)
 
     def get(self, i: int, j: int) -> int:
@@ -470,94 +472,65 @@ def _owns_colors(
     return all(rows[i][color[v]] == v for v in vertices for i in inc[v])
 
 
-_PASS = "_unrepaired_pass"  # where run_greedy leaves its pass on the instance
+_GREEDY = "_greedy_coloring"  # where a greedy run that colors the cover leaves it
 
 
-class _UnrepairedPass:
-    """One cover's placement state: the core's placement order, the row state and a cursor.
-
-    Core vertices are placed in non-increasing clique degree, ties broken on
-    the lexicographically smallest incidence tuple.  The set-up sorts the
-    core once.  In a valid cover no two core vertices have the same
-    incidence tuple, as their two shared cliques would then share two
-    vertices; so the ranks, the positions in incidence order, are a strict
-    order, and a stable sort of the ranks by descending clique degree, keyed
-    on the list of clique degrees by rank, keeps that order among equal
-    degrees.  That is exactly the placement order ``order`` of a sort by
-    ``(-degree, incidence tuple)``, and a vertex's rank bit is ``1 << rank``.
-    The core is the instance's cached split (:attr:`Instance.core_incidence`),
-    and ``private`` its private vertices by clique
-    (:attr:`Instance.private_members`), in token order, so the greedy and
-    the engine on one cover share one split and one sort of the private
-    vertices.
-
-    ``split[r]`` is rank r's incidence tuple split once into ``(a, b, rest)``,
-    with ``rest`` empty for a vertex in two cliques; as every core vertex
-    meets at least two rows, a free-color test ORs ``used[a] | used[b]``
-    and the masks of ``rest`` only when it is non-empty.  ``members[i]``
-    holds the rank bits of the colored vertices of row i.
-
-    ``pos`` is the cursor: ``order[:pos]`` is placed, and a pass the greedy
-    left stuck has ``order[pos]`` as its stuck vertex.  No repair has
-    touched such a pass, so ``core``, which gains each vertex as it is
-    placed, lists ``order[:pos]`` with their placement colors.  ``total`` is
-    None until the whole core is placed and then holds the core coloring
-    extended to the private vertices.
-    """
-
-    __slots__ = (
-        "full", "rows", "used", "members", "core", "by_rank", "rank_ix", "split", "order",
-        "private", "total", "pos",
-    )
-
-    def __init__(self, inst: Instance):
-        require_valid(inst)
-        n = inst.n
-        inc = inst.core_incidence
-        self.full = ((1 << n) - 1) << 1  # every color 1..n
-        # rows[i][c]: the owner of color c in clique i, or None; slot 0 stays None
-        self.rows: list[list[Optional[str]]] = [[None] * (n + 1) for _ in range(n + 1)]
-        self.used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
-        self.members = [0] * (n + 1)  # members[i]: the ranks colored in row i, as a mask
-        self.core: dict[str, int] = {}
-        self.by_rank = by_rank = sorted(inc, key=inc.__getitem__)
-        self.rank_ix = rank_ix = [inc[v] for v in by_rank]
-        # every core vertex meets at least two rows; rest is empty for two
-        self.split = [(ix[0], ix[1], ix[2:]) for ix in rank_ix]
-        degrees = [len(ix) for ix in rank_ix]
-        self.order = sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True)
-        self.private = inst.private_members
-        self.total: Optional[dict[str, int]] = None
-        self.pos = 0
+def _certified(
+    inst: Instance, core: dict[str, int], total: dict[str, int], trace: Optional[list[TraceEvent]]
+) -> ColoringResult:
+    """``total`` as the result's colors once ``verify_proper`` certifies it
+    proper with at most n colors; otherwise a failure keeping ``core``."""
+    report = verify_proper(inst, total)
+    if not report.proper or report.max_color > inst.n:
+        return ColoringResult(inst, core, REASON_INTERNAL_VERIFICATION, trace)
+    return ColoringResult(inst, total, None, trace)
 
 
 def color_cover(
     inst: Instance, repair_budget: Optional[int], trace: Optional[list[TraceEvent]]
 ) -> ColoringResult:
-    """The coloring loop of both methods, and the only place a result is built.
+    """The coloring loop of both methods: the greedy at ``repair_budget=None``.
 
-    ``repair_budget=None`` is the greedy: it builds an :class:`_UnrepairedPass`
-    and leaves it on the instance.  Otherwise the run takes the pass the
-    greedy left on the instance off it, or builds one.  The loop walks
-    ``order`` from the pass's cursor.  Each step tests the vertex's free
-    colors; with one, the vertex takes the least, and as it owns no color
-    yet its color, row owners, row masks and row member bits are written in
-    one loop over its rows (``_recolor``, which releases an old color, serves
-    only repairs).  With none, the greedy stores the cursor and fails with
+    Core vertices are placed in non-increasing clique degree, ties broken on
+    the lexicographically smallest incidence tuple.  The set-up sorts the
+    core (:attr:`Instance.core_incidence`) once by incidence tuple.  In a
+    valid cover no two core vertices have the same incidence tuple, as their
+    two shared cliques would then share two vertices; so the ranks, the
+    positions in incidence order, are a strict order, and a stable sort of
+    the ranks by descending clique degree, keyed on the list of clique
+    degrees by rank, keeps that order among equal degrees.  That is exactly
+    the placement order ``order`` of a sort by ``(-degree, incidence
+    tuple)``, and a vertex's rank bit is ``1 << rank``.  ``split[r]`` is rank
+    r's incidence tuple split once into ``(a, b, rest)``, with ``rest`` empty
+    for a vertex in two cliques, and ``members[i]`` holds the rank bits of
+    the colored vertices of row i.  All of this state lives in one call.
+
+    The loop walks ``order`` from the start.  Each step tests the vertex's
+    free colors; with one, the vertex takes the least, and as it owns no
+    color yet its color, row owners, row masks and row member bits are
+    written in one loop over its rows (``_recolor``, which releases an old
+    color, serves only repairs).  With none, the greedy fails with
     ``no-color-available``; with repair on, one repair stage plans a list of
     ``(vertex, color)`` writes, one commit charges the budget, records and
     writes it, and the loop tests the same vertex again.  The first stage
     scans the owners in the stuck vertex's rows in incidence order and plans
     the least free color of the first one that is neither fully blocked nor
     already tried in this stuck episode.  When the scan runs dry the
-    fan-and-path plan takes over for a vertex in two cliques.
+    fan-and-path plan takes over for a vertex in two cliques.  Once the core
+    is colored, the private vertices of each clique
+    (:attr:`Instance.private_members`) take the colors free in its row.  On
+    success the result's ``colors`` is that total coloring, the very dict
+    ``verify_proper`` certified; on failure it is the partial core coloring,
+    with ``reason`` set.
 
-    On success the pass's ``total`` is certified by ``verify_proper`` with
-    at most n colors and becomes the result's ``colors``; the greedy
-    certifies and returns a copy, so the greedy and a later engine run on
-    the instance never share a dict.  On failure ``colors`` is the partial
-    core coloring, with ``reason`` set, and again a copy for the greedy,
-    whose pass the engine may still recolor.
+    The handoff.  A greedy run that colors the cover leaves on the instance
+    its core coloring, in placement order, and a copy of its certified
+    total, and nothing else; a greedy run that fails leaves nothing.  The
+    next engine run on the instance takes both off, records the core's
+    ``ASSIGN`` events when traced, certifies the copy and returns it: with
+    no vertex stuck, that is the run it would have made itself.  So the two
+    results never share a dict, and after an engine run the instance holds
+    only its cached views.  Copies and pickles carry neither.
 
     The scan is memoized.  A stuck episode starts at the vertex's first
     failed test, and within it ``tried`` and ``blocked`` are rank masks; a
@@ -570,26 +543,33 @@ def color_cover(
     the lowest rank would test and pass over, so the ``SKIP`` events equal
     those of re-testing every owner after each commit.
 
-    Trace events are built only when ``trace`` is a list.  A run that
-    resumes the greedy's pass first records the ``ASSIGN`` events of the
-    vertices the greedy placed, read off ``core``.
+    Trace events are built only when ``trace`` is a list.
     """
+    require_valid(inst)
     repair = repair_budget is not None
-    if repair:
-        p = vars(inst).pop(_PASS, None) or _UnrepairedPass(inst)
-    else:
-        p = vars(inst)[_PASS] = _UnrepairedPass(inst)
+    tracing = trace is not None
+    if repair and (handoff := vars(inst).pop(_GREEDY, None)):
+        core, total = handoff
+        if tracing:
+            trace.extend(map(Assigned, core, core.values()))
+        return _certified(inst, core, total, trace)
     n = inst.n
     inc = inst.core_incidence
-    full, rows, used, members, core = p.full, p.rows, p.used, p.members, p.core
-    by_rank, rank_ix, split, order = p.by_rank, p.rank_ix, p.split, p.order
-    tracing = trace is not None
-    if tracing:
-        trace.extend(map(Assigned, core, core.values()))
+    full = ((1 << n) - 1) << 1  # every color 1..n
+    # rows[i][c]: the owner of color c in clique i, or None; slot 0 stays None
+    rows: list[list[Optional[str]]] = [[None] * (n + 1) for _ in range(n + 1)]
+    used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
+    members = [0] * (n + 1)  # members[i]: the ranks colored in row i, as a mask
+    core: dict[str, int] = {}
+    by_rank = sorted(inc, key=inc.__getitem__)
+    rank_ix = [inc[v] for v in by_rank]
+    # every core vertex meets at least two rows; rest is empty for two
+    split = [(ix[0], ix[1], ix[2:]) for ix in rank_ix]
+    degrees = [len(ix) for ix in rank_ix]
+    order = sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True)
     budget_used = 0
 
-    for pos in range(p.pos, len(order)):
-        rank = order[pos]
+    for rank in order:
         a, b, rest = split[rank]
         neighbors = None
         while True:
@@ -600,8 +580,7 @@ def color_cover(
             if free := full & ~taken:
                 break
             if not repair:
-                p.pos = pos
-                return ColoringResult(inst, dict(core), REASON_NO_COLOR_AVAILABLE, trace)
+                return ColoringResult(inst, core, REASON_NO_COLOR_AVAILABLE, trace)
             if neighbors is None:
                 # a recolor never moves a vertex out of a row, so u's colored
                 # neighbors stay the same for the whole stuck episode
@@ -655,26 +634,21 @@ def color_cover(
         core[u] = x
         if tracing:
             trace.append(Assigned(u, x))
-    p.pos = len(order)
 
-    if p.total is None:
-        p.total = dict(core)
-        for i, private in enumerate(p.private, start=1):
-            p.total.update(zip(private, _bits(full & ~used[i])))
-    total = p.total if repair else dict(p.total)
-    report = verify_proper(inst, total)
-    if not report.proper or report.max_color > n:
-        partial = core if repair else dict(core)
-        return ColoringResult(inst, partial, REASON_INTERNAL_VERIFICATION, trace)
-    return ColoringResult(inst, total, None, trace)
+    total = dict(core)
+    for i, private in enumerate(inst.private_members, start=1):
+        total.update(zip(private, _bits(full & ~used[i])))
+    result = _certified(inst, core, total, trace)
+    if result.ok and not repair:
+        vars(inst)[_GREEDY] = (core, dict(total))
+    return result
 
 
 def run_matrix_method(inst: Instance, config: Optional[EngineConfig] = None) -> ColoringResult:
     """Color the core by the matrix method with repair, then extend to a total coloring.
 
-    The pass that :func:`efl.greedy.run_greedy` left on ``inst`` is taken
-    off it and the loop continues from its cursor, so no vertex is placed
-    twice; without one the run makes its own.  All free choices are pinned for determinism (see
+    All free choices are pinned for determinism, and a coloring that
+    :func:`efl.greedy.run_greedy` left on ``inst`` is taken over (see
     :func:`color_cover`).
     """
     cfg = config or EngineConfig()

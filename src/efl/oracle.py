@@ -50,7 +50,8 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
     (clique, u, v, color), clique by clique, by ascending color and then
     token.  Only a clique whose colors repeat is de-duplicated, sorted and
     grouped, so a token listed twice in one clique is one vertex and never
-    conflicts with itself.
+    conflicts with itself.  The cover need not be valid: one whose cliques
+    are all empty gets no conflicts, ``colors_used`` 0 and ``max_color`` 0.
     """
     inc = inst.incidence_map
     if not all(map(coloring.__contains__, inc)):

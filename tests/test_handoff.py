@@ -1,10 +1,11 @@
-"""The greedy's unrepaired pass handed to the matrix engine.
+"""The greedy's finished coloring handed to the matrix engine.
 
-``run_greedy`` leaves its pass on the instance and the next
-``run_matrix_method`` on that instance takes it off and resumes it.  A run
-after the greedy must equal a run on a fresh equal instance, byte for byte,
-leave the greedy's result alone, and leave nothing behind on the instance.
-Every success stays the dict that ``verify_proper`` certified.
+A ``run_greedy`` that colors the cover leaves its coloring on the instance
+and the next ``run_matrix_method`` on that instance takes it off; one that
+gets stuck leaves nothing.  A run after the greedy must equal a run on a
+fresh equal instance, byte for byte, leave the greedy's result alone, and
+leave nothing behind on the instance.  Every success stays the dict that
+``verify_proper`` certified.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from efl.oracle import VerifyReport
 
 TRACED = EngineConfig(trace_enabled=True)
 
-# the cached views an instance may hold once no pass is left on it
+# the cached views an instance may hold once no greedy coloring is left on it
 VIEWS = {
     "n",
     "cliques",
@@ -61,10 +62,12 @@ BUDGETS = [1, 2, 3, None]
 def test_engine_after_greedy_equals_engine_alone(covers):
     for budget in BUDGETS:
         config = EngineConfig(repair_budget=budget, trace_enabled=True)
-        resumed = Counter()  # the engine's reasons on the passes the greedy left stuck
+        after_stuck = Counter()  # the engine's reasons on the covers the greedy got stuck on
         for cover in covers:
             inst = _fresh(cover)
             greedy = run_greedy(inst)
+            # a finished greedy leaves one coloring, a stuck one nothing
+            assert len(set(vars(inst)) - VIEWS) == greedy.ok
             before = _outcome(greedy)
             engine = run_matrix_method(inst, config)
             assert _outcome(engine) == _outcome(run_matrix_method(_fresh(cover), config))
@@ -72,12 +75,13 @@ def test_engine_after_greedy_equals_engine_alone(covers):
             assert greedy.colors is not engine.colors
             assert set(vars(inst)) <= VIEWS
             if not greedy.ok:
-                resumed[engine.reason] += 1
-        # the engine resumes stuck passes, not only finished ones, and a
-        # small budget ends some of them
-        assert sum(resumed.values()) >= 10 and resumed[None] >= 5, budget
+                after_stuck[engine.reason] += 1
+        # the covers run both paths, a finished greedy coloring taken over
+        # and a stuck greedy followed by a run from scratch, and a small
+        # budget ends some of the latter
+        assert sum(after_stuck.values()) >= 10 and after_stuck[None] >= 5, budget
         if budget is not None:
-            assert resumed["budget-exhausted"] >= 5, budget
+            assert after_stuck["budget-exhausted"] >= 5, budget
 
 
 def test_repeated_and_reordered_runs_agree(covers):
@@ -94,23 +98,23 @@ def test_repeated_and_reordered_runs_agree(covers):
         assert set(vars(inst)) <= VIEWS
 
 
-def test_stuck_fixtures_hand_over_a_stuck_pass(gap_n8_file, sy2_statement_n6_file):
+def test_stuck_fixtures_leave_nothing(gap_n8_file, sy2_statement_n6_file):
     for path, reason in ((gap_n8_file, "stuck-no-repair"), (sy2_statement_n6_file, None)):
         inst = parse_instance(path.read_text())
         assert run_greedy(inst).reason == "no-color-available"
-        assert "_unrepaired_pass" in vars(inst)
+        assert set(vars(inst)) <= VIEWS
         assert run_matrix_method(inst).reason == reason
-        assert "_unrepaired_pass" not in vars(inst)
+        assert set(vars(inst)) <= VIEWS
 
 
-def test_copies_leave_the_pass_behind(example):
+def test_copies_leave_the_coloring_behind(example):
     run_greedy(example)
     for twin in (copy.copy(example), copy.deepcopy(example), pickle.loads(pickle.dumps(example))):
         assert twin == example and set(vars(twin)) == {"n", "cliques"}
         assert _outcome(run_matrix_method(twin, TRACED)) == _outcome(
             run_matrix_method(_fresh(example), TRACED)
         )
-    assert "_unrepaired_pass" in vars(example)
+    assert "_greedy_coloring" in vars(example)
 
 
 @pytest.mark.parametrize("greedy_first", [True, False])

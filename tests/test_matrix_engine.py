@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import functools
 import random
+import re
 from itertools import takewhile
 from typing import Optional
 
@@ -177,6 +178,12 @@ class TestColorMatrix:
     def test_from_text_keeps_its_message(self):
         with pytest.raises(ValueError, match="matrix text is not square"):
             ColorMatrix.from_text("0 1\n1\n")
+
+    # int() takes each of these; render writes none of them
+    @pytest.mark.parametrize("tok", ["-5", "0", "+3", "1_0", "\u0663"])
+    def test_from_text_refuses_what_render_never_writes(self, tok):
+        with pytest.raises(ValueError, match=rf"^row 2, column 1: '{re.escape(tok)}' is not"):
+            ColorMatrix.from_text(f". 1\n{tok} .\n")
 
 
 class TestBlockedColors:

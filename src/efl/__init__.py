@@ -6,6 +6,8 @@ greedy, and verify everything against exact oracles and the combinatorial
 identities such covers must satisfy.
 """
 
+from types import ModuleType as _Module
+
 from .errors import (
     CoreSizeLimitError,
     EflError,
@@ -80,4 +82,5 @@ from .oracle import (
     verify_proper,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the exported names, without the submodules that importing them binds here
+__all__ = sorted(k for k, v in vars().items() if k[0] != "_" and not isinstance(v, _Module))

@@ -69,15 +69,18 @@ def cmd_color(args: argparse.Namespace) -> int:
         result = run_matrix_method(inst, cfg)
     else:
         result = run_greedy(inst)
+    coloring = result.coloring
+    if args.dot and coloring is not None:
+        # written before any output, so a write that fails leaves stdout empty
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(export_dot(inst, coloring))
     if args.trace and result.trace:
         print(render_trace(result.trace))
-    if not result.ok:
+    if coloring is None:
         print(f"method: {args.method}")
         print("status: failed")
         print(f"reason: {result.reason}")
         return 1
-    coloring = result.coloring
-    assert coloring is not None
     if args.out == "structured":
         sys.stdout.write(export_coloring(coloring, inst.n))
     else:
@@ -86,9 +89,6 @@ def cmd_color(args: argparse.Namespace) -> int:
         print(f"colors used: {len(set(coloring.values()))}")
         for v in sorted(coloring):
             print(f"{v} {coloring[v]}")
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(inst, coloring))
     return 0
 
 

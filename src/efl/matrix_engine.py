@@ -61,6 +61,8 @@ from .oracle import verify_proper
 
 DISJOINT = 0
 UNASSIGNED = -1
+# the cells written as a symbol; a color c >= 1 is written str(c)
+_SYMBOLS = {DISJOINT: ".", UNASSIGNED: "?"}
 
 STATUS_SUCCESS = "success"
 STATUS_FAILED = "failed"
@@ -88,14 +90,15 @@ class ColorMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "ColorMatrix":
-        """Parse the render format: '.' disjoint, '?' unassigned, a color from 1.
+        """Parse exactly what :meth:`render` writes: '.', '?' or a color.
 
-        Text that is not square raises ``ValueError`` first.  A color is ASCII
-        digits only, as ``int`` would also take a sign, ``_`` separators and
-        other scripts' digits; any other token, or the color 0, raises
+        Text that is not square raises ``ValueError`` first.  A color is
+        written in decimal from 1 without leading zeros, in ASCII digits only,
+        as ``int`` would also take a sign, ``_`` separators and other scripts'
+        digits; any other token, ``0``, ``01`` among them, raises
         ``ValueError`` naming its 1-based row and column.
         """
-        cells = {".": DISJOINT, "?": UNASSIGNED}
+        cells = {symbol: x for x, symbol in _SYMBOLS.items()}
         rows = [line.split() for line in text.strip().split("\n")]
         n = len(rows)
         if any(len(r) != n for r in rows):
@@ -104,7 +107,7 @@ class ColorMatrix:
             for j, tok in enumerate(row, start=1):
                 if tok in cells:
                     row[j - 1] = cells[tok]
-                elif tok.isascii() and tok.isdigit() and int(tok) >= 1:
+                elif tok.isascii() and tok.isdigit() and tok[0] != "0":
                     row[j - 1] = int(tok)
                 else:
                     raise ValueError(f"row {i}, column {j}: {tok!r} is not '.', '?' or a color")
@@ -144,14 +147,7 @@ class ColorMatrix:
         return ColorMatrix(self.n, self._rows)
 
     def render(self) -> str:
-        def tok(x: int) -> str:
-            if x == DISJOINT:
-                return "."
-            if x == UNASSIGNED:
-                return "?"
-            return str(x)
-
-        return "\n".join(" ".join(tok(x) for x in row) for row in self._rows)
+        return "\n".join(" ".join(_SYMBOLS.get(x) or str(x) for x in row) for row in self._rows)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -223,23 +219,21 @@ class BudgetExhausted(NamedTuple):
 
 
 TraceEvent = Union[Assigned, RepairRecolored, RepairSkipped, BudgetExhausted]
+# each event class and the tag its trace line starts with
+_TAGS = {Assigned: "ASSIGN", RepairRecolored: "REPAIR",
+         RepairSkipped: "SKIP", BudgetExhausted: "BUDGET"}
+
+
+def _tag(ev: TraceEvent) -> str:
+    """The event's tag; an object whose exact class has none raises ``TypeError``."""
+    if (tag := _TAGS.get(type(ev))) is None:
+        raise TypeError(f"unknown trace event {ev!r}")
+    return tag
 
 
 def render_trace(events: Sequence[TraceEvent]) -> str:
-    """One line per event: ASSIGN / REPAIR / SKIP / BUDGET."""
-    lines = []
-    for ev in events:
-        if isinstance(ev, Assigned):
-            lines.append(f"ASSIGN {ev.vertex} {ev.color}")
-        elif isinstance(ev, RepairRecolored):
-            lines.append(f"REPAIR {ev.vertex} {ev.old_color} {ev.new_color}")
-        elif isinstance(ev, RepairSkipped):
-            lines.append(f"SKIP {ev.vertex}")
-        elif isinstance(ev, BudgetExhausted):
-            lines.append("BUDGET")
-        else:
-            raise TypeError(f"unknown trace event {ev!r}")
-    return "\n".join(lines)
+    """One line per event: its tag (ASSIGN / REPAIR / SKIP / BUDGET), then its fields."""
+    return "\n".join(" ".join((_tag(ev), *map(str, ev))) for ev in events)
 
 
 def replay_trace(
@@ -250,9 +244,12 @@ def replay_trace(
     The blocks are the instance's own incidence tuples, which lie in 1..n,
     so once the orders match they are written without a range check.  An
     event naming a vertex outside the instance raises
-    :class:`UnknownVertexError`.  ``RepairSkipped`` and ``BudgetExhausted``
-    write nothing; any other object raises ``TypeError``, as in
-    :func:`render_trace`, even a plain tuple that compares equal to an event.
+    :class:`UnknownVertexError`, and one writing a color below 1, which the
+    matrix would read as a cell state, raises ``ValueError``, as in
+    :func:`efl.oracle.verify_proper`.  ``RepairSkipped`` and
+    ``BudgetExhausted`` write nothing; any other object raises ``TypeError``,
+    as in :func:`render_trace`, even a plain tuple that compares equal to an
+    event.
     """
     if start.n != inst.n:
         raise ValueError(f"matrix order {start.n} does not match instance n={inst.n}")
@@ -260,12 +257,16 @@ def replay_trace(
     inc = inst.incidence_map
     try:
         for ev in events:
-            if isinstance(ev, Assigned):
-                matrix._write_block(inc[ev.vertex], ev.color)
-            elif isinstance(ev, RepairRecolored):
-                matrix._write_block(inc[ev.vertex], ev.new_color)
-            elif not isinstance(ev, (RepairSkipped, BudgetExhausted)):
-                raise TypeError(f"unknown trace event {ev!r}")
+            if type(ev) is Assigned:
+                color = ev.color
+            elif type(ev) is RepairRecolored:
+                color = ev.new_color
+            else:
+                _tag(ev)  # a skip or the budget event; any other object raises
+                continue
+            if color < 1:
+                raise ValueError(f"vertex '{ev.vertex}' has color {color}, below 1")
+            matrix._write_block(inc[ev.vertex], color)
     except KeyError as err:
         raise UnknownVertexError(
             f"vertex '{err.args[0]}' does not occur in the instance"

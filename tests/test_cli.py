@@ -116,6 +116,25 @@ class TestColor:
         assert text.startswith("graph")
         assert 'color="maroon"' in text
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--method", "greedy"], ["--method", "matrix"], ["--method", "matrix", "--trace"]],
+    )
+    def test_dot_into_a_missing_directory(self, capsys, example_file, tmp_path, flags):
+        # the success listing, and the trace, once went out before the write failed
+        dot = tmp_path / "missing" / "out.dot"
+        code, out, err = run_cli(capsys, "color", str(example_file), *flags, "--dot", str(dot))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--trace"], ["--out", "structured"], []])
+    def test_dot_leaves_the_listing_alone(self, capsys, example_file, tmp_path, flags):
+        argv = ["color", str(example_file), "--method", "matrix", *flags]
+        _, plain, _ = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--dot", str(tmp_path / "out.dot"))
+        assert (code, out, err) == (0, plain, "")
+
     def test_parse_error_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.efl"
         path.write_text("2\na b\na b\n")

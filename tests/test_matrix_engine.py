@@ -180,7 +180,7 @@ class TestColorMatrix:
             ColorMatrix.from_text("0 1\n1\n")
 
     # int() takes each of these; render writes none of them
-    @pytest.mark.parametrize("tok", ["-5", "0", "+3", "1_0", "\u0663"])
+    @pytest.mark.parametrize("tok", ["-5", "0", "+3", "1_0", "\u0663", "01", "007"])
     def test_from_text_refuses_what_render_never_writes(self, tok):
         with pytest.raises(ValueError, match=rf"^row 2, column 1: '{re.escape(tok)}' is not"):
             ColorMatrix.from_text(f". 1\n{tok} .\n")
@@ -288,6 +288,18 @@ class TestMatrixToColoring:
         with pytest.raises(UnknownVertexError) as reference:
             clique_degree(inst, "nope")
         assert str(raised.value) == str(reference.value)
+
+    @pytest.mark.parametrize(
+        "event",
+        [Assigned("v1", 0), Assigned("v1", -1), RepairRecolored("v16", 2, -1)],
+        ids=["assigned-0", "assigned-minus-1", "recolored-minus-1"],
+    )
+    def test_replay_refuses_a_color_below_1(self, example, event):
+        # such a color once went into the block as a cell state: 0 made the
+        # vertex's cliques disjoint, -1 made it unassigned
+        message = f"^vertex '{event.vertex}' has color {event[-1]}, below 1$"
+        with pytest.raises(ValueError, match=message):
+            replay_trace(example, [Assigned("v1", 1), event], initial_matrix(example))
 
     @pytest.mark.parametrize("event", [("v1", 1), 7], ids=["tuple", "int"])
     def test_replay_refuses_objects_that_are_not_events(self, example, event):
@@ -522,6 +534,18 @@ class TestTraceProperties:
         assigned = list(takewhile(lambda e: isinstance(e, Assigned), result.trace))
         assert greedy.final_matrix == replay_trace(inst, assigned, initial_matrix(inst))
 
+    @settings(max_examples=40, deadline=None)
+    @given(inst=instances(max_n=7))
+    def test_render_round_trips(self, inst):
+        # from_text reads back every matrix the engine's readers build
+        result = run_matrix_method(inst, EngineConfig(trace_enabled=True))
+        start = initial_matrix(inst)
+        matrices = [start, result.final_matrix]
+        for k in range(1, len(result.trace) + 1):
+            matrices.append(replay_trace(inst, result.trace[:k], start))
+        for m in matrices:
+            assert ColorMatrix.from_text(m.render()) == m
+
     @settings(max_examples=30, deadline=None)
     @given(inst=instances(max_n=7))
     def test_success_is_properly_colored(self, inst):
@@ -595,6 +619,12 @@ class TestCountingBound:
 
     def test_dense_covers(self):
         assert self._check(gen_dense(n) for n in range(2, 51)) >= 1000
+
+    # 9 is the least order at which a vertex of clique degree 3 may get stuck
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(inst=instances(max_n=10))
+    def test_random_covers(self, inst):
+        self._check([inst])
 
 
 def _stuck_state(inst: Instance, rng: random.Random):

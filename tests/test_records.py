@@ -1,6 +1,7 @@
 """The public record types: construction, field access, repr, equality,
-immutability and the tuple protocol.  The range checks of ``GenSpec`` and
-``EngineConfig`` are pinned next to their modules' other tests."""
+immutability and the tuple protocol, and what the package exports.  The range
+checks of ``GenSpec`` and ``EngineConfig`` are pinned next to their modules'
+other tests."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -208,6 +210,17 @@ def test_replace_and_make_run_the_range_checks(record, change, message):
         with pytest.raises(ValueError) as refused:
             make()
         assert str(refused.value) == message
+
+
+def test_all_names_resolve_and_none_is_a_module():
+    # __all__ once listed the submodules, which ``from efl import *`` then bound
+    import efl
+
+    namespace: dict = {}
+    exec("from efl import *", namespace)  # a name that does not resolve raises
+    del namespace["__builtins__"]
+    assert sorted(namespace) == efl.__all__ and "run_matrix_method" in namespace
+    assert [n for n, v in namespace.items() if isinstance(v, types.ModuleType)] == []
 
 
 def test_import_leaves_dataclasses_unloaded():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .instance import Instance, require_valid
+from .instance import Instance, _clique_error, require_valid
 from .oracle import verify_proper
 
 # DOT palette for the first six colors; higher colors fall back to their index.
@@ -13,53 +13,37 @@ DOT_COLOR_NAMES = {1: "maroon", 2: "tan", 3: "green", 4: "red", 5: "blue", 6: "c
 _VISIBLE = bytes(range(0x21, 0x7F))  # the visible ASCII characters, space excluded
 
 
-def _unwritable_token(cliques: tuple[tuple[str, ...], ...]) -> Optional[str]:
-    """The message naming the first empty clique or token that ``.efl`` text
-    cannot carry, or None when every clique can be written."""
-    for idx, members in enumerate(cliques, start=1):
-        if not members:
-            return f"clique {idx} is empty, which .efl text cannot hold"
-        for pos, t in enumerate(members):
-            if not t:
-                return f"clique {idx} has an empty token, which .efl text cannot hold"
-            if not (t.isascii() and t.isprintable()) or " " in t:
-                return f"clique {idx}: token {t!r} is not visible ASCII"
-            if pos == 0 and t.startswith("#"):
-                return (
-                    f"clique {idx}: first token {t!r} starts with '#'"
-                    " and would read as a comment"
-                )
-    return None
-
-
 def serialize_instance(inst: Instance) -> str:
     """Inverse of parsing: header line, then one clique per line, LF only.
 
-    Raises ``ValueError`` naming the clique and token when :func:`parse_instance`
-    could not read the text back: an empty clique (its blank line would be
-    skipped), a token that is empty or not visible ASCII (a space would split
-    it), or a line's first token starting with ``#`` (the line would read as a
-    comment).  A few C-level checks on the joined lines let a cover through;
-    only when one of them fails is each token looked at, to name the first
-    one that cannot be written.
+    Raises ``ValueError`` with the message of the clique-line rule
+    (:func:`efl.instance._clique_error`), naming the first clique and token
+    that break it, exactly when :func:`parse_instance` could not read the
+    text back.  A few C-level checks on the joined lines let a cover
+    through; only when one of them fails are the cliques put to the rule.
     """
+    n = inst.n
     cliques = inst.cliques
-    lines = [str(inst.n)]
+    lines = [str(n)]
     lines.extend(" ".join(c) for c in cliques)
-    # the header and the lines joined on single spaces.  No token holds a
-    # space or an invisible character exactly when deleting the visible ones
-    # leaves one space per token; an empty token or clique then shows as two
-    # spaces in a row or a trailing one.  Any "#" sends the cover to the token
-    # walk.
+    # the header and the lines joined on single spaces.  When every clique
+    # holds n distinct tokens, each has n tokens or more, one separating
+    # space per token, so deleting the visible characters leaves n * n
+    # spaces exactly when each clique has n tokens and no token holds a
+    # space or an invisible character; an empty token then shows as two
+    # spaces in a row or a trailing one.  Any "#" sends the cover to the rule.
     spaced = " ".join(lines)
-    if (
-        not spaced.isascii()
-        or spaced.encode().translate(None, _VISIBLE) != b" " * sum(map(len, cliques))
-        or "  " in spaced
-        or spaced.endswith(" ")
-        or "#" in spaced
-    ) and (problem := _unwritable_token(cliques)) is not None:
-        raise ValueError(problem)
+    if not (
+        spaced.isascii()
+        and spaced.encode().translate(None, _VISIBLE) == b" " * (n * n)
+        and set(map(len, map(set, cliques))) == {n}
+        and "  " not in spaced
+        and not spaced.endswith(" ")
+        and "#" not in spaced
+    ):
+        for idx, members in enumerate(cliques, start=1):
+            if (problem := _clique_error(members, n, idx)) is not None:
+                raise ValueError(problem)
     return "\n".join(lines) + "\n"
 
 

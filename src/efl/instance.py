@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInstanceError, ParseError, UnknownVertexError
 
@@ -31,7 +31,9 @@ class Instance:
 
     Construction is permissive about clique contents (wrong sizes, duplicate
     tokens, oversized intersections) so that :func:`validate` can report the
-    violations; only the clique count itself must match ``n``.  Instances are
+    violations; only the clique count itself must match ``n``.  A cover with
+    a clique of the wrong size or a repeated token validates as invalid, and
+    :func:`efl.export.serialize_instance` refuses it.  Instances are
     immutable and hashable, and all derived views are cached: the vertex
     tuple, the incidence map, its split into ``core_incidence`` and
     ``private_members``, the validation report and the degree table of the
@@ -281,29 +283,43 @@ def require_valid(inst: Instance) -> None:
         raise InvalidInstanceError(summary)
 
 
-def _bad_token_error(tokens: list[str], lineno: int, idx: int) -> ParseError:
-    """The error naming the first token of a clique line that is not visible
-    ASCII or repeats an earlier one; the line must hold such a token."""
+def _clique_error(tokens: Sequence[str], n: int, idx: int) -> Optional[str]:
+    """Why ``tokens`` cannot be clique ``idx`` of ``.efl`` text of order n,
+    or None when they can.
+
+    The one clique-line rule of the format: exactly n tokens, each visible
+    ASCII with no space, pairwise distinct, and a first token that does not
+    start with ``#``, which would make the line a comment.  Checked in that
+    order, the first token breaking a rule is named.  :func:`parse_instance`
+    reports the rule on the line it read, and
+    :func:`efl.export.serialize_instance` refuses a cover whose text would
+    break it.
+    """
+    if len(tokens) != n:
+        return f"clique {idx} has {len(tokens)} tokens, expected {n}"
     seen: set[str] = set()
     for t in tokens:
-        if not (t.isascii() and t.isprintable()):
-            return ParseError(f"line {lineno}: invalid token '{t}' in clique {idx}")
+        if not t or " " in t or not (t.isascii() and t.isprintable()):
+            return f"invalid token '{t}' in clique {idx}"
         if t in seen:
-            return ParseError(f"line {lineno}: duplicate token '{t}' in clique {idx}")
+            return f"duplicate token '{t}' in clique {idx}"
         seen.add(t)
-    raise AssertionError("clique line has no bad token")
+    if tokens[0].startswith("#"):
+        return f"first token '{tokens[0]}' in clique {idx} starts a comment"
+    return None
 
 
 def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
     """Parse ``.efl`` text: a clique count line, then one clique per line.
 
     Blank lines and ``#`` comment lines are ignored; CRLF input is accepted.
-    Grammar errors (bad header, wrong counts, malformed or duplicated tokens)
-    raise :class:`ParseError` naming the line.  With ``require_validity`` the
+    Grammar errors (a bad header, a wrong count of clique lines, or a clique
+    line breaking the rule of :func:`_clique_error`) raise
+    :class:`ParseError` naming the line.  With ``require_validity`` the
     parsed cover must also satisfy the at-most-one-shared-vertex invariant.
     Each clique line is checked at once, by ``isascii`` and ``isprintable``
-    on its joined tokens and the count of its distinct tokens; the tokens are
-    walked one by one only to name the first bad one.
+    on its joined tokens and the count of its distinct tokens; only a line
+    failing that check is handed to the rule, to name its first bad token.
     """
     content: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -332,15 +348,15 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
     cliques: list[tuple[str, ...]] = []
     for idx, (lineno, line) in enumerate(body, start=1):
         tokens = line.split()
-        if len(tokens) != n:
-            raise ParseError(
-                f"line {lineno}: clique {idx} has {len(tokens)} tokens, expected {n}"
-            )
-        # visible ASCII only: str.split() leaves no empty or whitespace
-        # token, and both predicates hold for a string iff for each character
+        # str.split() leaves no empty or whitespace token and a kept line
+        # does not start with "#", so the line keeps the rule when it holds n
+        # distinct tokens of visible ASCII; both predicates hold for a string
+        # iff for each character
         joined = "".join(tokens)
-        if not (joined.isascii() and joined.isprintable() and len(set(tokens)) == n):
-            raise _bad_token_error(tokens, lineno, idx)
+        if not (
+            n == len(tokens) == len(set(tokens)) and joined.isascii() and joined.isprintable()
+        ):
+            raise ParseError(f"line {lineno}: {_clique_error(tokens, n, idx)}")
         cliques.append(tuple(tokens))
 
     inst = Instance(n, cliques)

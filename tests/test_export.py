@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efl.errors import ParseError
 from efl.export import export_coloring, export_dot, serialize_instance
 from efl.generators import gen_disjoint
 from efl.instance import Instance, parse_instance
@@ -21,6 +22,19 @@ def token_covers(draw) -> Instance:
     token = st.text(alphabet="ab# \t\x7f\u00e9", max_size=3)
     return Instance(
         n, [draw(st.lists(token, min_size=n, max_size=n, unique=True)) for _ in range(n)]
+    )
+
+
+@st.composite
+def sized_covers(draw) -> Instance:
+    """n cliques of n - 1, n or n + 1 tokens each, repeats allowed, the tokens
+    drawn from letters, ``#`` and characters that are not visible ASCII.  No
+    token is empty or holds whitespace, so a clique's tokens joined on spaces
+    read back as that clique unless the line is blank or starts with ``#``."""
+    n = draw(st.integers(1, 3))
+    token = st.text(alphabet="ab#\x7f\u00e9", min_size=1, max_size=2)
+    return Instance(
+        n, [draw(st.lists(token, min_size=n - 1, max_size=n + 1)) for _ in range(n)]
     )
 
 
@@ -44,19 +58,20 @@ class TestSerialize:
     @pytest.mark.parametrize(
         "cliques, message",
         [
-            ([("#a", "b"), ("c", "d")], "clique 1: first token '#a' starts with '#'"),
-            ([("a", "b"), ("c d", "e")], "clique 2: token 'c d' is not visible ASCII"),
-            ([("a", "b"), ("c", "")], "clique 2 has an empty token"),
-            ([("a", "\u00e9"), ("c", "d")], "clique 1: token '\u00e9' is not visible ASCII"),
-            ([("a", "b"), ("c\td", "e")], "clique 2: token 'c\\td' is not visible ASCII"),
-            ([("a", "b\x7f"), ("c", "d")], "clique 1: token 'b\\x7f' is not visible ASCII"),
+            ([("#a", "b"), ("c", "d")], "first token '#a' in clique 1 starts a comment"),
+            ([("a", "b"), ("c d", "e")], "invalid token 'c d' in clique 2"),
+            ([("a", "b"), ("c", "")], "invalid token '' in clique 2"),
+            ([("a", "\u00e9"), ("c", "d")], "invalid token '\u00e9' in clique 1"),
+            ([("a", "b"), ("c\td", "e")], "invalid token 'c\td' in clique 2"),
+            ([("a", "b\x7f"), ("c", "d")], "invalid token 'b\x7f' in clique 1"),
         ],
+        ids=["hash-first", "space", "empty-token", "non-ascii", "tab", "delete"],
     )
     def test_unwritable_token_refused(self, cliques, message):
         # each of these would parse as something else or not at all; the
         # first one is a valid cover whose first line would read as a comment
         inst = Instance(2, cliques)
-        with pytest.raises(ValueError, match="^" + re.escape(message)):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             serialize_instance(inst)
 
     @pytest.mark.parametrize(
@@ -64,7 +79,7 @@ class TestSerialize:
     )
     def test_empty_clique_refused(self, n, cliques, idx):
         # its line would be blank, and parsing skips blank lines
-        with pytest.raises(ValueError, match=f"^clique {idx} is empty"):
+        with pytest.raises(ValueError, match=f"^clique {idx} has 0 tokens, expected {n}$"):
             serialize_instance(Instance(n, cliques))
 
     def test_hash_inside_or_later_is_written(self):
@@ -84,6 +99,25 @@ class TestSerialize:
                 serialize_instance(inst)
             return
         assert parse_instance(serialize_instance(inst), require_validity=False) == inst
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=sized_covers())
+    def test_writer_refuses_what_the_reader_refuses(self, inst):
+        try:
+            written, refused = serialize_instance(inst), None
+        except ValueError as err:
+            written, refused = None, str(err)
+        if any(not c or c[0].startswith("#") for c in inst.cliques):
+            # the naive line would be blank or a comment, which parsing skips
+            assert refused is not None
+            return
+        naive = "\n".join([str(inst.n), *map(" ".join, inst.cliques)]) + "\n"
+        try:
+            read = parse_instance(naive, require_validity=False)
+        except ParseError as err:
+            assert refused == re.sub(r"^line \d+: ", "", str(err))
+        else:
+            assert refused is None and written == naive and read == inst
 
 
 class TestExportColoring:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from efl.errors import InvalidInstanceError, ParseError, UnknownVertexError
+from efl.export import serialize_instance
 from efl.generators import gen_dense, gen_disjoint
 from efl.greedy import check_sy1, check_sy2
 from efl.instance import (
@@ -88,15 +89,22 @@ class TestParse:
             parse_instance("2\na \x01\nb c\n")
 
     def test_token_rule_on_every_code_point(self):
+        # the writer refuses exactly the pieces the parser refuses, with the
+        # parser's message
         for cp in range(0x110000):
             for piece in ("a" + chr(cp) + "b").split():
+                rule = None if reference_token_ok(piece) else f"invalid token '{piece}' in clique 1"
+                try:
+                    serialize_instance(Instance(1, [(piece,)]))
+                    refused = None
+                except ValueError as err:
+                    refused = str(err)
                 try:
                     parse_instance(f"1\n{piece}\n", require_validity=False)
-                    accepted = True
+                    read = None
                 except ParseError as err:
-                    assert "invalid token" in str(err)
-                    accepted = False
-                assert accepted == reference_token_ok(piece), hex(cp)
+                    read = str(err).removeprefix("line 2: ")
+                assert refused == read == rule, hex(cp)
 
     def test_permissive_mode_keeps_violations(self):
         inst = parse_instance("2\na b\na b\n", require_validity=False)

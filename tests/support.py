@@ -22,7 +22,9 @@ d.
 ``clique_pairs_cover`` builds the covers on which the SY2 statement rule holds
 and the greedy still fails.
 ``blocked_colors`` is the paper's "appears at least k-1 times in the row"
-rule, read off a matrix, ``reference_owns_colors`` the fan plan's earlier
+rule, read off a matrix, ``reference_block_matrix`` and
+``reference_replay_trace`` the matrix builders that wrote each vertex's or
+event's block through one block-write call, ``reference_owns_colors`` the fan plan's earlier
 check over every colored core vertex, and ``reference_fan_path_plan`` the fan
 plan with every guard it once carried.  ``reference_color_cover`` is the
 coloring loop that tested every free color through a helper call, and
@@ -66,10 +68,12 @@ from efl.instance import (
     require_valid,
 )
 from efl.matrix_engine import (
+    DISJOINT,
     REASON_BUDGET_EXHAUSTED,
     REASON_INTERNAL_VERIFICATION,
     REASON_NO_COLOR_AVAILABLE,
     REASON_STUCK_NO_REPAIR,
+    UNASSIGNED,
     Assigned,
     BudgetExhausted,
     ColorMatrix,
@@ -318,6 +322,31 @@ def blocked_colors(matrix: ColorMatrix, i: int, threshold: int) -> set[int]:
         if x > 0:
             counts[x] = counts.get(x, 0) + 1
     return {color for color, c in counts.items() if c >= threshold}
+
+
+def reference_block_matrix(inst: Instance, core: dict[str, int]) -> ColorMatrix:
+    """The earlier ``_block_matrix``: DISJOINT but for each shared vertex's
+    block, written whole with its core color, or UNASSIGNED without one."""
+    n = inst.n
+    matrix = ColorMatrix(n, [[DISJOINT] * n for _ in range(n)])
+    for v, ix in inst.core_incidence.items():
+        matrix.set_block(ix, core.get(v, UNASSIGNED))
+    return matrix
+
+
+def reference_replay_trace(
+    inst: Instance, events: Sequence[TraceEvent], start: ColorMatrix
+) -> ColorMatrix:
+    """The earlier :func:`efl.matrix_engine.replay_trace` on a trace the
+    engine wrote: each write event's whole block, one event at a time."""
+    matrix = start.copy()
+    inc = inst.incidence_map
+    for ev in events:
+        if isinstance(ev, Assigned):
+            matrix.set_block(inc[ev.vertex], ev.color)
+        elif isinstance(ev, RepairRecolored):
+            matrix.set_block(inc[ev.vertex], ev.new_color)
+    return matrix
 
 
 def dict_rows(rows: list[list[Optional[str]]]) -> list[dict[int, str]]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import pathlib
 import random
 import re
 from itertools import takewhile
@@ -46,7 +47,9 @@ from support import (
     dict_rows,
     instances,
     reference_fan_path_plan,
+    reference_block_matrix,
     reference_owns_colors,
+    reference_replay_trace,
 )
 
 # the matrix states the method walks through on the bundled example,
@@ -572,6 +575,58 @@ class TestTraceProperties:
                 privates = sorted(v for v in members if len(inc[v]) == 1)
                 missing = sorted(set(range(1, inst.n + 1)) - core_colors)
                 assert [total[v] for v in privates] == missing
+
+
+def _high_degree_covers() -> list[Instance]:
+    """Covers whose clique degrees reach 3 to 5: merge-grown random covers at
+    80 and 100 % extension, and the three bundled files."""
+    covers = [
+        gen_random(n, n * (n - 1) // 2, seed, extension_percent=percent)
+        for percent in (80, 100)
+        for n in range(8, 13)
+        for seed in range(3)
+    ]
+    data = pathlib.Path(__file__).parent / "data"
+    for name in ("gap_n8.efl", "example6.efl", "sy2_statement_n6.efl"):
+        covers.append(parse_instance((data / name).read_text()))
+    return covers
+
+
+class TestMatrixWritesReference:
+    """``initial_matrix``, ``final_matrix`` and ``replay_trace`` equal the
+    builders that wrote every vertex's or event's block through one call,
+    after every prefix of the trace."""
+
+    @staticmethod
+    def _check(inst: Instance, result) -> None:
+        start = initial_matrix(inst)
+        assert start == reference_block_matrix(inst, {})
+        assert result.final_matrix == reference_block_matrix(inst, result.colors)
+        # the matrix of each prefix is that of the one before with its last
+        # event replayed; the whole trace replays from the start at the end
+        mine = theirs = start
+        for k, event in enumerate(result.trace):
+            mine = replay_trace(inst, [event], mine)
+            theirs = reference_replay_trace(inst, [event], theirs)
+            assert mine == theirs, k
+        assert replay_trace(inst, result.trace, start) == mine
+
+    def test_high_degree_covers(self):
+        degrees = set()
+        for inst in _high_degree_covers():
+            degrees.update(map(len, inst.core_incidence.values()))
+            self._check(inst, run_matrix_method(inst, EngineConfig(trace_enabled=True)))
+        assert {3, 4, 5} <= degrees
+
+    def test_dense_repair_traces(self):
+        repairing = 0
+        for n in range(10, 26):
+            inst = gen_dense(n)
+            result = run_matrix_method(inst, EngineConfig(trace_enabled=True))
+            repairing += any(type(e) is RepairRecolored for e in result.trace)
+            self._check(inst, result)
+        # all but dense(15) and dense(16) repair
+        assert repairing == 14
 
 
 def _episode_vertices(result) -> list[str]:

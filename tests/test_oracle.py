@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import assume, given, settings
@@ -67,6 +68,25 @@ class TestVerifyProper:
         with pytest.raises(IncompleteColoringError) as err:
             verify_proper(example, coloring)
         assert str(err.value) == "coloring is missing 4 vertices, e.g. 'v10'"
+
+    def test_defaultdict_gains_no_key(self, example):
+        # the check must not call __missing__, which would color the vertex 0
+        coloring = defaultdict(int, {v: 1 for v in example.vertices})
+        del coloring["v9"], coloring["v27"]
+        with pytest.raises(IncompleteColoringError) as err:
+            verify_proper(example, coloring)
+        assert str(err.value) == "coloring is missing 2 vertices, e.g. 'v27'"
+        assert len(coloring) == 25 and "v9" not in coloring
+
+    def test_vertex_colored_none(self, example):
+        coloring = {v: 1 for v in example.vertices}
+        coloring["v9"] = None
+        with pytest.raises(TypeError):
+            verify_proper(example, coloring)
+
+    def test_missing_vertex_beats_color_zero(self):
+        with pytest.raises(IncompleteColoringError):
+            verify_proper(gen_dense(2), {"b1_2": 0, "p1": 1})
 
     @pytest.mark.parametrize(
         "coloring, message",

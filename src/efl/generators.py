@@ -180,7 +180,12 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     ``private[c]`` holds the positions in clique c's member list of its
     still-private slots, in token order (``v<c>_<j>`` sits at j-1 and sorts by
     ``str(j)``); a move draws an index into it, pops that position and writes
-    its token there.  Clique sets are int masks with bit c for clique c
+    its token there.  Both moves are spelled out in the loop, as a function
+    call per move is a visible share of a small cover's build: a merge draws
+    slot i, then slot j, writes the fresh token into both and records its one
+    new meeting pair {i, j}, i < j; an extension writes its vertex into the
+    target's slot and records a pair with each of the vertex's cliques.
+    Clique sets are int masks with bit c for clique c
     (1-based): ``meets[c]`` holds the cliques c meets.  The merge candidates
     of row i are the cliques above i missing from ``meets[i]``; ``open_[i]``
     counts them.  It starts at n-i, and each new meeting pair {k, c} lowers
@@ -218,22 +223,6 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     owners: dict[str, list[int]] = {}  # shared vertices only
     live: list[str] = []  # shared vertices that may still extend, sorted
 
-    def put(c: int, new: str) -> None:
-        """Write ``new`` over a private slot of clique c drawn from the stream.
-
-        c misses every clique holding ``new``, so each pair it joins is new.
-        """
-        nonlocal meeting
-        slots = private[c]
-        cliques[c - 1][slots.pop(draw() % len(slots))] = new
-        holders = owners[new]
-        for k in holders:
-            meets[k] |= 1 << c
-            meets[c] |= 1 << k
-            open_[min(k, c)] -= 1
-        meeting += len(holders)
-        holders.append(c)
-
     merges_done = 0
     extensions_done = 0
     while merges_done < spec.merges:
@@ -249,10 +238,16 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
         j = _nth_bit((full >> (i + 1) << (i + 1)) & ~meets[i], k)
         merges_done += 1
         fresh = f"m{merges_done}"
-        owners[fresh] = []
+        slots = private[i]
+        cliques[i - 1][slots.pop(draw() % len(slots))] = fresh
+        slots = private[j]
+        cliques[j - 1][slots.pop(draw() % len(slots))] = fresh
+        owners[fresh] = [i, j]
         insort(live, fresh)
-        put(i, fresh)
-        put(j, fresh)
+        meets[i] |= 1 << j
+        meets[j] |= 1 << i
+        open_[i] -= 1  # i < j
+        meeting += 1
 
         if draw() % 100 < spec.extension_percent:
             # a clique holding v meets v's other cliques, so it never qualifies
@@ -274,7 +269,18 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
                 while k >= (count := targets[t].bit_count()):
                     k -= count
                     t += 1
-                put(_nth_bit(targets[t], k), live[t])
+                c = _nth_bit(targets[t], k)
+                v = live[t]
+                slots = private[c]
+                cliques[c - 1][slots.pop(draw() % len(slots))] = v
+                # c misses every clique holding v, so each pair it joins is new
+                holders = owners[v]
+                for o in holders:
+                    meets[o] |= 1 << c
+                    meets[c] |= 1 << o
+                    open_[min(o, c)] -= 1
+                meeting += len(holders)
+                holders.append(c)
                 extensions_done += 1
 
     return RandomBuildResult(

@@ -283,6 +283,20 @@ def require_valid(inst: Instance) -> None:
         raise InvalidInstanceError(summary)
 
 
+# the ASCII control characters, each as ascii() writes it
+_CONTROLS = {c: ascii(chr(c))[1:-1] for c in (*range(0x20), 0x7F)}
+
+
+def _shown(text: str) -> str:
+    """``text`` as an error message quotes it: each character outside
+    printable ASCII (0x20..0x7e) escaped as ``ascii()`` writes it (``\\t``,
+    ``\\x1b``, ``\\xe9``), so no control character reaches the terminal,
+    and printable ASCII as it is.  The ASCII controls go through a table and
+    the rest through the ``backslashreplace`` handler, which writes what
+    ``ascii()`` writes."""
+    return text.translate(_CONTROLS).encode("ascii", "backslashreplace").decode("ascii")
+
+
 def _clique_error(tokens: Sequence[str], n: int, idx: int) -> Optional[str]:
     """Why ``tokens`` cannot be clique ``idx`` of ``.efl`` text of order n,
     or None when they can.
@@ -290,8 +304,9 @@ def _clique_error(tokens: Sequence[str], n: int, idx: int) -> Optional[str]:
     The one clique-line rule of the format: exactly n tokens, each visible
     ASCII with no space, pairwise distinct, and a first token that does not
     start with ``#``, which would make the line a comment.  Checked in that
-    order, the first token breaking a rule is named.  :func:`parse_instance`
-    reports the rule on the line it read, and
+    order, the first token breaking a rule is named: an invalid one through
+    :func:`_shown`, while one breaking a later rule is visible ASCII already.
+    :func:`parse_instance` reports the rule on the line it read, and
     :func:`efl.export.serialize_instance` refuses a cover whose text would
     break it.
     """
@@ -300,7 +315,7 @@ def _clique_error(tokens: Sequence[str], n: int, idx: int) -> Optional[str]:
     seen: set[str] = set()
     for t in tokens:
         if not t or " " in t or not (t.isascii() and t.isprintable()):
-            return f"invalid token '{t}' in clique {idx}"
+            return f"invalid token '{_shown(t)}' in clique {idx}"
         if t in seen:
             return f"duplicate token '{t}' in clique {idx}"
         seen.add(t)
@@ -315,8 +330,10 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
     Blank lines and ``#`` comment lines are ignored; CRLF input is accepted.
     Grammar errors (a bad header, a wrong count of clique lines, or a clique
     line breaking the rule of :func:`_clique_error`) raise
-    :class:`ParseError` naming the line.  With ``require_validity`` the
-    parsed cover must also satisfy the at-most-one-shared-vertex invariant.
+    :class:`ParseError` naming the line; a refused header or token is quoted
+    through :func:`_shown`, so no message carries a control character.  With
+    ``require_validity`` the parsed cover must also satisfy the
+    at-most-one-shared-vertex invariant.
     Each clique line is checked at once, by ``isascii`` and ``isprintable``
     on its joined tokens and the count of its distinct tokens; only a line
     failing that check is handed to the rule, to name its first bad token.
@@ -335,7 +352,7 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
     # non-ASCII digits, none of which serialize_instance writes back
     if not (header.isascii() and header.isdigit()):
         raise ParseError(
-            f"line {header_line}: expected a decimal clique count, got '{header}'"
+            f"line {header_line}: expected a decimal clique count, got '{_shown(header)}'"
         )
     n = int(header)
     if n < 1:

@@ -162,12 +162,23 @@ class ColorMatrix:
 
 def _block_matrix(inst: Instance, core: dict[str, int]) -> ColorMatrix:
     """DISJOINT but for the blocks over shared vertices, which hold the core
-    color, or UNASSIGNED for a vertex without one."""
+    color, or UNASSIGNED for a vertex without one.
+
+    The block of a vertex in two cliques a, b is the two cells (a, b) and
+    (b, a), written straight into the rows; a larger block goes through
+    :meth:`ColorMatrix._write_block`.
+    """
     n = inst.n
     matrix = ColorMatrix(n, [[DISJOINT] * n for _ in range(n)])
+    rows = matrix._rows
     # a private vertex's block has no off-diagonal cell
     for v, ix in inst.core_incidence.items():
-        matrix._write_block(ix, core.get(v, UNASSIGNED))
+        x = core.get(v, UNASSIGNED)
+        if len(ix) == 2:
+            a, b = ix
+            rows[a - 1][b - 1] = rows[b - 1][a - 1] = x
+        else:
+            matrix._write_block(ix, x)
     return matrix
 
 
@@ -242,7 +253,10 @@ def replay_trace(
     """Fold the write events over a starting matrix of the instance's order.
 
     The blocks are the instance's own incidence tuples, which lie in 1..n,
-    so once the orders match they are written without a range check.  An
+    so once the orders match they are written without a range check: the
+    two cells of a vertex in two cliques straight into the rows, as in
+    :func:`_block_matrix`, a larger block through
+    :meth:`ColorMatrix._write_block`, and nothing for a private vertex.  An
     event naming a vertex outside the instance raises
     :class:`UnknownVertexError`, and one writing a color below 1, which the
     matrix would read as a cell state, raises ``ValueError``, as in
@@ -254,6 +268,7 @@ def replay_trace(
     if start.n != inst.n:
         raise ValueError(f"matrix order {start.n} does not match instance n={inst.n}")
     matrix = start.copy()
+    rows = matrix._rows
     inc = inst.incidence_map
     try:
         for ev in events:
@@ -266,7 +281,12 @@ def replay_trace(
                 continue
             if color < 1:
                 raise ValueError(f"vertex '{ev.vertex}' has color {color}, below 1")
-            matrix._write_block(inc[ev.vertex], color)
+            ix = inc[ev.vertex]
+            if len(ix) == 2:
+                a, b = ix
+                rows[a - 1][b - 1] = rows[b - 1][a - 1] = color
+            else:
+                matrix._write_block(ix, color)
     except KeyError as err:
         raise UnknownVertexError(
             f"vertex '{err.args[0]}' does not occur in the instance"

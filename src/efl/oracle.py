@@ -42,25 +42,30 @@ def verify_proper(inst: Instance, coloring: Coloring) -> VerifyReport:
     """Check that every clique carries pairwise distinct colors.
 
     The coloring must be total on the instance's vertex universe, the keys
-    of its incidence map; only for a coloring that is not are the missing
-    vertices listed, to name the lexicographically first.  Colors start at 1:
-    a color below 1 raises ``ValueError`` naming the least vertex that has
-    one, so a proper report with ``max_color`` at most n certifies an
-    n-coloring.  Conflicts list every same-colored pair within a clique as
-    (clique, u, v, color), clique by clique, by ascending color and then
-    token.  Only a clique whose colors repeat is de-duplicated, sorted and
-    grouped, so a token listed twice in one clique is one vertex and never
-    conflicts with itself.  The cover need not be valid: one whose cliques
-    are all empty gets no conflicts, ``colors_used`` 0 and ``max_color`` 0.
+    of its incidence map.  One pass reads the colors with ``coloring.get``
+    into the set of colors used, so a ``defaultdict`` gains no key; only when
+    that set holds None and some vertex is really absent are the missing
+    vertices listed, to name the lexicographically first.  A vertex colored
+    None is present, and the color check below raises ``TypeError`` for it.
+    Colors start at 1: a color below 1 raises ``ValueError`` naming the
+    least vertex that has one, so a proper report with ``max_color`` at most
+    n certifies an n-coloring.  Conflicts list every same-colored pair
+    within a clique as (clique, u, v, color), clique by clique, by ascending
+    color and then token.  Only a clique whose colors repeat is
+    de-duplicated, sorted and grouped, so a token listed twice in one clique
+    is one vertex and never conflicts with itself.  The cover need not be
+    valid: one whose cliques are all empty gets no conflicts,
+    ``colors_used`` 0 and ``max_color`` 0.
     """
     inc = inst.incidence_map
-    if not all(map(coloring.__contains__, inc)):
+    # .get reads an absent vertex as None, and never calls __missing__
+    used = set(map(coloring.get, inc))
+    if None in used and not all(map(coloring.__contains__, inc)):
         missing = [v for v in inc if v not in coloring]
         raise IncompleteColoringError(
             f"coloring is missing {len(missing)} vertices, e.g. '{min(missing)}'"
         )
     color_of = coloring.__getitem__
-    used = set(map(color_of, inc))
     if min(used, default=1) < 1:
         v = min(v for v in inc if coloring[v] < 1)
         raise ValueError(f"vertex '{v}' has color {coloring[v]}, below 1")

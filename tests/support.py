@@ -14,6 +14,7 @@ earlier sort-and-group :func:`verify_proper`.
 index ``core.vertices`` and which walk the list of vertices in search order
 to pick the next vertex.
 ``reference_token_ok`` is the parser's earlier per-character token rule,
+``reference_shown`` the escaping of a refused header or token by code point,
 ``reference_parse_instance`` and ``reference_validate`` the parser and the
 validator that checked every token and intersected every clique pair,
 ``reference_intersecting_pair_count`` the pair count that tested every clique
@@ -179,6 +180,27 @@ def reference_token_ok(token: str) -> bool:
     return len(token) > 0 and all(0x21 <= ord(ch) <= 0x7E for ch in token)
 
 
+def reference_shown(text: str) -> str:
+    """A header or token as the parser's messages quote it: printable ASCII
+    (0x20..0x7E) as it is, tab, newline and carriage return as ``\\t``,
+    ``\\n`` and ``\\r``, and every other character as ``\\x``, ``\\u`` or
+    ``\\U`` and its code point in 2, 4 or 8 lower-case hex digits."""
+    out = []
+    for ch in text:
+        cp = ord(ch)
+        if 0x20 <= cp <= 0x7E:
+            out.append(ch)
+        elif ch in "\t\n\r":
+            out.append("\\" + "tnr"["\t\n\r".index(ch)])
+        elif cp < 0x100:
+            out.append(f"\\x{cp:02x}")
+        elif cp < 0x10000:
+            out.append(f"\\u{cp:04x}")
+        else:
+            out.append(f"\\U{cp:08x}")
+    return "".join(out)
+
+
 def reference_validate(inst: Instance) -> ValidationReport:
     """:func:`efl.instance.validate` counting every token of every clique and
     intersecting all C(n, 2) clique pairs."""
@@ -254,7 +276,8 @@ def reference_parse_instance(text: str, *, require_validity: bool = True) -> Ins
     header_line, header = content[0]
     if not (header.isascii() and header.isdigit()):
         raise ParseError(
-            f"line {header_line}: expected a decimal clique count, got '{header}'"
+            f"line {header_line}: expected a decimal clique count, "
+            f"got '{reference_shown(header)}'"
         )
     n = int(header)
     if n < 1:
@@ -274,7 +297,9 @@ def reference_parse_instance(text: str, *, require_validity: bool = True) -> Ins
         seen: set[str] = set()
         for t in tokens:
             if not (t.isascii() and t.isprintable()):
-                raise ParseError(f"line {lineno}: invalid token '{t}' in clique {idx}")
+                raise ParseError(
+                    f"line {lineno}: invalid token '{reference_shown(t)}' in clique {idx}"
+                )
             if t in seen:
                 raise ParseError(f"line {lineno}: duplicate token '{t}' in clique {idx}")
             seen.add(t)

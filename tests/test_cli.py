@@ -47,6 +47,22 @@ class TestValidate:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "text, quoted",
+        [("1\na\x1b[31mb\n", r"'a\x1b[31mb'"), ("\x1b[31m1\na\n", r"'\x1b[31m1'")],
+        ids=["token", "header"],
+    )
+    def test_error_prints_no_control_character(self, capsys, tmp_path, text, quoted):
+        # an escape sequence in the input is quoted escaped, not sent to the terminal
+        path = tmp_path / "escape.efl"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert quoted in err
+        assert err.endswith("\n")
+        assert all(" " <= c <= "~" for c in err[:-1]), repr(err)
+
+
 class TestColor:
     def test_matrix_method(self, capsys, example_file):
         code, out, _ = run_cli(capsys, "color", str(example_file), "--method", "matrix")

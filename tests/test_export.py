@@ -61,9 +61,9 @@ class TestSerialize:
             ([("#a", "b"), ("c", "d")], "first token '#a' in clique 1 starts a comment"),
             ([("a", "b"), ("c d", "e")], "invalid token 'c d' in clique 2"),
             ([("a", "b"), ("c", "")], "invalid token '' in clique 2"),
-            ([("a", "\u00e9"), ("c", "d")], "invalid token '\u00e9' in clique 1"),
-            ([("a", "b"), ("c\td", "e")], "invalid token 'c\td' in clique 2"),
-            ([("a", "b\x7f"), ("c", "d")], "invalid token 'b\x7f' in clique 1"),
+            ([("a", "\u00e9"), ("c", "d")], r"invalid token '\xe9' in clique 1"),
+            ([("a", "b"), ("c\td", "e")], r"invalid token 'c\td' in clique 2"),
+            ([("a", "b\x7f"), ("c", "d")], r"invalid token 'b\x7f' in clique 1"),
         ],
         ids=["hash-first", "space", "empty-token", "non-ascii", "tab", "delete"],
     )

@@ -32,6 +32,7 @@ from support import (
     instances,
     permissive_instances,
     reference_intersecting_pair_count,
+    reference_shown,
     reference_token_ok,
     reference_validate,
 )
@@ -93,7 +94,11 @@ class TestParse:
         # parser's message
         for cp in range(0x110000):
             for piece in ("a" + chr(cp) + "b").split():
-                rule = None if reference_token_ok(piece) else f"invalid token '{piece}' in clique 1"
+                rule = (
+                    None
+                    if reference_token_ok(piece)
+                    else f"invalid token '{reference_shown(piece)}' in clique 1"
+                )
                 try:
                     serialize_instance(Instance(1, [(piece,)]))
                     refused = None

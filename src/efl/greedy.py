@@ -2,16 +2,14 @@
 
 The greedy procedure colors core vertices in non-increasing clique degree,
 giving each the least color unused in all of its cliques so far; it is the
-matrix engine's coloring loop with repair off (see
-:func:`efl.matrix_engine.color_cover` for what it hands the engine).  The
-paper's two
-conditions bound the same count, a clique's vertices of clique degree >= d:
-SY1 at d = 2 by sqrt(n), SY2 at every d in 2..n by ceil((n+d-1)/d) (the
-statement rule; the proof rule bounds by ceil(n/d)).  Every checker reads
-that count from one table, built once per instance from the core's
-incidence lists.  SY1 or the proof rule is what the tests find sufficient
-for the greedy.  The statement rule is not: it holds on
-``tests/data/sy2_statement_n6.efl`` and the greedy fails there, while the
+matrix engine's coloring loop, :func:`efl.matrix_engine.color_cover`, with
+repair off.  The paper's two conditions bound the same count, a clique's
+vertices of clique degree >= d: SY1 at d = 2 by sqrt(n), SY2 at every d in
+2..n by ceil((n+d-1)/d) (the statement rule; the proof rule bounds by
+ceil(n/d)).  Every checker reads that count from one table, built once per
+instance from the core's incidence lists.  SY1 or the proof rule is what the
+tests find sufficient for the greedy.  The statement rule is not: it holds
+on ``tests/data/sy2_statement_n6.efl`` and the greedy fails there, while the
 matrix engine colors it.
 """
 
@@ -54,10 +52,8 @@ def run_greedy(inst: Instance) -> ColoringResult:
     the lexicographically smallest incidence tuple, and the run fails with
     ``no-color-available`` at the first vertex that finds all n colors used
     in its cliques; otherwise the core coloring is extended to a verified
-    total one, which :func:`efl.matrix_engine.color_cover` hands on to the
-    next engine run on ``inst``.  The result carries no trace; its matrix is
-    derived like the engine's and, on failure, shows the core colored up to
-    the stuck vertex.
+    total one.  The result carries no trace; its matrix is derived like the
+    engine's and, on failure, shows the core colored up to the stuck vertex.
     """
     return color_cover(inst, None, None)
 

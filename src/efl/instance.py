@@ -37,10 +37,8 @@ class Instance:
     immutable and hashable, and all derived views are cached: the vertex
     tuple, the incidence map, its split into ``core_incidence`` and
     ``private_members``, the validation report and the degree table of the
-    paper's two conditions.  Besides them, an instance holds at most a
-    finished greedy coloring for its next engine run (see
-    :func:`efl.matrix_engine.color_cover`).  A copy or a pickle carries
-    ``n`` and the cliques only.
+    paper's two conditions.  No call writes anything else to an instance.
+    A copy or a pickle carries the views cached so far.
     """
 
     def __init__(self, n: int, cliques: Iterable[Iterable[VertexId]]):
@@ -61,10 +59,6 @@ class Instance:
 
     def __hash__(self) -> int:
         return hash((self.n, self.cliques))
-
-    def __getstate__(self) -> dict:
-        # only n and the cliques; see efl.matrix_engine.color_cover
-        return {"n": self.n, "cliques": self.cliques}
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, vertices={len(self.vertices)})"

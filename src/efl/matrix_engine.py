@@ -43,7 +43,7 @@ One loop, :func:`color_cover`, places and repairs, and a vertex's
 free-color test is also its stuck test: with repair on, each failed test
 runs one repair stage and tests the vertex again.  The degree-ordered greedy
 of :mod:`efl.greedy` is the same loop with repair off, ending at the first
-failed test; :func:`color_cover` states what a greedy run hands the engine.
+failed test.
 
 Once the core is colored, the private (degree-1) vertices of each clique i,
 in token order, take the colors free in its row mask ``used[i]``, ascending;
@@ -169,7 +169,8 @@ def _block_matrix(inst: Instance, core: dict[str, int]) -> ColorMatrix:
     :meth:`ColorMatrix._write_block`.
     """
     n = inst.n
-    matrix = ColorMatrix(n, [[DISJOINT] * n for _ in range(n)])
+    # one shared row n times: __init__ copies each row into its own list
+    matrix = ColorMatrix(n, [[DISJOINT] * n] * n)
     rows = matrix._rows
     # a private vertex's block has no off-diagonal cell
     for v, ix in inst.core_incidence.items():
@@ -493,20 +494,6 @@ def _owns_colors(
     return all(rows[i][color[v]] == v for v in vertices for i in inc[v])
 
 
-_GREEDY = "_greedy_coloring"  # where a greedy run that colors the cover leaves it
-
-
-def _certified(
-    inst: Instance, core: dict[str, int], total: dict[str, int], trace: Optional[list[TraceEvent]]
-) -> ColoringResult:
-    """``total`` as the result's colors once ``verify_proper`` certifies it
-    proper with at most n colors; otherwise a failure keeping ``core``."""
-    report = verify_proper(inst, total)
-    if not report.proper or report.max_color > inst.n:
-        return ColoringResult(inst, core, REASON_INTERNAL_VERIFICATION, trace)
-    return ColoringResult(inst, total, None, trace)
-
-
 def color_cover(
     inst: Instance, repair_budget: Optional[int], trace: Optional[list[TraceEvent]]
 ) -> ColoringResult:
@@ -524,7 +511,8 @@ def color_cover(
     tuple)``, and a vertex's rank bit is ``1 << rank``.  ``split[r]`` is rank
     r's incidence tuple split once into ``(a, b, rest)``, with ``rest`` empty
     for a vertex in two cliques, and ``members[i]`` holds the rank bits of
-    the colored vertices of row i.  All of this state lives in one call.
+    the colored vertices of row i.  All of this state lives in one call, and
+    nothing is written to ``inst``.
 
     The loop walks ``order`` from the start.  Each step tests the vertex's
     free colors; with one, the vertex takes the least, and as it owns no
@@ -541,17 +529,9 @@ def color_cover(
     is colored, the private vertices of each clique
     (:attr:`Instance.private_members`) take the colors free in its row.  On
     success the result's ``colors`` is that total coloring, the very dict
-    ``verify_proper`` certified; on failure it is the partial core coloring,
-    with ``reason`` set.
-
-    The handoff.  A greedy run that colors the cover leaves on the instance
-    its core coloring, in placement order, and a copy of its certified
-    total, and nothing else; a greedy run that fails leaves nothing.  The
-    next engine run on the instance takes both off, records the core's
-    ``ASSIGN`` events when traced, certifies the copy and returns it: with
-    no vertex stuck, that is the run it would have made itself.  So the two
-    results never share a dict, and after an engine run the instance holds
-    only its cached views.  Copies and pickles carry neither.
+    ``verify_proper`` certified proper with at most n colors (a coloring it
+    refuses fails with ``internal-verification``); on failure it is the
+    partial core coloring, with ``reason`` set.
 
     The scan is memoized.  A stuck episode starts at the vertex's first
     failed test, and within it ``tried`` and ``blocked`` are rank masks; a
@@ -569,11 +549,6 @@ def color_cover(
     require_valid(inst)
     repair = repair_budget is not None
     tracing = trace is not None
-    if repair and (handoff := vars(inst).pop(_GREEDY, None)):
-        core, total = handoff
-        if tracing:
-            trace.extend(map(Assigned, core, core.values()))
-        return _certified(inst, core, total, trace)
     n = inst.n
     inc = inst.core_incidence
     full = ((1 << n) - 1) << 1  # every color 1..n
@@ -659,18 +634,16 @@ def color_cover(
     total = dict(core)
     for i, private in enumerate(inst.private_members, start=1):
         total.update(zip(private, _bits(full & ~used[i])))
-    result = _certified(inst, core, total, trace)
-    if result.ok and not repair:
-        vars(inst)[_GREEDY] = (core, dict(total))
-    return result
+    report = verify_proper(inst, total)
+    if not report.proper or report.max_color > n:
+        return ColoringResult(inst, core, REASON_INTERNAL_VERIFICATION, trace)
+    return ColoringResult(inst, total, None, trace)
 
 
 def run_matrix_method(inst: Instance, config: Optional[EngineConfig] = None) -> ColoringResult:
     """Color the core by the matrix method with repair, then extend to a total coloring.
 
-    All free choices are pinned for determinism, and a coloring that
-    :func:`efl.greedy.run_greedy` left on ``inst`` is taken over (see
-    :func:`color_cover`).
+    All free choices are pinned for determinism.
     """
     cfg = config or EngineConfig()
     budget = cfg.repair_budget if cfg.repair_budget is not None else inst.n * inst.n

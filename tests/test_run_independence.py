@@ -1,11 +1,12 @@
-"""The greedy's finished coloring handed to the matrix engine.
+"""Runs on one instance are independent of each other and of copies.
 
-A ``run_greedy`` that colors the cover leaves its coloring on the instance
-and the next ``run_matrix_method`` on that instance takes it off; one that
-gets stuck leaves nothing.  A run after the greedy must equal a run on a
-fresh equal instance, byte for byte, leave the greedy's result alone, and
-leave nothing behind on the instance.  Every success stays the dict that
-``verify_proper`` certified.
+A run writes nothing to its instance: after any public call the instance
+holds only its cached views.  So a ``run_matrix_method`` after a
+``run_greedy`` must equal a run on a fresh equal instance, byte for byte,
+leave the greedy's result alone, and share no dict with it, whatever order
+the runs come in; a copy or a pickle must equal the original and run like a
+fresh instance.  Every success stays the dict that ``verify_proper``
+certified.
 """
 
 from __future__ import annotations
@@ -17,15 +18,28 @@ from collections import Counter
 import pytest
 
 from efl import matrix_engine
+from efl.export import export_dot, serialize_instance
 from efl.generators import gen_dense
-from efl.greedy import run_greedy
-from efl.instance import Instance, parse_instance
-from efl.matrix_engine import EngineConfig, render_trace, run_matrix_method
-from efl.oracle import VerifyReport
+from efl.greedy import check_sy1, check_sy2_all, run_greedy
+from efl.instance import Instance, core_subgraph, parse_instance
+from efl.matrix_engine import (
+    EngineConfig,
+    initial_matrix,
+    render_trace,
+    replay_trace,
+    run_matrix_method,
+)
+from efl.oracle import (
+    VerifyReport,
+    corollary_bound_check,
+    is_n_colorable,
+    theorem_identity,
+    verify_proper,
+)
 
 TRACED = EngineConfig(trace_enabled=True)
 
-# the cached views an instance may hold once no greedy coloring is left on it
+# all an instance may hold: n, the cliques and its cached views
 VIEWS = {
     "n",
     "cliques",
@@ -66,8 +80,7 @@ def test_engine_after_greedy_equals_engine_alone(covers):
         for cover in covers:
             inst = _fresh(cover)
             greedy = run_greedy(inst)
-            # a finished greedy leaves one coloring, a stuck one nothing
-            assert len(set(vars(inst)) - VIEWS) == greedy.ok
+            assert set(vars(inst)) <= VIEWS
             before = _outcome(greedy)
             engine = run_matrix_method(inst, config)
             assert _outcome(engine) == _outcome(run_matrix_method(_fresh(cover), config))
@@ -76,9 +89,8 @@ def test_engine_after_greedy_equals_engine_alone(covers):
             assert set(vars(inst)) <= VIEWS
             if not greedy.ok:
                 after_stuck[engine.reason] += 1
-        # the covers run both paths, a finished greedy coloring taken over
-        # and a stuck greedy followed by a run from scratch, and a small
-        # budget ends some of the latter
+        # the covers hold both greedy outcomes, and after a stuck greedy the
+        # engine succeeds on some and a small budget ends some others
         assert sum(after_stuck.values()) >= 10 and after_stuck[None] >= 5, budget
         if budget is not None:
             assert after_stuck["budget-exhausted"] >= 5, budget
@@ -107,14 +119,15 @@ def test_stuck_fixtures_leave_nothing(gap_n8_file, sy2_statement_n6_file):
         assert set(vars(inst)) <= VIEWS
 
 
-def test_copies_leave_the_coloring_behind(example):
+def test_copies_run_like_fresh_instances(example):
     run_greedy(example)
     for twin in (copy.copy(example), copy.deepcopy(example), pickle.loads(pickle.dumps(example))):
-        assert twin == example and set(vars(twin)) == {"n", "cliques"}
+        # a copy carries the views cached so far
+        assert twin == example and set(vars(twin)) == set(vars(example))
         assert _outcome(run_matrix_method(twin, TRACED)) == _outcome(
             run_matrix_method(_fresh(example), TRACED)
         )
-    assert "_greedy_coloring" in vars(example)
+    assert set(vars(example)) <= VIEWS
 
 
 @pytest.mark.parametrize("greedy_first", [True, False])
@@ -149,3 +162,52 @@ def test_certification_is_not_skipped(monkeypatch, example, greedy_first):
     methods = [run_greedy, run_matrix_method]
     for method in methods if greedy_first else methods[::-1]:
         assert method(example).reason == "internal-verification"
+
+
+def _public_calls(inst: Instance):
+    """Each public call on ``inst``, by name, made as it is yielded."""
+    greedy = run_greedy(inst)
+    yield "run_greedy"
+    traced = run_matrix_method(inst, TRACED)
+    yield "run_matrix_method traced"
+    tight = run_matrix_method(inst, EngineConfig(repair_budget=1))
+    yield "run_matrix_method repair_budget=1"
+    check_sy1(inst)
+    yield "check_sy1"
+    check_sy2_all(inst)
+    check_sy2_all(inst, "proof")
+    yield "check_sy2_all"
+    theorem_identity(inst)
+    yield "theorem_identity"
+    corollary_bound_check(inst)
+    yield "corollary_bound_check"
+    for result in (greedy, traced, tight):
+        if result.ok:
+            verify_proper(inst, result.colors)
+    yield "verify_proper"
+    serialize_instance(inst)
+    yield "serialize_instance"
+    export_dot(inst)
+    export_dot(inst, traced.coloring)
+    yield "export_dot"
+    core_subgraph(inst)
+    yield "core_subgraph"
+    # dense(10) has a core of 45 vertices, above the default limit
+    is_n_colorable(inst, vertex_limit=45)
+    yield "is_n_colorable"
+    start = initial_matrix(inst)
+    yield "initial_matrix"
+    replay_trace(inst, traced.trace, start)
+    yield "replay_trace"
+    for result in (greedy, traced, tight):
+        result.final_matrix
+    yield "final_matrix"
+
+
+def test_no_public_call_leaves_state(corpus500, gap_n8_file):
+    # the corpus instances are shared by the whole session, and each keeps
+    # whatever the tests before this one cached on it
+    covers = [*corpus500, parse_instance(gap_n8_file.read_text()), gen_dense(10)]
+    for idx, inst in enumerate(covers):
+        for call in _public_calls(inst):
+            assert set(vars(inst)) <= VIEWS, (idx, call)

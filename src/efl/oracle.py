@@ -116,10 +116,13 @@ def _k_colorable(adj: list[int], k: int) -> bool:
     is broken by never opening more than one fresh color at a time; the
     search is complete, so a False answer proves infeasibility.  Giving a
     vertex color c moves its uncolored neighbours outside ``near[c]`` up one
-    level, and a failed branch moves them back.  A branch that leaves a
-    vertex seeing all k colors fails without a call, as that vertex would be
-    picked next and find no color.  The search nests one call per colored
-    vertex; a core too large for the interpreter's recursion limit raises
+    level.  That raise touches no level above ``top + 1``, and a deeper call
+    that fails leaves the levels as it found them, so a failed branch
+    restores ``level[: top + 2]`` from the snapshot the step took once its
+    vertex left ``level[top]``.  A branch that leaves a vertex seeing all k
+    colors fails without a call, as that vertex would be picked next and
+    find no color.  The search nests one call per colored vertex; a core too
+    large for the interpreter's recursion limit raises
     :class:`CoreSizeLimitError`.
     """
     level = [0] * (len(adj) + 1)
@@ -135,33 +138,24 @@ def _k_colorable(adj: list[int], k: int) -> bool:
         level[top] ^= bit
         uncolored ^= bit
         rest = adj[bit.bit_length() - 1] & uncolored
+        base = level[: top + 2]
         for c in range(1, used + 2 if used < k else k + 1):
             seen = near[c]
             if seen & bit:
                 continue
-            newly = rest & ~seen
             near[c] = seen | rest
             s = top
-            left = newly
+            left = rest & ~seen
             while left:
                 moved = level[s] & left
                 level[s] ^= moved
                 level[s + 1] |= moved
                 left ^= moved
                 s -= 1
-            if not level[top + 1]:
-                if step(uncolored, c if c > used else used, top):
-                    return True
-            elif top + 1 < k and step(uncolored, c if c > used else used, top + 1):
+            t = top + 1 if level[top + 1] else top
+            if t < k and step(uncolored, c if c > used else used, t):
                 return True
-            s = top
-            left = newly
-            while left:
-                moved = level[s + 1] & left
-                level[s + 1] ^= moved
-                level[s] |= moved
-                left ^= moved
-                s -= 1
+            level[: top + 2] = base
             near[c] = seen
         level[top] |= bit
         return False
@@ -184,11 +178,13 @@ def _dsatur(adj: list[int]) -> list[int]:
     search's first descent at any k at or above it.  ``level[s]`` masks the
     uncolored vertices with s neighbour colors, and the next vertex is the
     lowest set bit of the highest non-empty level; ``near[c]`` masks the
-    vertices with a neighbour of color c.  The last entry of ``near`` is
-    always empty, so the scan for the least free color stops there.
+    vertices with a neighbour of color c.  ``near`` is sized once: a vertex
+    has at most ``len(adj) - 1`` neighbours, so no color exceeds ``len(adj)``
+    and the last entry stays empty, where the scan for the least free color
+    stops.
     """
     colors = [0] * len(adj)
-    near = [0, 0]
+    near = [0] * (len(adj) + 2)
     level = [0] * (len(adj) + 1)
     level[0] = uncolored = (1 << len(adj)) - 1
     top = 0
@@ -201,8 +197,6 @@ def _dsatur(adj: list[int]) -> list[int]:
         c = 1
         while near[c] & bit:
             c += 1
-        if c == len(near) - 1:
-            near.append(0)
         v = bit.bit_length() - 1
         colors[v] = c
         a = adj[v]

@@ -92,6 +92,11 @@ class TestDisjoint:
     def test_validates(self):
         assert validate(gen_disjoint(10)).ok
 
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValueError) as raised:
+            gen_disjoint(0)
+        assert str(raised.value) == "n must be positive"
+
 
 class TestDense:
     def test_n3_construction(self):

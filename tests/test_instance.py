@@ -69,6 +69,12 @@ class TestParse:
         with pytest.raises(ParseError, match="positive"):
             parse_instance("0\n")
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n  # and another\r\n"])
+    def test_no_header_line(self, text):
+        with pytest.raises(ParseError) as raised:
+            parse_instance(text)
+        assert str(raised.value) == "empty input: expected a clique count line"
+
     def test_single_clique_accepted(self):
         inst = parse_instance("1\nonly\n")
         assert inst.vertices == ("only",)
@@ -115,6 +121,27 @@ class TestParse:
         inst = parse_instance("2\na b\na b\n", require_validity=False)
         report = validate(inst)
         assert not report.ok
+
+
+class TestConstruction:
+    """README promises ``ValueError`` for a clique count below 1 or unlike
+    the number of cliques."""
+
+    def test_clique_count_below_one(self):
+        with pytest.raises(ValueError) as raised:
+            Instance(0, [])
+        assert str(raised.value) == "clique count must be positive, got 0"
+
+    def test_clique_count_unlike_the_cliques(self):
+        with pytest.raises(ValueError) as raised:
+            Instance(2, [("a", "b")])
+        assert str(raised.value) == "expected 2 cliques, got 1"
+
+    def test_equal_instances_hash_alike(self):
+        built = Instance(2, [["a", "b"], ("b", "c")])
+        parsed = parse_instance("2\na b\nb c\n")
+        assert built == parsed and built is not parsed
+        assert hash(built) == hash(parsed) == hash((2, (("a", "b"), ("b", "c"))))
 
 
 class TestValidate:

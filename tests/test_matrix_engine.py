@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import copy
 import functools
+import hashlib
+import math
 import pathlib
 import random
 import re
@@ -123,6 +125,9 @@ class TestColorMatrix:
             for j in range(1, 7)
             if (i, j) not in expected
         )
+
+    def test_repr(self):
+        assert repr(initial_matrix(gen_dense(3))) == "ColorMatrix(n=3)"
 
     def test_initial_disjoint(self):
         m = initial_matrix(gen_disjoint(3))
@@ -1008,3 +1013,24 @@ class TestKnownGaps:
         assert render_trace(result.trace) == GAP_N8_TRACE
         assert run_greedy(inst).reason == "no-color-available"
         assert chromatic_number_exact(core_subgraph(inst)) == 7 <= inst.n
+
+    def test_random_sweep_gaps_stuck(self):
+        """Records the known gaps of a random sweep, not intended behaviour.
+
+        ``random_sweep_gaps.txt`` holds one ``n seed extension_percent`` line
+        per cover ``gen_random(n, C(n, 2), seed, extension_percent)`` on which
+        the engine fails, over n 7..16, seed 0..999 and extension 10, 20 and
+        40 %, in that order: 209 covers, ``gap_n8.efl`` among them as
+        ``8 241 20``.  Each fails with ``stuck-no-repair``.  A repair stage
+        that closes a gap must flip its entry: the cover then colors, and the
+        line leaves the file with a new digest.
+        """
+        path = pathlib.Path(__file__).parent / "data" / "random_sweep_gaps.txt"
+        text = path.read_text(encoding="ascii")
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "c9e269d2f16fd4ecbeb638eb89c52e1fe0b9b19140b419a3e40bea1967a94ac4"
+        )
+        for line in text.splitlines():
+            n, seed, extension = map(int, line.split())
+            result = run_matrix_method(gen_random(n, math.comb(n, 2), seed, extension))
+            assert result.reason == "stuck-no-repair", line

@@ -1026,11 +1026,11 @@ class TestKnownGaps:
         line leaves the file with a new digest.
         """
         path = pathlib.Path(__file__).parent / "data" / "random_sweep_gaps.txt"
-        text = path.read_text(encoding="ascii")
-        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
             "c9e269d2f16fd4ecbeb638eb89c52e1fe0b9b19140b419a3e40bea1967a94ac4"
         )
-        for line in text.splitlines():
+        for line in data.decode("ascii").splitlines():
             n, seed, extension = map(int, line.split())
             result = run_matrix_method(gen_random(n, math.comb(n, 2), seed, extension))
             assert result.reason == "stuck-no-repair", line

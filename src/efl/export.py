@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from itertools import repeat
+from typing import Iterable, Mapping, Optional
 
 from .instance import Instance, _clique_error, require_valid
 from .oracle import verify_proper
@@ -69,17 +70,28 @@ def _dot_id(token: str) -> str:
     return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot_tail(color: int) -> str:
+    """What follows a colored node's quoted ID on its line."""
+    return f' [color="{_dot_color(color)}", style=filled];\n'
+
+
 def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> str:
     """DOT text: every vertex once, every clique as its full edge set.
 
     With a coloring each node carries a ``color`` attribute (named for colors
     1..6, numeric beyond).  The coloring must be total and proper.  The text
-    is gathered as pieces in one list and joined once: a node line each, and
-    for each run of edges from one vertex its head, the edges joined on
-    ``";\\n" + head``, and the closing ``";\\n"``.
+    is gathered as pieces in one list and joined once: the node lines as one
+    piece, joined from each vertex's quoted ID and the tail its color gives
+    (``";\\n"`` without a coloring), and for each run of edges from one
+    vertex its head, the edges joined on ``";\\n" + head``, and the closing
+    ``";\\n"``.  When every color is an exact ``int`` each color's tail is
+    built once: equal ints print the same, while 7 and 7.0, or 1 and True,
+    are equal but print differently.
     """
     require_valid(inst)
-    if coloring is not None:
+    if coloring is None:
+        tails: Iterable[str] = repeat(";\n")
+    else:
         report = verify_proper(inst, coloring)
         if not report.proper:
             first = report.conflicts[0]
@@ -87,20 +99,19 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
                 f"refusing to export an improper coloring: clique {first[0]} "
                 f"has '{first[1]}' and '{first[2]}' both colored {first[3]}"
             )
+        colors = list(map(coloring.__getitem__, inst.vertices))
+        if set(map(type, colors)) == {int}:
+            tail_of = {c: _dot_tail(c) for c in set(colors)}
+            tails = map(tail_of.__getitem__, colors)
+        else:
+            tails = map(_dot_tail, colors)
     quoted = {v: _dot_id(v) for v in inst.vertices}
-    parts = ["graph cover {\n"]
-    if coloring is None:
-        parts.extend(f"  {q};\n" for q in quoted.values())
-    else:
-        parts.extend(
-            f"  {q} [color=\"{_dot_color(coloring[v])}\", style=filled];\n"
-            for v, q in quoted.items()
-        )
+    parts = ["graph cover {\n", "".join([f"  {q}{t}" for q, t in zip(quoted.values(), tails)])]
     # a valid cover is linear and repeats no token, so each vertex pair lies
     # in at most one clique and no edge is written twice; the edges from one
     # vertex to the later members of its clique form one run of lines
     for members in inst.cliques:
-        group = [quoted[v] for v in sorted(members)]
+        group = list(map(quoted.__getitem__, sorted(members)))
         for a in range(len(group) - 1):
             head = f"  {group[a]} -- "
             parts += (head, (";\n" + head).join(group[a + 1 :]), ";\n")

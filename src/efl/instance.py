@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInstanceError, ParseError, UnknownVertexError
 
@@ -206,6 +206,21 @@ class CoreGraph(NamedTuple):
         return adj
 
 
+def _clique_pairs(shared: Collection[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The clique pairs (i < j) of every incidence tuple in ``shared``, with
+    repeats, each tuple holding two cliques or more in ascending order.
+
+    A tuple of two cliques is already its one pair, so only the tuples of
+    three cliques or more go through ``combinations``, and none does when
+    every vertex lies in two cliques, as in a dense cover.
+    """
+    pairs = [ix for ix in shared if len(ix) == 2]
+    if len(pairs) < len(shared):
+        larger = [ix for ix in shared if len(ix) > 2]
+        pairs.extend(chain.from_iterable(map(combinations, larger, repeat(2))))
+    return pairs
+
+
 def validate(inst: Instance) -> ValidationReport:
     """Check the clique-cover invariants, reporting every violation.
 
@@ -218,18 +233,19 @@ def validate(inst: Instance) -> ValidationReport:
     their lengths sum to n*n exactly when none repeats.  Only on failure are
     the tokens of each clique counted.  Linearity reads the core's incidence
     lists (:attr:`Instance.core_incidence`): every shared vertex contributes
-    the clique pairs of its list, and a pair listed twice shares two
-    vertices.  So the cover is linear exactly when the list of all these
-    pairs is as long as its set, which C-level calls decide.  Only when it
-    is not does a ``Counter`` name the pairs listed more than once, and only
-    those pairs are intersected, to name their shared tokens.
+    the clique pairs of its list, a vertex in two cliques its tuple as it
+    is and only a longer list through ``combinations``
+    (:func:`_clique_pairs`), and a pair listed twice shares two vertices.
+    So the cover is linear exactly when the list of all these pairs is as
+    long as its set.  Only when it is not does a ``Counter`` name the pairs
+    listed more than once, and only those pairs are intersected, to name
+    their shared tokens.
     """
     violations: list[Violation] = []
     n = inst.n
     cliques = inst.cliques
     places = sum(map(len, inst.incidence_map.values()))  # each clique's distinct tokens, summed
-    shared = inst.core_incidence.values()
-    pairs = list(chain.from_iterable(map(combinations, shared, repeat(2))))
+    pairs = _clique_pairs(inst.core_incidence.values())
     offending: list[tuple[int, int]] = []
     if len(pairs) != len(set(pairs)):
         offending = [pair for pair, count in Counter(pairs).items() if count > 1]
@@ -441,8 +457,8 @@ def intersecting_pair_count(inst: Instance) -> int:
     """Count clique pairs (i < j) with a nonempty intersection.
 
     Two cliques meet exactly when some vertex lies in both, so the pairs are
-    read off the core's incidence lists, each distinct pair counted once.
+    read off the core's incidence lists by the pair rule of :func:`validate`
+    (:func:`_clique_pairs`), each distinct pair counted once.
     """
     require_valid(inst)
-    shared = inst.core_incidence.values()
-    return len(set(chain.from_iterable(map(combinations, shared, repeat(2)))))
+    return len(set(_clique_pairs(inst.core_incidence.values())))

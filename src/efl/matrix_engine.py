@@ -33,7 +33,9 @@ cliques, a fan-and-alternating-path recoloring in the style of the constructive
 proof of Vizing's theorem, planned on a copy of the row state and kept only
 when every row stays conflict-free.  Each stage only plans a list of writes;
 one commit step charges every write against a budget, records it and
-applies it.  The scan is memoized per stuck episode: an owner found fully
+applies it inline, releasing a row slot only while the written vertex still
+owns it: the rule of ``_recolor``, through which the fan plan writes its
+scratch copy.  The scan is memoized per stuck episode: an owner found fully
 blocked is not tested again until a commit writes into one of its rows, and
 its ``SKIP`` events are still those of a scan restarted after every commit.
 Trace events are built only when a trace is asked for.  Runs that exhaust the
@@ -89,6 +91,15 @@ class ColorMatrix:
             raise ValueError(f"a matrix of order {n} needs {n} rows of {n} cells each")
 
     @classmethod
+    def _of_rows(cls, n: int, rows: list[list[int]]) -> "ColorMatrix":
+        """A matrix over ``rows`` themselves, for internal builds whose rows
+        are n fresh lists of n cells each: no copy and no shape check."""
+        matrix = cls.__new__(cls)
+        matrix.n = n
+        matrix._rows = rows
+        return matrix
+
+    @classmethod
     def from_text(cls, text: str) -> "ColorMatrix":
         """Parse exactly what :meth:`render` writes: '.', '?' or a color.
 
@@ -111,7 +122,7 @@ class ColorMatrix:
                     row[j - 1] = int(tok)
                 else:
                     raise ValueError(f"row {i}, column {j}: {tok!r} is not '.', '?' or a color")
-        return cls(n, rows)
+        return cls._of_rows(n, rows)
 
     def get(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -144,7 +155,7 @@ class ColorMatrix:
                     row[b - 1] = color
 
     def copy(self) -> "ColorMatrix":
-        return ColorMatrix(self.n, self._rows)
+        return ColorMatrix._of_rows(self.n, [row[:] for row in self._rows])
 
     def render(self) -> str:
         return "\n".join(" ".join(_SYMBOLS.get(x) or str(x) for x in row) for row in self._rows)
@@ -169,9 +180,8 @@ def _block_matrix(inst: Instance, core: dict[str, int]) -> ColorMatrix:
     :meth:`ColorMatrix._write_block`.
     """
     n = inst.n
-    # one shared row n times: __init__ copies each row into its own list
-    matrix = ColorMatrix(n, [[DISJOINT] * n] * n)
-    rows = matrix._rows
+    rows = [[DISJOINT] * n for _ in range(n)]
+    matrix = ColorMatrix._of_rows(n, rows)
     # a private vertex's block has no off-diagonal cell
     for v, ix in inst.core_incidence.items():
         x = core.get(v, UNASSIGNED)
@@ -359,8 +369,10 @@ def _recolor(
     taken over v's old color in the row they share.  ``used[i]`` keeps bit c
     set exactly while c is owned in row i.  An uncolored v is accepted and
     releases nothing: its old color reads as 0, and slot 0 of every row,
-    which no color indexes, stays None.  The tests build their states this
-    way; the engine assigns an uncolored vertex inline.
+    which no color indexes, stays None.  The fan plan writes its scratch copy
+    through it and the tests build their states this way; the engine's
+    commit loop writes the same steps inline, and it assigns an uncolored
+    vertex inline too.
     """
     old = color.get(v, 0)
     for i in inc[v]:
@@ -517,17 +529,20 @@ def color_cover(
     The loop walks ``order`` from the start.  Each step tests the vertex's
     free colors; with one, the vertex takes the least, and as it owns no
     color yet its color, row owners, row masks and row member bits are
-    written in one loop over its rows (``_recolor``, which releases an old
-    color, serves only repairs).  With none, the greedy fails with
+    written in one loop over its rows.  With none, the greedy fails with
     ``no-color-available``; with repair on, one repair stage plans a list of
-    ``(vertex, color)`` writes, one commit charges the budget, records and
-    writes it, and the loop tests the same vertex again.  The first stage
-    scans the owners in the stuck vertex's rows in incidence order and plans
-    the least free color of the first one that is neither fully blocked nor
-    already tried in this stuck episode.  When the scan runs dry the
-    fan-and-path plan takes over for a vertex in two cliques.  Once the core
-    is colored, the private vertices of each clique
-    (:attr:`Instance.private_members`) take the colors free in its row.  On
+    ``(vertex, color)`` writes, one commit loop charges the budget, records
+    each write and applies it, and the loop tests the same vertex again.
+    Every plan, the scan's or the fan's, goes through that commit loop, which
+    writes each recolor inline as ``_recolor``'s body: a row slot is released
+    only while the vertex still owns it, and each of its rows unblocks the
+    ranks colored there.  The first stage scans the owners in the stuck
+    vertex's rows in incidence order and plans the least free color of the
+    first one that is neither fully blocked nor already tried in this stuck
+    episode.  When the scan runs dry the fan-and-path plan takes over for a
+    vertex in two cliques.  Once the core is colored, the private vertices
+    of each clique (:attr:`Instance.private_members`) take the colors free
+    in its row.  On
     success the result's ``colors`` is that total coloring, the very dict
     ``verify_proper`` certified proper with at most n colors (a coloring it
     refuses fails with ``internal-verification``); on failure it is the
@@ -539,10 +554,13 @@ def color_cover(
     vertex sharing one of its rows, as only such a write can change the
     colors owned in its rows.  Each scan therefore tests only the ranks in
     neither mask, ascending, and looks up the token ``by_rank[r]`` only for
-    the rank it picks.  The blocked ranks below the chosen one (all of them
-    when the scan runs dry) are exactly the vertices a scan restarted from
-    the lowest rank would test and pass over, so the ``SKIP`` events equal
-    those of re-testing every owner after each commit.
+    the rank it picks.  As the row masks hold no color outside 1..n, a rank
+    is fully blocked exactly when its rows' masks OR to ``full``, and the
+    ranks a scan passed over join ``blocked`` at once when it ends.  The
+    blocked ranks below the chosen one (all of them when the scan runs dry)
+    are exactly the vertices a scan restarted from the lowest rank would
+    test and pass over, so the ``SKIP`` events equal those of re-testing
+    every owner after each commit.
 
     Trace events are built only when ``trace`` is a list.
     """
@@ -586,7 +604,7 @@ def color_cover(
                 tried = blocked = 0
             plan = None
             below = -1  # the ranks below the chosen one; all while none is chosen
-            todo = neighbors & ~(tried | blocked)
+            todo = untested = neighbors & ~(tried | blocked)
             while todo:
                 low = todo & -todo
                 r = low.bit_length() - 1
@@ -595,13 +613,16 @@ def color_cover(
                 if vrest:
                     for i in vrest:
                         taken |= used[i]
-                if free_v := full & ~taken:
+                # the row masks hold colors 1..n only: taken == full is fully blocked
+                if taken != full:
+                    free_v = full & ~taken
                     tried |= low
                     plan = [(by_rank[r], (free_v & -free_v).bit_length() - 1)]
                     below = low - 1
                     break
-                blocked |= low
                 todo ^= low
+            # the ranks tested and passed over, all fully blocked
+            blocked |= untested & below
             if tracing:
                 trace.extend(RepairSkipped(by_rank[r]) for r in _bits(blocked & below))
             if plan is None and not rest:
@@ -613,11 +634,19 @@ def color_cover(
                     trace.append(BudgetExhausted())
                 return ColoringResult(inst, core, REASON_BUDGET_EXHAUSTED, trace)
             for v, x in plan:
+                old = core[v]
                 if tracing:
-                    trace.append(RepairRecolored(v, core[v], x))
-                _recolor(rows, used, core, inc, v, x)
+                    trace.append(RepairRecolored(v, old, x))
+                keep, color_bit = ~(1 << old), 1 << x
                 for i in inc[v]:
+                    row = rows[i]
+                    if row[old] == v:
+                        row[old] = None
+                        used[i] &= keep
+                    row[x] = v
+                    used[i] |= color_bit
                     blocked &= ~members[i]
+                core[v] = x
             budget_used += len(plan)
         u = by_rank[rank]
         x = (free & -free).bit_length() - 1

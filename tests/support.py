@@ -29,7 +29,8 @@ event's block through one block-write call, ``reference_owns_colors`` the fan pl
 check over every colored core vertex, and ``reference_fan_path_plan`` the fan
 plan with every guard it once carried.  ``reference_color_cover`` is the
 coloring loop that tested every free color through a helper call, and
-``reference_export_dot`` the DOT writer that built each edge run as a line.
+``reference_export_dot`` the DOT writer that built each node line and each
+edge run as a line.
 The engine references keep the earlier row form, one dict per clique from
 each color owned there to its owner, written through ``reference_recolor``,
 the earlier ``_recolor``; ``dict_rows`` turns the library's color-indexed
@@ -599,8 +600,9 @@ def reference_color_cover(
 
 
 def reference_export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> str:
-    """:func:`efl.export.export_dot` building each edge run as one line and
-    joining the lines."""
+    """:func:`efl.export.export_dot` building each node line and each edge
+    run as one line and joining the lines; a token is quoted by escaping its
+    quotes and backslashes one character at a time."""
     require_valid(inst)
     if coloring is not None:
         report = verify_proper(inst, dict(coloring))
@@ -610,7 +612,10 @@ def reference_export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] =
                 f"refusing to export an improper coloring: clique {first[0]} "
                 f"has '{first[1]}' and '{first[2]}' both colored {first[3]}"
             )
-    quoted = {v: f'"{v}"' for v in inst.vertices}
+    quoted = {
+        v: '"' + "".join("\\" + ch if ch in '"\\' else ch for ch in v) + '"'
+        for v in inst.vertices
+    }
     lines = ["graph cover {"]
     if coloring is None:
         lines.extend(f"  {q};" for q in quoted.values())

@@ -132,6 +132,11 @@ class TestExportColoring:
         body = lines[1:-1]
         assert body == sorted(body, key=lambda s: s.split()[0])
 
+    def test_each_color_printed_as_given(self):
+        # 7 and 7.0, or 1 and True, are equal colors that print differently
+        coloring = {"d": 7.0, "c": 7, "b": True, "a": 1, 'q"': 2, "s\\": 2.0}
+        assert export_coloring(coloring, 2) == '2\na 1\nb True\nc 7\nd 7.0\nq" 2\ns\\ 2.0\n'
+
 
 class TestExportDot:
     def test_disjoint_two(self):

@@ -161,6 +161,18 @@ class TestValidate:
         assert violation.cliques == (1, 2)
         assert violation.tokens == ("x", "y")
 
+    def test_degree_three_and_degree_two_vertex_share_a_pair(self):
+        # x lies in cliques 1, 2 and 3, y in 1 and 2 only: the pair (1, 2)
+        # comes once from x's three pairs and once from y's own tuple
+        inst = Instance(3, [("x", "y", "a"), ("x", "y", "b"), ("x", "c", "d")])
+        assert inst.core_incidence == {"x": (1, 2, 3), "y": (1, 2)}
+        report = validate(inst)
+        (violation,) = report.violations
+        assert violation.kind == "shared-pair"
+        assert violation.cliques == (1, 2)
+        assert violation.tokens == ("x", "y")
+        assert report == reference_validate(inst)
+
     def test_all_violations_reported(self):
         inst = Instance(3, [("a", "a", "b"), ("a", "b", "c"), ("a", "b", "d")])
         report = validate(inst)

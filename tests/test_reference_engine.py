@@ -122,6 +122,26 @@ class TestExportDotReference:
             reference_export_dot, inst, coloring
         )
 
+    def test_equal_colors_that_print_differently(self):
+        # 7 and 7.0, or 1 and True, are equal and hash alike but print
+        # differently, so no tail built once per color value may serve both
+        inst = gen_dense(8)
+        coloring = dict(run_matrix_method(inst).coloring)
+        for v in inst.vertices[1::2]:
+            coloring[v] = True if coloring[v] == 1 else float(coloring[v])
+        text = export_dot(inst, coloring)
+        assert text == reference_export_dot(inst, coloring)
+        assert 'color="7"' in text and 'color="7.0"' in text
+
+    def test_tokens_with_quotes_and_backslashes(self):
+        base = gen_dense(6)
+        marks = ('"', "\\", '\\"', '"\\')
+        names = {v: v + marks[k % 4] for k, v in enumerate(base.vertices)}
+        inst = Instance(base.n, [[names[v] for v in c] for c in base.cliques])
+        coloring = run_matrix_method(inst).coloring
+        assert export_dot(inst) == reference_export_dot(inst)
+        assert export_dot(inst, coloring) == reference_export_dot(inst, coloring)
+
     def test_refusal_texts(self, example):
         constant = {v: 1 for v in example.vertices}
         partial = {v: 1 for v in example.vertices[1:]}

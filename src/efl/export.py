@@ -84,9 +84,7 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
     piece, joined from each vertex's quoted ID and the tail its color gives
     (``";\\n"`` without a coloring), and for each run of edges from one
     vertex its head, the edges joined on ``";\\n" + head``, and the closing
-    ``";\\n"``.  When every color is an exact ``int`` each color's tail is
-    built once: equal ints print the same, while 7 and 7.0, or 1 and True,
-    are equal but print differently.
+    ``";\\n"``.
     """
     require_valid(inst)
     if coloring is None:
@@ -99,12 +97,7 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
                 f"refusing to export an improper coloring: clique {first[0]} "
                 f"has '{first[1]}' and '{first[2]}' both colored {first[3]}"
             )
-        colors = list(map(coloring.__getitem__, inst.vertices))
-        if set(map(type, colors)) == {int}:
-            tail_of = {c: _dot_tail(c) for c in set(colors)}
-            tails = map(tail_of.__getitem__, colors)
-        else:
-            tails = map(_dot_tail, colors)
+        tails = map(_dot_tail, map(coloring.__getitem__, inst.vertices))
     quoted = {v: _dot_id(v) for v in inst.vertices}
     parts = ["graph cover {\n", "".join([f"  {q}{t}" for q, t in zip(quoted.values(), tails)])]
     # a valid cover is linear and repeats no token, so each vertex pair lies

@@ -91,15 +91,6 @@ class ColorMatrix:
             raise ValueError(f"a matrix of order {n} needs {n} rows of {n} cells each")
 
     @classmethod
-    def _of_rows(cls, n: int, rows: list[list[int]]) -> "ColorMatrix":
-        """A matrix over ``rows`` themselves, for internal builds whose rows
-        are n fresh lists of n cells each: no copy and no shape check."""
-        matrix = cls.__new__(cls)
-        matrix.n = n
-        matrix._rows = rows
-        return matrix
-
-    @classmethod
     def from_text(cls, text: str) -> "ColorMatrix":
         """Parse exactly what :meth:`render` writes: '.', '?' or a color.
 
@@ -122,7 +113,7 @@ class ColorMatrix:
                     row[j - 1] = int(tok)
                 else:
                     raise ValueError(f"row {i}, column {j}: {tok!r} is not '.', '?' or a color")
-        return cls._of_rows(n, rows)
+        return cls(n, rows)
 
     def get(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -155,7 +146,7 @@ class ColorMatrix:
                     row[b - 1] = color
 
     def copy(self) -> "ColorMatrix":
-        return ColorMatrix._of_rows(self.n, [row[:] for row in self._rows])
+        return ColorMatrix(self.n, self._rows)
 
     def render(self) -> str:
         return "\n".join(" ".join(_SYMBOLS.get(x) or str(x) for x in row) for row in self._rows)
@@ -180,8 +171,9 @@ def _block_matrix(inst: Instance, core: dict[str, int]) -> ColorMatrix:
     :meth:`ColorMatrix._write_block`.
     """
     n = inst.n
-    rows = [[DISJOINT] * n for _ in range(n)]
-    matrix = ColorMatrix._of_rows(n, rows)
+    # one shared row n times: __init__ copies each row into its own list
+    matrix = ColorMatrix(n, [[DISJOINT] * n] * n)
+    rows = matrix._rows
     # a private vertex's block has no off-diagonal cell
     for v, ix in inst.core_incidence.items():
         x = core.get(v, UNASSIGNED)
@@ -371,8 +363,9 @@ def _recolor(
     releases nothing: its old color reads as 0, and slot 0 of every row,
     which no color indexes, stays None.  The fan plan writes its scratch copy
     through it and the tests build their states this way; the engine's
-    commit loop writes the same steps inline, and it assigns an uncolored
-    vertex inline too.
+    commit loop writes the same steps inline, saving a call per write, and
+    it assigns an uncolored vertex inline too.  A change to this rule must
+    be made in both places.
     """
     old = color.get(v, 0)
     for i in inc[v]:
@@ -637,6 +630,7 @@ def color_cover(
                 old = core[v]
                 if tracing:
                     trace.append(RepairRecolored(v, old, x))
+                # _recolor's rule, inline; each row written unblocks its ranks
                 keep, color_bit = ~(1 << old), 1 << x
                 for i in inc[v]:
                     row = rows[i]

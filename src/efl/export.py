@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .instance import Instance, _clique_error, require_valid
 from .oracle import verify_proper
@@ -70,26 +69,18 @@ def _dot_id(token: str) -> str:
     return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _dot_tail(color: int) -> str:
-    """What follows a colored node's quoted ID on its line."""
-    return f' [color="{_dot_color(color)}", style=filled];\n'
-
-
 def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> str:
     """DOT text: every vertex once, every clique as its full edge set.
 
     With a coloring each node carries a ``color`` attribute (named for colors
     1..6, numeric beyond).  The coloring must be total and proper.  The text
-    is gathered as pieces in one list and joined once: the node lines as one
-    piece, joined from each vertex's quoted ID and the tail its color gives
-    (``";\\n"`` without a coloring), and for each run of edges from one
+    is gathered as pieces in one list and joined once: the node lines,
+    themselves joined once into one piece, and for each run of edges from one
     vertex its head, the edges joined on ``";\\n" + head``, and the closing
     ``";\\n"``.
     """
     require_valid(inst)
-    if coloring is None:
-        tails: Iterable[str] = repeat(";\n")
-    else:
+    if coloring is not None:
         report = verify_proper(inst, coloring)
         if not report.proper:
             first = report.conflicts[0]
@@ -97,9 +88,15 @@ def export_dot(inst: Instance, coloring: Optional[Mapping[str, int]] = None) -> 
                 f"refusing to export an improper coloring: clique {first[0]} "
                 f"has '{first[1]}' and '{first[2]}' both colored {first[3]}"
             )
-        tails = map(_dot_tail, map(coloring.__getitem__, inst.vertices))
     quoted = {v: _dot_id(v) for v in inst.vertices}
-    parts = ["graph cover {\n", "".join([f"  {q}{t}" for q, t in zip(quoted.values(), tails)])]
+    if coloring is None:
+        nodes = [f"  {q};\n" for q in quoted.values()]
+    else:
+        nodes = [
+            f"  {q} [color=\"{_dot_color(coloring[v])}\", style=filled];\n"
+            for v, q in quoted.items()
+        ]
+    parts = ["graph cover {\n", "".join(nodes)]
     # a valid cover is linear and repeats no token, so each vertex pair lies
     # in at most one clique and no edge is written twice; the edges from one
     # vertex to the later members of its clique form one run of lines

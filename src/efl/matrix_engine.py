@@ -33,8 +33,8 @@ cliques, a fan-and-alternating-path recoloring in the style of the constructive
 proof of Vizing's theorem, planned on a copy of the row state and kept only
 when every row stays conflict-free.  Each stage only plans a list of writes;
 one commit step charges every write against a budget, records it and
-applies it inline, releasing a row slot only while the written vertex still
-owns it: the rule of ``_recolor``, through which the fan plan writes its
+applies it through ``_recolor``, which releases a row slot only while the
+written vertex still owns it and through which the fan plan also writes its
 scratch copy.  The scan is memoized per stuck episode: an owner found fully
 blocked is not tested again until a commit writes into one of its rows, and
 its ``SKIP`` events are still those of a scan restarted after every commit.
@@ -55,7 +55,8 @@ each result that returns it.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from itertools import repeat
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InconsistentBlockError, UnknownVertexError
 from .instance import Instance, require_valid
@@ -134,16 +135,8 @@ class ColorMatrix:
         for a in indices:
             if not 1 <= a <= self.n:
                 raise IndexError(f"clique index {a} out of range 1..{self.n}")
-        self._write_block(indices, color)
-
-    def _write_block(self, indices: Sequence[int], color: int) -> None:
-        """:meth:`set_block` without the range check, for the incidence
-        tuples of an instance of order n, which lie in 1..n."""
-        for a in indices:
-            row = self._rows[a - 1]
-            for b in indices:
-                if a != b:
-                    row[b - 1] = color
+        # once each: a repeated index is no second clique
+        _write_blocks(self._rows, (tuple(set(indices)),), (color,))
 
     def copy(self) -> "ColorMatrix":
         return ColorMatrix(self.n, self._rows)
@@ -162,26 +155,37 @@ class ColorMatrix:
         return f"ColorMatrix(n={self.n})"
 
 
-def _block_matrix(inst: Instance, core: dict[str, int]) -> ColorMatrix:
-    """DISJOINT but for the blocks over shared vertices, which hold the core
-    color, or UNASSIGNED for a vertex without one.
+def _write_blocks(
+    rows: list[list[int]], blocks: Iterable[tuple[int, ...]], colors: Iterable[int]
+) -> None:
+    """Write each color into every off-diagonal cell of its block.
 
-    The block of a vertex in two cliques a, b is the two cells (a, b) and
-    (b, a), written straight into the rows; a larger block goes through
-    :meth:`ColorMatrix._write_block`.
+    ``blocks`` and ``colors`` run in parallel; a block is a tuple of distinct
+    1-based clique indices within the rows, unchecked.  The block of a
+    vertex in two cliques a, b is the two cells (a, b) and (b, a), written
+    without the general double loop; a one-clique block writes nothing.
     """
-    n = inst.n
-    # one shared row n times: __init__ copies each row into its own list
-    matrix = ColorMatrix(n, [[DISJOINT] * n] * n)
-    rows = matrix._rows
-    # a private vertex's block has no off-diagonal cell
-    for v, ix in inst.core_incidence.items():
-        x = core.get(v, UNASSIGNED)
+    for ix, x in zip(blocks, colors):
         if len(ix) == 2:
             a, b = ix
             rows[a - 1][b - 1] = rows[b - 1][a - 1] = x
         else:
-            matrix._write_block(ix, x)
+            for a in ix:
+                row = rows[a - 1]
+                for b in ix:
+                    if a != b:
+                        row[b - 1] = x
+
+
+def _block_matrix(inst: Instance, core: dict[str, int]) -> ColorMatrix:
+    """DISJOINT but for the blocks over shared vertices, which hold the core
+    color, or UNASSIGNED for a vertex without one, written by
+    :func:`_write_blocks`."""
+    n = inst.n
+    # one shared row n times: __init__ copies each row into its own list
+    matrix = ColorMatrix(n, [[DISJOINT] * n] * n)
+    inc = inst.core_incidence
+    _write_blocks(matrix._rows, inc.values(), map(core.get, inc, repeat(UNASSIGNED)))
     return matrix
 
 
@@ -256,23 +260,21 @@ def replay_trace(
     """Fold the write events over a starting matrix of the instance's order.
 
     The blocks are the instance's own incidence tuples, which lie in 1..n,
-    so once the orders match they are written without a range check: the
-    two cells of a vertex in two cliques straight into the rows, as in
-    :func:`_block_matrix`, a larger block through
-    :meth:`ColorMatrix._write_block`, and nothing for a private vertex.  An
-    event naming a vertex outside the instance raises
-    :class:`UnknownVertexError`, and one writing a color below 1, which the
-    matrix would read as a cell state, raises ``ValueError``, as in
-    :func:`efl.oracle.verify_proper`.  ``RepairSkipped`` and
+    so once the orders match and every event is checked they are written
+    by :func:`_write_blocks` without a range check; a private vertex's
+    block writes nothing.  An event naming a vertex outside the instance
+    raises :class:`UnknownVertexError`, and one writing a color below 1,
+    which the matrix would read as a cell state, raises ``ValueError``, as
+    in :func:`efl.oracle.verify_proper`.  ``RepairSkipped`` and
     ``BudgetExhausted`` write nothing; any other object raises ``TypeError``,
     as in :func:`render_trace`, even a plain tuple that compares equal to an
     event.
     """
     if start.n != inst.n:
         raise ValueError(f"matrix order {start.n} does not match instance n={inst.n}")
-    matrix = start.copy()
-    rows = matrix._rows
     inc = inst.incidence_map
+    blocks: list[tuple[int, ...]] = []
+    colors: list[int] = []
     try:
         for ev in events:
             if type(ev) is Assigned:
@@ -284,16 +286,14 @@ def replay_trace(
                 continue
             if color < 1:
                 raise ValueError(f"vertex '{ev.vertex}' has color {color}, below 1")
-            ix = inc[ev.vertex]
-            if len(ix) == 2:
-                a, b = ix
-                rows[a - 1][b - 1] = rows[b - 1][a - 1] = color
-            else:
-                matrix._write_block(ix, color)
+            blocks.append(inc[ev.vertex])
+            colors.append(color)
     except KeyError as err:
         raise UnknownVertexError(
             f"vertex '{err.args[0]}' does not occur in the instance"
         ) from None
+    matrix = start.copy()
+    _write_blocks(matrix._rows, blocks, colors)
     return matrix
 
 
@@ -361,11 +361,10 @@ def _recolor(
     taken over v's old color in the row they share.  ``used[i]`` keeps bit c
     set exactly while c is owned in row i.  An uncolored v is accepted and
     releases nothing: its old color reads as 0, and slot 0 of every row,
-    which no color indexes, stays None.  The fan plan writes its scratch copy
-    through it and the tests build their states this way; the engine's
-    commit loop writes the same steps inline, saving a call per write, and
-    it assigns an uncolored vertex inline too.  A change to this rule must
-    be made in both places.
+    which no color indexes, stays None.  Every recolor goes through it: the
+    engine's commit loop, the fan plan on its scratch copy and the tests
+    building their states.  The engine places an uncolored vertex inline, as
+    that releases nothing.
     """
     old = color.get(v, 0)
     for i in inc[v]:
@@ -527,9 +526,9 @@ def color_cover(
     ``(vertex, color)`` writes, one commit loop charges the budget, records
     each write and applies it, and the loop tests the same vertex again.
     Every plan, the scan's or the fan's, goes through that commit loop, which
-    writes each recolor inline as ``_recolor``'s body: a row slot is released
-    only while the vertex still owns it, and each of its rows unblocks the
-    ranks colored there.  The first stage scans the owners in the stuck
+    writes each recolor through ``_recolor`` (a row slot is released only
+    while the vertex still owns it) and unblocks the ranks colored in each
+    of its rows.  The first stage scans the owners in the stuck
     vertex's rows in incidence order and plans the least free color of the
     first one that is neither fully blocked nor already tried in this stuck
     episode.  When the scan runs dry the fan-and-path plan takes over for a
@@ -627,20 +626,12 @@ def color_cover(
                     trace.append(BudgetExhausted())
                 return ColoringResult(inst, core, REASON_BUDGET_EXHAUSTED, trace)
             for v, x in plan:
-                old = core[v]
                 if tracing:
-                    trace.append(RepairRecolored(v, old, x))
-                # _recolor's rule, inline; each row written unblocks its ranks
-                keep, color_bit = ~(1 << old), 1 << x
+                    trace.append(RepairRecolored(v, core[v], x))
+                _recolor(rows, used, core, inc, v, x)
+                # a write can free colors in v's rows only: unblock their ranks
                 for i in inc[v]:
-                    row = rows[i]
-                    if row[old] == v:
-                        row[old] = None
-                        used[i] &= keep
-                    row[x] = v
-                    used[i] |= color_bit
                     blocked &= ~members[i]
-                core[v] = x
             budget_used += len(plan)
         u = by_rank[rank]
         x = (free & -free).bit_length() - 1

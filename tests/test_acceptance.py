@@ -7,7 +7,6 @@ and 500 seeded random instances with n in 3..10 (see support.random_corpus).
 from __future__ import annotations
 
 import math
-import pathlib
 import sys
 import time
 
@@ -33,10 +32,18 @@ from efl.oracle import (
 )
 
 
-def _report(number: int, name: str, ok: bool) -> None:
+def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     # write past pytest's capture so every criterion prints its verdict line
     print(f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'}", file=sys.__stdout__)
-    assert ok, f"acceptance criterion {number} ({name}) failed"
+    assert ok, f"acceptance criterion {number} ({name}) failed" + (detail and f": {detail}")
+
+
+def _detail(entries: list, elapsed: float = 0.0, bound: float = 0.0) -> str:
+    """The first few entries a criterion collected, and its time when it has a bound."""
+    parts = [f"{len(entries)} found, first {entries[:5]}"] if entries else []
+    if bound:
+        parts.append(f"took {elapsed:.2f} s against a bound of {bound} s")
+    return "; ".join(parts)
 
 
 def _dense_family():
@@ -66,7 +73,7 @@ def test_criterion_1_golden_trace(capsys):
     ok = ok and ColorMatrix.from_text(printed) == ColorMatrix.from_text(
         EXAMPLE_FINAL_MATRIX
     )
-    _report(1, "golden-trace", ok)
+    _report(1, "golden-trace", ok, _detail([], elapsed, 1.0))
 
 
 def test_criterion_2_fixture_coloring():
@@ -101,7 +108,8 @@ def test_criterion_3_theorem_identity(corpus500):
         if ident.lhs != ident.rhs:
             violations.append(("random", idx))
     elapsed = time.perf_counter() - start
-    _report(3, "theorem-identity", not violations and elapsed < 10.0)
+    _report(3, "theorem-identity", not violations and elapsed < 10.0,
+            _detail(violations, elapsed, 10.0))
 
 
 def test_criterion_4_corollary_bound(corpus500):
@@ -118,7 +126,7 @@ def test_criterion_4_corollary_bound(corpus500):
             for row in report.rows:
                 if row.weighted != row.count * math.comb(row.m, 2):
                     violations.append((family, idx, row.m))
-    _report(4, "corollary-bound", not violations)
+    _report(4, "corollary-bound", not violations, _detail(violations))
 
 
 def test_criterion_5_oracle_equivalence(corpus500):
@@ -149,10 +157,11 @@ def test_criterion_5_oracle_equivalence(corpus500):
     if chi5 != 5:
         failures.append(("dense", 5, "expected-chi-5"))
     elapsed = time.perf_counter() - start
-    _report(5, "oracle-equivalence", not failures and elapsed < 60.0)
+    _report(5, "oracle-equivalence", not failures and elapsed < 60.0,
+            _detail(failures, elapsed, 60.0))
 
 
-def test_criterion_6_sy_behavioral_claims(corpus500):
+def test_criterion_6_sy_behavioral_claims(corpus500, tmp_path):
     # two claims: SY1 or SY2 under the proof rule makes the greedy succeed;
     # SY2 under the statement rule makes the engine succeed and the cover
     # n-colorable (the greedy can fail there, see tests/data/sy2_statement_n6.efl)
@@ -173,10 +182,10 @@ def test_criterion_6_sy_behavioral_claims(corpus500):
             elif not is_n_colorable(inst):
                 bad.append("n-colorable")
         if bad:
-            dump = pathlib.Path(f"counterexample_sy_{idx}.efl")
+            dump = tmp_path / f"counterexample_sy_{idx}.efl"
             dump.write_text(serialize_instance(inst))
             failures.append((idx, sy1, proof, statement, bad, str(dump)))
-    _report(6, "sy-behavioral-claims", not failures)
+    _report(6, "sy-behavioral-claims", not failures, _detail(failures))
 
 
 def _certified(inst, coloring) -> bool:
@@ -195,7 +204,7 @@ def test_criterion_7_scale_smoke():
         ok = report.proper and report.max_color <= 50
         ok = ok and len(degree_profile(inst).degree_of) == len(inst.vertices)
         ok = ok and intersecting_pair_count(inst) == 1225
-    _report(7, "scale-smoke", ok)
+    _report(7, "scale-smoke", ok, _detail([], elapsed, 5.0))
 
 
 def test_criterion_9_generator_scale():
@@ -204,7 +213,7 @@ def test_criterion_9_generator_scale():
     start = time.perf_counter()
     inst = gen_random(40, 780, seed=1)
     elapsed = time.perf_counter() - start
-    _report(9, "generator-scale", elapsed < 5.0 and inst.is_valid)
+    _report(9, "generator-scale", elapsed < 5.0 and inst.is_valid, _detail([], elapsed, 5.0))
 
 
 def test_generator_scale_n60():

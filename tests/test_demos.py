@@ -28,12 +28,13 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    """Each demo exits 0 and prints its pinned bytes under two string-hash seeds."""
+    """Each demo exits 0 with warnings as errors and prints its pinned bytes
+    under two string-hash seeds."""
     outputs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
-            [sys.executable, str(demo)],
+            [sys.executable, "-W", "error", str(demo)],
             cwd=ROOT,
             env=env,
             capture_output=True,

@@ -36,8 +36,10 @@ class Instance:
     :func:`efl.export.serialize_instance` refuses it.  Instances are
     immutable and hashable, and all derived views are cached: the vertex
     tuple, the incidence map, its split into ``core_incidence`` and
-    ``private_members``, the validation report and the degree table of the
-    paper's two conditions.  No call writes anything else to an instance.
+    ``private_members``, the validation report, the degree table of the
+    paper's two conditions and the core's processing order
+    (``_core_order``), which the greedy and the matrix engine share.  No
+    call writes anything else to an instance.
     A copy or a pickle carries the views cached so far.
     """
 
@@ -130,6 +132,28 @@ class Instance:
             for d in range(top - 1, 1, -1):
                 row[d] += row[d + 1]
         return tuple(map(tuple, at_least))
+
+    @cached_property
+    def _core_order(self) -> tuple[tuple, ...]:
+        """The core in the coloring loop's order: ``(by_rank, rank_ix, split, order)``.
+
+        ``by_rank`` is the core (:attr:`core_incidence`) sorted by incidence
+        tuple, a vertex's rank its position there; ``rank_ix[r]`` is rank
+        r's incidence tuple, the very tuple of :attr:`core_incidence`, and
+        ``split[r]`` that tuple split into ``(a, b, rest)``, ``rest`` empty
+        for a vertex in two cliques.  ``order`` is the ranks in placement
+        order, a stable sort by descending clique degree, so ties keep
+        incidence order.  Read by :func:`efl.matrix_engine.color_cover`, so
+        the greedy and the engine on one instance sort and split once.
+        """
+        inc = self.core_incidence
+        by_rank = tuple(sorted(inc, key=inc.__getitem__))
+        rank_ix = tuple(map(inc.__getitem__, by_rank))
+        # every core vertex meets at least two rows
+        split = tuple([(ix[0], ix[1], ix[2:]) for ix in rank_ix])
+        degrees = list(map(len, rank_ix))
+        order = tuple(sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True))
+        return by_rank, rank_ix, split, order
 
     @cached_property
     def validation(self) -> "ValidationReport":

@@ -13,16 +13,17 @@ vertex colored c in clique i or None (slot 0 is always None), and the int
 mask ``used[i]`` has bit c set exactly while color c is owned in row i.  The
 colors free for a vertex are ``full & ~(used[a] | used[b] | ...)`` over its
 rows, and the least of them is the lowest set bit.  Every core vertex meets
-at least two rows, so the engine splits each incidence tuple once into its
-first two rows a, b and the rest, empty for a vertex in two cliques, and
-every free-color test ORs ``used[a] | used[b]`` and then the rest only when
-there is one.  A colored vertex w of clique degree d fills d-1 cells of each
-of its rows, and under the non-increasing order every colored vertex has
-degree at least k when a degree-k vertex is placed.  So every color present
-in a row already appears at least k-1 times there, and the paper's threshold
-test equals "color owned in the row".  The tests keep the paper's form as a
-reference to compare against, and a result's final matrix is derived from
-its coloring on each read.
+at least two rows, so each incidence tuple is split once per instance
+(``Instance._core_order``) into its first two rows a, b and the rest, empty
+for a vertex in two cliques, and every free-color test ORs
+``used[a] | used[b]`` and then the rest only when there is one.  A colored
+vertex w of clique degree d fills d-1 cells of each of its rows, and under
+the non-increasing order every colored vertex has degree at least k when a
+degree-k vertex is placed.  So every color present in a row already appears
+at least k-1 times there, and the paper's threshold test equals "color owned
+in the row".  The tests keep the paper's form as a reference to compare
+against, and a result's final matrix is derived from its coloring on each
+read.
 
 When all n colors are blocked, a repair pass recolors previously placed
 vertices to free one.  Plain one-vertex recolors alone provably cannot finish
@@ -237,6 +238,9 @@ class BudgetExhausted(NamedTuple):
 
 
 TraceEvent = Union[Assigned, RepairRecolored, RepairSkipped, BudgetExhausted]
+# _new(Assigned, (u, x)) is Assigned(u, x): what a record's generated
+# __new__ does, without its Python frame
+_new = tuple.__new__
 # each event class and the tag its trace line starts with
 _TAGS = {Assigned: "ASSIGN", RepairRecolored: "REPAIR",
          RepairSkipped: "SKIP", BudgetExhausted: "BUDGET"}
@@ -265,10 +269,10 @@ def replay_trace(
     block writes nothing.  An event naming a vertex outside the instance
     raises :class:`UnknownVertexError`, and one writing a color below 1,
     which the matrix would read as a cell state, raises ``ValueError``, as
-    in :func:`efl.oracle.verify_proper`.  ``RepairSkipped`` and
-    ``BudgetExhausted`` write nothing; any other object raises ``TypeError``,
-    as in :func:`render_trace`, even a plain tuple that compares equal to an
-    event.
+    in :func:`efl.oracle.verify_proper`.  ``RepairSkipped``, which names a
+    vertex too, and ``BudgetExhausted`` write nothing; any other object
+    raises ``TypeError``, as in :func:`render_trace`, even a plain tuple
+    that compares equal to an event.
     """
     if start.n != inst.n:
         raise ValueError(f"matrix order {start.n} does not match instance n={inst.n}")
@@ -281,8 +285,11 @@ def replay_trace(
                 color = ev.color
             elif type(ev) is RepairRecolored:
                 color = ev.new_color
+            elif type(ev) is RepairSkipped:
+                inc[ev.vertex]  # writes nothing, but names a vertex
+                continue
             else:
-                _tag(ev)  # a skip or the budget event; any other object raises
+                _tag(ev)  # the budget event; any other object raises
                 continue
             if color < 1:
                 raise ValueError(f"vertex '{ev.vertex}' has color {color}, below 1")
@@ -504,19 +511,18 @@ def color_cover(
     """The coloring loop of both methods: the greedy at ``repair_budget=None``.
 
     Core vertices are placed in non-increasing clique degree, ties broken on
-    the lexicographically smallest incidence tuple.  The set-up sorts the
-    core (:attr:`Instance.core_incidence`) once by incidence tuple.  In a
-    valid cover no two core vertices have the same incidence tuple, as their
-    two shared cliques would then share two vertices; so the ranks, the
-    positions in incidence order, are a strict order, and a stable sort of
-    the ranks by descending clique degree, keyed on the list of clique
-    degrees by rank, keeps that order among equal degrees.  That is exactly
-    the placement order ``order`` of a sort by ``(-degree, incidence
-    tuple)``, and a vertex's rank bit is ``1 << rank``.  ``split[r]`` is rank
-    r's incidence tuple split once into ``(a, b, rest)``, with ``rest`` empty
-    for a vertex in two cliques, and ``members[i]`` holds the rank bits of
-    the colored vertices of row i.  All of this state lives in one call, and
-    nothing is written to ``inst``.
+    the lexicographically smallest incidence tuple.  The set-up is the
+    instance's cached ``_core_order``, derived once per cover for both
+    methods: the core sorted by incidence tuple, each tuple split into
+    ``split[r] = (a, b, rest)``, and the placement order.  In a valid cover
+    no two core vertices have the same incidence tuple, as their two shared
+    cliques would then share two vertices; so the ranks, the positions in
+    incidence order, are a strict order, and a stable sort of the ranks by
+    descending clique degree keeps that order among equal degrees.  That is
+    exactly the placement order ``order`` of a sort by ``(-degree,
+    incidence tuple)``, and a vertex's rank bit is ``1 << rank``.
+    ``members[i]`` holds the rank bits of the colored vertices of row i.
+    The run state lives in one call, and nothing is written to ``inst``.
 
     The loop walks ``order`` from the start.  Each step tests the vertex's
     free colors; with one, the vertex takes the least, and as it owns no
@@ -554,7 +560,8 @@ def color_cover(
     test and pass over, so the ``SKIP`` events equal those of re-testing
     every owner after each commit.
 
-    Trace events are built only when ``trace`` is a list.
+    Trace events are built only when ``trace`` is a list, through
+    ``tuple.__new__`` and each scan's ``SKIP`` events by one ``map``.
     """
     require_valid(inst)
     repair = repair_budget is not None
@@ -567,12 +574,7 @@ def color_cover(
     used = [0] * (n + 1)  # used[i]: the colors owned in row i, as a mask
     members = [0] * (n + 1)  # members[i]: the ranks colored in row i, as a mask
     core: dict[str, int] = {}
-    by_rank = sorted(inc, key=inc.__getitem__)
-    rank_ix = [inc[v] for v in by_rank]
-    # every core vertex meets at least two rows; rest is empty for two
-    split = [(ix[0], ix[1], ix[2:]) for ix in rank_ix]
-    degrees = [len(ix) for ix in rank_ix]
-    order = sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True)
+    by_rank, rank_ix, split, order = inst._core_order
     budget_used = 0
 
     for rank in order:
@@ -616,7 +618,8 @@ def color_cover(
             # the ranks tested and passed over, all fully blocked
             blocked |= untested & below
             if tracing:
-                trace.extend(RepairSkipped(by_rank[r]) for r in _bits(blocked & below))
+                skipped = map(by_rank.__getitem__, _bits(blocked & below))
+                trace.extend(map(_new, repeat(RepairSkipped), zip(skipped)))
             if plan is None and not rest:
                 plan = _fan_path_plan(rows, used, core, inc, by_rank[rank], n)
             if not plan:
@@ -627,7 +630,7 @@ def color_cover(
                 return ColoringResult(inst, core, REASON_BUDGET_EXHAUSTED, trace)
             for v, x in plan:
                 if tracing:
-                    trace.append(RepairRecolored(v, core[v], x))
+                    trace.append(_new(RepairRecolored, (v, core[v], x)))
                 _recolor(rows, used, core, inc, v, x)
                 # a write can free colors in v's rows only: unblock their ranks
                 for i in inc[v]:
@@ -643,7 +646,7 @@ def color_cover(
             members[i] |= rank_bit
         core[u] = x
         if tracing:
-            trace.append(Assigned(u, x))
+            trace.append(_new(Assigned, (u, x)))
 
     total = dict(core)
     for i, private in enumerate(inst.private_members, start=1):

@@ -35,6 +35,8 @@ The engine references keep the earlier row form, one dict per clique from
 each color owned there to its owner, written through ``reference_recolor``,
 the earlier ``_recolor``; ``dict_rows`` turns the library's color-indexed
 list rows into that form wherever a test compares the two.
+``reference_core_order`` is the coloring loop's set-up as it was derived on
+every call, before the instance cached it.
 ``brute_core_split``, ``brute_degree_profile``, ``brute_check_sy1``,
 ``brute_check_sy2``, ``brute_theorem_identity`` and ``brute_core_subgraph``
 read every entry of the incidence map, where the library reads the cached
@@ -989,6 +991,19 @@ def corpus_specs(count: int = 500) -> list[GenSpec]:
         merges = (7 * i + 3) % (n * (n - 1) // 2 + 1)
         out.append(GenSpec(kind="random", n=n, seed=100000 + i, merges=merges))
     return out
+
+
+def reference_core_order(inst: Instance) -> tuple[list, list, list, list]:
+    """The set-up that :func:`efl.matrix_engine.color_cover` once derived on
+    every call, as lists: the core by incidence tuple, its incidence tuples,
+    each split into ``(a, b, rest)``, and the placement order of the ranks."""
+    inc = inst.core_incidence
+    by_rank = sorted(inc, key=inc.__getitem__)
+    rank_ix = [inc[v] for v in by_rank]
+    split = [(ix[0], ix[1], ix[2:]) for ix in rank_ix]
+    degrees = [len(ix) for ix in rank_ix]
+    order = sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True)
+    return by_rank, rank_ix, split, order
 
 
 def random_corpus(count: int = 500) -> list[Instance]:

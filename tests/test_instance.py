@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from efl.errors import InvalidInstanceError, ParseError, UnknownVertexError
 from efl.export import serialize_instance
 from efl.generators import gen_dense, gen_disjoint
-from efl.greedy import check_sy1, check_sy2
+from efl.greedy import check_sy1, check_sy2, run_greedy
 from efl.instance import (
     Instance,
     clique_degree,
@@ -20,6 +22,7 @@ from efl.instance import (
     shared_vertex,
     validate,
 )
+from efl.matrix_engine import EngineConfig, run_matrix_method
 from efl.oracle import theorem_identity
 from support import (
     brute_check_sy1,
@@ -31,6 +34,7 @@ from support import (
     brute_theorem_identity,
     instances,
     permissive_instances,
+    reference_core_order,
     reference_intersecting_pair_count,
     reference_shown,
     reference_token_ok,
@@ -396,3 +400,63 @@ class TestCoreSplit:
                 layer(inst)
         with pytest.raises(InvalidInstanceError):
             check_sy2(inst, 2)
+
+
+class TestCoreOrder:
+    """``_core_order``, the coloring loop's set-up cached on the instance,
+    against the lines that derived it on every call."""
+
+    @pytest.fixture
+    def covers(self, corpus500, example_file, gap_n8_file, sy2_statement_n6_file):
+        files = (example_file, gap_n8_file, sy2_statement_n6_file)
+        pinned = [parse_instance(f.read_text()) for f in files]
+        return [*corpus500, *(gen_dense(n) for n in range(2, 65)), *pinned]
+
+    def test_equals_the_set_up_computed_fresh(self, covers):
+        for inst in covers:
+            view = Instance(inst.n, inst.cliques)._core_order
+            assert list(map(list, view)) == list(reference_core_order(inst))
+
+    def test_every_part_is_a_tuple(self, covers):
+        for inst in covers:
+            view = inst._core_order
+            by_rank, rank_ix, split, order = view
+            assert type(view) is tuple and len(view) == 4
+            assert all(type(part) is tuple for part in view)
+            assert all(type(r) is int for r in order)
+            assert all(type(v) is str for v in by_rank)
+            for v, ix, (a, b, rest) in zip(by_rank, rank_ix, split):
+                # the incidence tuples themselves, not copies
+                assert ix is inst.core_incidence[v]
+                assert type(rest) is tuple and (a, b, *rest) == ix
+
+    def test_placement_order(self, covers):
+        for inst in covers:
+            by_rank, _, _, order = inst._core_order
+            inc = inst.core_incidence
+            expected = sorted(inc, key=lambda v: (-len(inc[v]), inc[v]))
+            assert [by_rank[r] for r in order] == expected
+
+    def test_greedy_and_engine_read_one_object(self, monkeypatch, corpus500):
+        derive = vars(Instance)["_core_order"]
+        original = derive.func
+        made = []
+
+        def counting(inst):
+            made.append(original(inst))
+            return made[-1]
+
+        monkeypatch.setattr(derive, "func", counting)
+        for cover in corpus500[:50]:
+            inst = Instance(cover.n, cover.cliques)
+            made.clear()
+            run_greedy(inst)
+            assert len(made) == 1 and vars(inst)["_core_order"] is made[0]
+            run_matrix_method(inst, EngineConfig(trace_enabled=True))
+            assert len(made) == 1 and vars(inst)["_core_order"] is made[0]
+
+    def test_copy_and_pickle_carry_it(self, example):
+        view = example._core_order
+        for twin in (copy.copy(example), copy.deepcopy(example), pickle.loads(pickle.dumps(example))):
+            assert vars(twin)["_core_order"] == view
+        assert copy.copy(example)._core_order is view

@@ -295,10 +295,12 @@ class TestMatrixToColoring:
             replay_trace(example, trace, initial_matrix(gen_disjoint(order)))
 
     @pytest.mark.parametrize(
-        "event", [Assigned("nope", 1), RepairRecolored("nope", 2, 1)], ids=["assigned", "recolored"]
+        "event",
+        [Assigned("nope", 1), RepairRecolored("nope", 2, 1), RepairSkipped("nope")],
+        ids=["assigned", "recolored", "skipped"],
     )
     def test_replay_refuses_unknown_vertex(self, event):
-        # it once raised a bare KeyError
+        # it once raised a bare KeyError, and a skip once passed silently
         inst = gen_dense(3)
         with pytest.raises(UnknownVertexError) as raised:
             replay_trace(inst, [event], initial_matrix(inst))

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import types
 
 import pytest
 
-from efl.generators import GenSpec, RandomBuildResult
+from efl.generators import GenSpec, RandomBuildResult, gen_dense
 from efl.greedy import CliqueCount, HypothesisReport
 from efl.instance import CoreGraph, DegreeProfile, Instance, ValidationReport, Violation
 from efl.matrix_engine import (
@@ -23,6 +24,7 @@ from efl.matrix_engine import (
     EngineConfig,
     RepairRecolored,
     RepairSkipped,
+    run_matrix_method,
 )
 from efl.oracle import CheckReport, CheckRow, VerifyReport
 
@@ -194,6 +196,26 @@ def test_records_are_tuples(cls, values, text):
     assert all(record[i] is value for i, value in enumerate(values))
     assert record == values  # equal to a plain tuple of the same values
     assert bool(record) == bool(values)  # only the empty BudgetExhausted() is falsy
+
+
+def test_engine_events_are_plain_records(corpus500):
+    # the engine builds its events through tuple.__new__, not the records'
+    # own constructors; each must still be exactly the record they build
+    events = (Assigned, RepairRecolored, RepairSkipped, BudgetExhausted)
+    covers = [*corpus500, *(gen_dense(n) for n in range(2, 41))]
+    seen = set()
+    for inst in covers:
+        # the default budget, and a budget of 3 that ends some runs
+        for budget in (None, 3):
+            trace = run_matrix_method(inst, EngineConfig(budget, trace_enabled=True)).trace
+            for ev in trace:
+                assert type(ev) in events
+                assert ev == type(ev)(*ev)
+            copied = pickle.loads(pickle.dumps(trace))
+            assert list(map(type, copied)) == list(map(type, trace))
+            assert repr(copied) == repr(trace)
+            seen.update(map(type, trace))
+    assert seen == set(events)
 
 
 @pytest.mark.parametrize(

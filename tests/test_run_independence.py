@@ -49,6 +49,8 @@ VIEWS = {
     "private_members",
     "validation",
     "_degree_table",
+    # derived from the cover alone, read by both methods; it holds no run state
+    "_core_order",
 }
 
 

@@ -16,12 +16,20 @@ list, so a move writes its token straight into the drawn slot.  Its
 extension scan walks a ``live`` list of shared vertices and drops, for good,
 each vertex whose cliques already meet every clique: clique sets and owner
 lists only grow, so such a vertex never becomes extendable again.
+Everything a build starts from depends on n alone: the clique tokens
+``v<i>_<j>``, the slot positions in token order and the fresh names
+``m<k>``.  ``_template`` makes them once per n and keeps them in a
+``functools.lru_cache`` bounded to eight sizes.  It holds tuples of str and
+int only, and a build copies the lists it mutates, so no build can change
+what a later one starts from: the output never depends on what the process
+built before.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import insort
+from functools import lru_cache
 from itertools import chain, count
 from typing import NamedTuple
 
@@ -161,6 +169,19 @@ def _nth_bit(mask: int, k: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+@lru_cache(maxsize=8)
+def _template(n: int) -> tuple[tuple[tuple[str, ...], ...], tuple[int, ...], tuple[str, ...]]:
+    """Clique i's starting tokens ``v<i>_<j>``, the slot positions 0..n-1 in
+    token order, and the fresh names ``m0``..``m<C(n,2)>``, merge k taking
+    name k (``m0`` is never used; no build makes more than C(n,2) merges).
+    Eight sizes cover the four or five that one corpus cycles through."""
+    suffixes = [str(j) for j in range(1, n + 1)]
+    tokens = tuple(tuple(f"v{i}_{s}" for s in suffixes) for i in range(1, n + 1))
+    order = tuple(sorted(range(n), key=suffixes.__getitem__))
+    names = tuple(f"m{k}" for k in range(n * (n - 1) // 2 + 1))
+    return tokens, order, names
+
+
 def build_random(spec: GenSpec) -> RandomBuildResult:
     """Grow a random linear cover from disjoint cliques by identifying vertices.
 
@@ -176,7 +197,11 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     vertices are exactly the ``m<k>``.  A clique meets each other clique in
     at most one vertex, so at most n-1 of its n vertices are shared and every
     clique keeps a private vertex.  The state is therefore updated in place,
-    never rebuilt.
+    never rebuilt.  It starts from ``_template(n)``, cached per n (eight
+    sizes at most) and made only of tuples of str and int: ``cliques`` and
+    ``private`` are list copies of its tokens and slot order, and merge k
+    takes its name ``m<k>`` at index k, so a build's bytes do not depend on
+    what was built before it.
     ``private[c]`` holds the positions in clique c's member list of its
     still-private slots, in token order (``v<c>_<j>`` sits at j-1 and sorts by
     ``str(j)``); a move draws an index into it, pops that position and writes
@@ -209,13 +234,9 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
     """
     n = spec.n
     draw = SplitMix64(spec.seed).next_u64
-    suffixes = [str(j) for j in range(1, n + 1)]
-    cliques: list[list[str]] = []
-    for i in range(1, n + 1):
-        prefix = f"v{i}_"
-        cliques.append([prefix + s for s in suffixes])
-    order = sorted(range(n), key=suffixes.__getitem__)
-    private: list[list[int]] = [[]] + [order.copy() for _ in range(n)]
+    tokens, order, names = _template(n)
+    cliques = list(map(list, tokens))
+    private: list[list[int]] = [[]] + [list(order) for _ in range(n)]
     full = ((1 << n) - 1) << 1  # every clique
     meets = [0] * (n + 1)
     open_ = [0] + [n - i for i in range(1, n + 1)]  # cliques above i not met by i
@@ -237,7 +258,7 @@ def build_random(spec: GenSpec) -> RandomBuildResult:
         # the partner mask: the cliques after row i that i does not meet
         j = _nth_bit((full >> (i + 1) << (i + 1)) & ~meets[i], k)
         merges_done += 1
-        fresh = f"m{merges_done}"
+        fresh = names[merges_done]
         slots = private[i]
         cliques[i - 1][slots.pop(draw() % len(slots))] = fresh
         slots = private[j]

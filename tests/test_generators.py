@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from efl.export import serialize_instance
 from efl.generators import (
     GenSpec,
     SplitMix64,
+    _GenSpecFields,
+    _template,
     build_random,
     example_instance,
     gen_dense,
@@ -23,7 +26,7 @@ from efl.instance import (
     shared_vertex,
     validate,
 )
-from support import reference_build_random
+from support import corpus_specs, reference_build_random
 
 
 class TestSplitMix64:
@@ -130,6 +133,13 @@ class TestRandom:
         inst = gen_random(4, 0, seed=11)
         assert len(inst.vertices) == 16
         assert degree_profile(inst).histogram == {1: 16}
+        # one token scheme: the starting tokens are gen_disjoint's, byte for byte
+        for n in range(2, 31):
+            want = serialize_instance(gen_disjoint(n))
+            for seed in range(3):
+                built = build_random(GenSpec(kind="random", n=n, seed=seed, merges=0))
+                assert serialize_instance(built.instance) == want
+                assert (built.merges_done, built.extensions_done) == (0, 0)
 
     def test_determinism(self):
         assert gen_random(6, 13, 42) == gen_random(6, 13, 42)
@@ -261,6 +271,70 @@ class TestRandom:
     def test_build_random_needs_random_kind(self):
         with pytest.raises(ValueError):
             build_random(GenSpec(kind="dense", n=4))
+
+
+def _cold_build(spec: GenSpec) -> tuple[str, int, int]:
+    _template.cache_clear()
+    built = build_random(spec)
+    return serialize_instance(built.instance), built.merges_done, built.extensions_done
+
+
+def _is_frozen(value) -> bool:
+    """True for a str or int, or a tuple of such values at any depth."""
+    if isinstance(value, tuple):
+        return all(map(_is_frozen, value))
+    return type(value) in (str, int)
+
+
+class TestTemplateCache:
+    """``build_random`` starts from ``_template(n)``; no build reads another's state."""
+
+    def test_bytes_do_not_depend_on_cache_state(self):
+        specs = corpus_specs(500)
+        want = [_cold_build(spec) for spec in specs]
+        order = list(range(len(specs)))
+        random.Random(37).shuffle(order)
+        # sizes the corpus (n = 3..10) never uses, more than the cache holds
+        others = [
+            GenSpec(kind="random", n=n, seed=n, merges=n * (n - 1) // 4, extension_percent=50)
+            for n in range(11, 11 + _template.cache_info().maxsize + 1)
+        ]
+        _template.cache_clear()
+        for step, i in enumerate(order):
+            if step % 50 == 25:
+                for other in others:
+                    build_random(other)
+            built = build_random(specs[i])
+            got = serialize_instance(built.instance), built.merges_done, built.extensions_done
+            assert got == want[i], specs[i]
+
+    def test_cached_values_are_frozen_and_unchanged(self):
+        sizes = range(3, 3 + _template.cache_info().maxsize)
+        _template.cache_clear()
+        before = {n: _template(n) for n in sizes}
+        for n, value in before.items():
+            assert _is_frozen(value)
+            assert value == _template.__wrapped__(n)
+        rng = random.Random(200)
+        for _ in range(200):
+            n = rng.choice(sizes)
+            merges = rng.randint(0, n * (n - 1) // 2)
+            build_random(GenSpec("random", n, rng.getrandbits(64), merges, rng.randint(0, 100)))
+        misses = _template.cache_info().misses
+        for n, value in before.items():
+            assert _template(n) is value
+            assert value == _template.__wrapped__(n)
+        assert _template.cache_info().misses == misses  # nothing was evicted
+
+    def test_keyed_by_n_not_by_merge_count(self):
+        # _GenSpecFields skips GenSpec's range check on merges
+        _template.cache_clear()
+        built = build_random(_GenSpecFields("random", 6, 1, 10**9, 50))
+        assert built.merges_done <= math.comb(6, 2)
+        assert validate(built.instance).ok
+        assert _template.cache_info().currsize == 1
+        names = _template(6)[2]
+        assert names == tuple(f"m{k}" for k in range(math.comb(6, 2) + 1))
 
 
 class TestExampleInstance:

@@ -46,7 +46,7 @@ class Instance:
     def __init__(self, n: int, cliques: Iterable[Iterable[VertexId]]):
         if n < 1:
             raise ValueError(f"clique count must be positive, got {n}")
-        normalized = tuple(tuple(c) for c in cliques)
+        normalized = tuple(map(tuple, cliques))
         if len(normalized) != n:
             raise ValueError(f"expected {n} cliques, got {len(normalized)}")
         self.n = n
@@ -81,16 +81,21 @@ class Instance:
         """For every vertex, the ascending 1-based indices of its cliques.
 
         Vertices appear in input order (first clique, then position), so
-        iterating the map does not depend on string hashing.
+        iterating the map does not depend on string hashing.  The map makes
+        one ``setdefault`` call per token and builds a new tuple only when a
+        token turns up in a new clique; a token repeated in one clique
+        counts once.
         """
         found: dict[VertexId, tuple[int, ...]] = {}
+        setdefault = found.setdefault
         for i, members in enumerate(self.cliques, start=1):
             one = (i,)
             for token in members:
-                if token not in found:
-                    found[token] = one
-                elif found[token][-1] != i:  # a token repeated in clique i counts once
-                    found[token] += one
+                ix = setdefault(token, one)
+                # a token new in clique i was given ``one``; one repeated
+                # in clique i already ends with i
+                if ix is not one and ix[-1] != i:
+                    found[token] = ix + one
         return found
 
     @cached_property
@@ -273,7 +278,7 @@ def validate(inst: Instance) -> ValidationReport:
     offending: list[tuple[int, int]] = []
     if len(pairs) != len(set(pairs)):
         offending = [pair for pair, count in Counter(pairs).items() if count > 1]
-    if places != n * n or any(len(members) != n for members in cliques):
+    if places != n * n or set(map(len, cliques)) != {n}:
         for i, members in enumerate(cliques, start=1):
             seen: dict[VertexId, int] = {}
             for t in members:
@@ -358,6 +363,11 @@ def _clique_error(tokens: Sequence[str], n: int, idx: int) -> Optional[str]:
     return None
 
 
+# the bytes of canonical text: visible ASCII, and the space, tab, CR and LF
+# that are the only whitespace both strip() and split() drop there
+_CANON = bytes(range(0x21, 0x7F)) + b" \t\r\n"
+
+
 def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
     """Parse ``.efl`` text: a clique count line, then one clique per line.
 
@@ -365,12 +375,50 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
     Grammar errors (a bad header, a wrong count of clique lines, or a clique
     line breaking the rule of :func:`_clique_error`) raise
     :class:`ParseError` naming the line; a refused header or token is quoted
-    through :func:`_shown`, so no message carries a control character.  With
-    ``require_validity`` the parsed cover must also satisfy the
-    at-most-one-shared-vertex invariant.
+    through :func:`_shown`, so no message carries a control character.  The
+    count is never read by ``int()``, so its length meets no digit limit; a
+    count with more digits than the text has clique and header lines cannot
+    match and is named as a fault of its line.  With ``require_validity``
+    the parsed cover must also satisfy the at-most-one-shared-vertex
+    invariant.
+
+    Two paths read the text and build the same cover with the same
+    messages.  Canonical text, as :func:`efl.export.serialize_instance`
+    writes it, is read by whole-text checks: it is visible ASCII, spaces,
+    tabs and line ends with no ``#``, every non-blank line is split at
+    once, and it is taken when its first line is a single count, without
+    leading zeros, equal to the number of the other lines, each of which
+    holds that many distinct tokens.  Any other text, and every text
+    breaking a rule, goes through the per-line reader
+    (:func:`_checked_cliques`), which writes every error message.
+    """
+    canonical = text.isascii() and "#" not in text and not text.encode().translate(None, _CANON)
+    rows = list(filter(None, map(str.split, text.split("\n")))) if canonical else []
+    cliques = rows[1:]
+    n = len(cliques)
+    if not (
+        cliques
+        and rows[0] == [str(n)]
+        and set(map(len, cliques)) == {n} == set(map(len, map(set, cliques)))
+    ):
+        cliques = _checked_cliques(text)
+    inst = Instance(len(cliques), cliques)
+    if require_validity:
+        report = inst.validation
+        if not report.ok:
+            raise ParseError("; ".join(v.message for v in report.violations))
+    return inst
+
+
+def _checked_cliques(text: str) -> list[list[str]]:
+    """The cliques of ``.efl`` text, each line checked on its own, or the
+    :class:`ParseError` of the first fault.
+
     Each clique line is checked at once, by ``isascii`` and ``isprintable``
     on its joined tokens and the count of its distinct tokens; only a line
     failing that check is handed to the rule, to name its first bad token.
+    The count is compared as a digit string with its leading zeros dropped,
+    which is how ``str(int(...))`` writes it.
     """
     content: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -388,15 +436,17 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
         raise ParseError(
             f"line {header_line}: expected a decimal clique count, got '{_shown(header)}'"
         )
-    n = int(header)
-    if n < 1:
-        raise ParseError(f"line {header_line}: clique count must be positive, got {n}")
+    count = header.lstrip("0")
+    if not count:
+        raise ParseError(f"line {header_line}: clique count must be positive, got 0")
 
     body = content[1:]
-    if len(body) != n:
-        raise ParseError(f"expected {n} clique lines, found {len(body)}")
+    n = len(body)
+    if count != str(n):
+        where = f"line {header_line}: " if len(count) > len(content) else ""
+        raise ParseError(f"{where}expected {count} clique lines, found {n}")
 
-    cliques: list[tuple[str, ...]] = []
+    cliques: list[list[str]] = []
     for idx, (lineno, line) in enumerate(body, start=1):
         tokens = line.split()
         # str.split() leaves no empty or whitespace token and a kept line
@@ -408,14 +458,8 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
             n == len(tokens) == len(set(tokens)) and joined.isascii() and joined.isprintable()
         ):
             raise ParseError(f"line {lineno}: {_clique_error(tokens, n, idx)}")
-        cliques.append(tuple(tokens))
-
-    inst = Instance(n, cliques)
-    if require_validity:
-        report = inst.validation
-        if not report.ok:
-            raise ParseError("; ".join(v.message for v in report.violations))
-    return inst
+        cliques.append(tokens)
+    return cliques
 
 
 def clique_degree(inst: Instance, v: VertexId) -> int:

@@ -17,9 +17,10 @@ to pick the next vertex.
 ``reference_shown`` the escaping of a refused header or token by code point,
 ``reference_parse_instance`` and ``reference_validate`` the parser and the
 validator that checked every token and intersected every clique pair,
-``reference_intersecting_pair_count`` the pair count that tested every clique
-pair, and ``reference_check_sy2_all`` the SY2 conjunction that recounted each
-d.
+``reference_incidence_map`` the incidence map read off its definition, one
+scan of every clique per token, ``reference_intersecting_pair_count`` the
+pair count that tested every clique pair, and ``reference_check_sy2_all``
+the SY2 conjunction that recounted each d.
 ``clique_pairs_cover`` builds the covers on which the SY2 statement rule holds
 and the greedy still fails.
 ``blocked_colors`` is the paper's "appears at least k-1 times in the row"
@@ -251,6 +252,19 @@ def reference_validate(inst: Instance) -> ValidationReport:
     return ValidationReport(violations=tuple(violations))
 
 
+def reference_incidence_map(inst: Instance) -> dict[VertexId, tuple[int, ...]]:
+    """:attr:`efl.instance.Instance.incidence_map` by its definition: every
+    token in first-occurrence order (first clique, then position), mapped to
+    the ascending 1-based indices of the cliques listing it, each clique
+    counted once however often it repeats the token."""
+    cliques = inst.cliques
+    tokens = dict.fromkeys(t for members in cliques for t in members)
+    return {
+        t: tuple(i for i, members in enumerate(cliques, start=1) if t in members)
+        for t in tokens
+    }
+
+
 def reference_intersecting_pair_count(inst: Instance) -> int:
     """:func:`efl.instance.intersecting_pair_count` testing all C(n, 2) clique
     pairs for a common vertex."""
@@ -281,6 +295,12 @@ def reference_parse_instance(text: str, *, require_validity: bool = True) -> Ins
         raise ParseError(
             f"line {header_line}: expected a decimal clique count, "
             f"got '{reference_shown(header)}'"
+        )
+    # a count longer than the text's kept lines names its line, without int()
+    if len(header.lstrip("0")) > len(content):
+        raise ParseError(
+            f"line {header_line}: expected {header.lstrip('0')} clique lines, "
+            f"found {len(content) - 1}"
         )
     n = int(header)
     if n < 1:

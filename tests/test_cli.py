@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
 from efl.cli import main
+from efl.errors import ParseError
 from efl.export import serialize_instance
 from efl.generators import EXAMPLE_FINAL_MATRIX, gen_dense, gen_disjoint
+from efl.instance import parse_instance
 
 
 @pytest.fixture
@@ -61,6 +64,34 @@ class TestValidate:
         assert quoted in err
         assert err.endswith("\n")
         assert all(" " <= c <= "~" for c in err[:-1]), repr(err)
+
+
+    @pytest.mark.parametrize(
+        "header, limit",
+        [("9" * 5000, None), ("000" + "9" * 5000, None), ("9" * 700, 640)],
+        ids=["5000-digits", "zero-padded", "700-digits-under-limit-640"],
+    )
+    def test_overlong_count_names_its_line(self, capsys, tmp_path, header, limit):
+        # int() refuses a count over its digit limit with a ValueError; the
+        # reader never calls it, so the limit in force changes nothing
+        if limit is not None and not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int() digit limit")
+        text = header + "\na\n"
+        path = tmp_path / "long.efl"
+        path.write_text(text)
+        expected = f"line 1: expected {header.lstrip('0')} clique lines, found 1"
+        saved = sys.get_int_max_str_digits() if limit else None
+        try:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+            with pytest.raises(ParseError) as raised:
+                parse_instance(text)
+            outcome = run_cli(capsys, "validate", str(path))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(saved)
+        assert str(raised.value) == expected
+        assert outcome == (2, "", f"error: {expected}\n")
 
 
 class TestColor:

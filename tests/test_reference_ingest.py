@@ -1,10 +1,14 @@
-"""Parsing, validation and the SY2 conjunction against their reference copies.
+"""Parsing, validation, the incidence map and the SY2 conjunction against
+their reference copies.
 
 ``tests/support.py`` keeps the parser that checked every token on its own, the
-validator that intersected all C(n, 2) clique pairs, and the SY2 loop that
-recounted each d.  The library must give the same instances, the same
-``ParseError`` texts, and equal ``ValidationReport``s and ``HypothesisReport``s,
-on permissive covers as well as legal ones.
+validator that intersected all C(n, 2) clique pairs, the incidence map read
+off its definition, and the SY2 loop that recounted each d.  The library must
+give the same instances, the same ``ParseError`` texts, the same incidence
+maps in the same order, and equal ``ValidationReport``s and
+``HypothesisReport``s, on permissive covers as well as legal ones.  Canonical
+text and the other layouts of the same cover take the parser's two paths, and
+each must read as the reference reads it.
 """
 
 from __future__ import annotations
@@ -14,12 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efl.errors import EflError, ParseError
+from efl.export import serialize_instance
 from efl.generators import gen_dense, gen_disjoint
 from efl.greedy import check_sy2_all
 from efl.instance import Instance, parse_instance, validate
 from support import (
     instances,
+    permissive_instances,
     reference_check_sy2_all,
+    reference_incidence_map,
     reference_parse_instance,
     reference_validate,
 )
@@ -150,6 +157,95 @@ class TestParseReference:
         # each clique has n distinct tokens, and validity decides the rest
         text = f"{inst.n}\n" + "".join(" ".join(c) + "\n" for c in inst.cliques)
         assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+
+
+def _layouts(text: str) -> list[str]:
+    """Canonical ``text`` and the same cover in other layouts the format
+    allows: CRLF, tabs, doubled spaces, blanks around lines and around the
+    text, a comment line, and no final newline."""
+    lines = text.splitlines()
+    return [
+        text,
+        text.replace("\n", "\r\n"),
+        text.replace(" ", "\t"),
+        text.replace(" ", "  "),
+        "\n \n" + "".join(f" \t{line}  \n" for line in lines) + "\t\n\n",
+        "# a comment line\n" + text,
+        text.rstrip("\n"),
+    ]
+
+
+def _text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _faults() -> dict[str, str]:
+    """Texts in canonical layout, each with one change; the reference decides
+    whether it is refused."""
+    lines = serialize_instance(gen_dense(4)).splitlines()
+    first = lines[1].split()
+
+    def first_line(*tokens: str) -> str:
+        return _text(lines[:1] + [" ".join(tokens)] + lines[2:])
+
+    return {
+        "zero header": "0\n",
+        "signed header": _text(["+3", "a b c", "d e f", "g h i"]),
+        "header of 5,000 digits": _text(["9" * 5000] + lines[1:]),
+        "header with a second token": _text([lines[0] + " 1"] + lines[1:]),
+        "zero-padded header": _text(["007"] + serialize_instance(gen_dense(7)).splitlines()[1:]),
+        "one clique line too few": _text(lines[:-1]),
+        "one clique line too many": _text(lines + ["x y z w"]),
+        "short line": first_line(*first[:-1]),
+        "repeated token": first_line(*first[:-1], first[0]),
+        "token holding DEL": first_line(*first[:-1], "a\x7fb"),
+        "token holding e-acute": first_line(*first[:-1], "\u00e9"),
+        "hash inside a token": first_line(*first[:-1], "a#b"),
+        "comment line": _text(lines[:2] + ["#x y z w"] + lines[2:]),
+    }
+
+
+_VALID_FAULTS = ("zero-padded header", "hash inside a token", "comment line")
+
+
+class TestReaderPaths:
+    def test_every_layout_reads_as_the_reference(
+        self, corpus500, example_file, gap_n8_file, sy2_statement_n6_file
+    ):
+        covers = corpus500 + [gen_dense(n) for n in range(2, 41)]
+        for path in (example_file, gap_n8_file, sy2_statement_n6_file):
+            covers.append(parse_instance(path.read_text()))
+        for inst in covers:
+            for text in _layouts(serialize_instance(inst)):
+                read = parse_instance(text)
+                assert read == reference_parse_instance(text) == inst, repr(text[:60])
+                assert all(type(members) is tuple for members in read.cliques)
+
+    @pytest.mark.parametrize("name", sorted(_faults()))
+    @pytest.mark.parametrize("require_validity", [True, False])
+    def test_canonical_layout_faults(self, name, require_validity):
+        text = _faults()[name]
+        outcome = _outcome(parse_instance, text, require_validity=require_validity)
+        assert outcome == _outcome(
+            reference_parse_instance, text, require_validity=require_validity
+        )
+        assert outcome[0] == ("value" if name in _VALID_FAULTS else "error"), outcome
+
+
+class TestIncidenceMapReference:
+    @staticmethod
+    def _same(inst: Instance) -> None:
+        assert list(inst.incidence_map.items()) == list(reference_incidence_map(inst).items())
+
+    def test_corpus_dense_and_example(self, corpus500, example_file):
+        covers = corpus500 + [gen_dense(n) for n in range(2, 41)]
+        for inst in covers + [parse_instance(example_file.read_text())]:
+            self._same(inst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=permissive_instances())
+    def test_permissive_covers(self, inst):
+        self._same(inst)
 
 
 class TestSy2AllReference:

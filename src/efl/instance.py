@@ -197,42 +197,42 @@ class DegreeProfile(NamedTuple):
 class CoreGraph(NamedTuple):
     """Subgraph induced by the vertices of clique degree greater than one.
 
-    Two core vertices are adjacent exactly when their incidence lists meet,
-    i.e. when some clique contains both.  Only the vertices and their
-    incidence lists are stored; the edge list is derived on each read of
-    ``edges``, which the exact search never reads, so a core that is refused
-    for its size never builds it.
+    Two core vertices are adjacent exactly when some clique contains both.
+    Only the vertices and their incidence lists are stored; ``edges`` and
+    :meth:`adjacency` are read off the rows on each call, from the core
+    vertices of each clique (:meth:`_rows`).  The exact search reads
+    neither, so a core that is refused for its size never builds them.
+
+    Both assume a linear cover, as :func:`core_subgraph` builds it: two
+    vertices then share at most one row, so each adjacent pair is listed
+    once, with no set.  A hand-built ``CoreGraph`` whose vertices share two
+    rows lists their pair once for each.
     """
 
     vertices: tuple[VertexId, ...]
     incidence: dict[VertexId, tuple[int, ...]]
 
-    @property
-    def edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
-        """Sorted pairs (u, v), u < v, of core vertices sharing a clique."""
+    def _rows(self) -> dict[int, list[VertexId]]:
+        """For each clique holding a core vertex, its core vertices in token order."""
         rows: dict[int, list[VertexId]] = {}
         for v in self.vertices:
             for c in self.incidence[v]:
                 rows.setdefault(c, []).append(v)
-        # core vertices inside one clique are pairwise adjacent; the union
-        # over cliques is exactly the pairs with intersecting incidence lists
-        return tuple(
-            sorted(
-                {
-                    (group[a], group[b])
-                    for group in rows.values()
-                    for a in range(len(group))
-                    for b in range(a + 1, len(group))
-                }
-            )
-        )
+        return rows
+
+    @property
+    def edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
+        """Sorted pairs (u, v), u < v, of core vertices sharing a clique."""
+        groups = self._rows().values()
+        return tuple(sorted(chain.from_iterable(map(combinations, groups, repeat(2)))))
 
     def adjacency(self) -> dict[VertexId, set[VertexId]]:
-        adj: dict[VertexId, set[VertexId]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        """Each core vertex's neighbours: the other core vertices of its rows."""
+        rows = self._rows()
+        return {
+            v: set().union(*map(rows.__getitem__, self.incidence[v])) - {v}
+            for v in self.vertices
+        }
 
 
 def _clique_pairs(shared: Collection[tuple[int, ...]]) -> list[tuple[int, int]]:
@@ -375,12 +375,11 @@ def parse_instance(text: str, *, require_validity: bool = True) -> Instance:
     Grammar errors (a bad header, a wrong count of clique lines, or a clique
     line breaking the rule of :func:`_clique_error`) raise
     :class:`ParseError` naming the line; a refused header or token is quoted
-    through :func:`_shown`, so no message carries a control character.  The
-    count is never read by ``int()``, so its length meets no digit limit; a
-    count with more digits than the text has clique and header lines cannot
-    match and is named as a fault of its line.  With ``require_validity``
-    the parsed cover must also satisfy the at-most-one-shared-vertex
-    invariant.
+    through :func:`_shown`, so no message carries a control character.  A
+    count that differs from the number of clique lines is named as a fault
+    of the header's line.  The count is never read by ``int()``, so its
+    length meets no digit limit.  With ``require_validity`` the parsed cover
+    must also satisfy the at-most-one-shared-vertex invariant.
 
     Two paths read the text and build the same cover with the same
     messages.  Canonical text, as :func:`efl.export.serialize_instance`
@@ -443,8 +442,7 @@ def _checked_cliques(text: str) -> list[list[str]]:
     body = content[1:]
     n = len(body)
     if count != str(n):
-        where = f"line {header_line}: " if len(count) > len(content) else ""
-        raise ParseError(f"{where}expected {count} clique lines, found {n}")
+        raise ParseError(f"line {header_line}: expected {count} clique lines, found {n}")
 
     cliques: list[list[str]] = []
     for idx, (lineno, line) in enumerate(body, start=1):

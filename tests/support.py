@@ -106,6 +106,17 @@ def brute_core_edges(inst: Instance) -> set[tuple[str, str]]:
     return edges
 
 
+def brute_core_adjacency(inst: Instance) -> dict[str, set[str]]:
+    """Each core vertex's neighbours, read off :func:`brute_core_edges`."""
+    adjacency: dict[str, set[str]] = {
+        v: set() for v, ix in sorted(inst.incidence_map.items()) if len(ix) > 1
+    }
+    for u, v in brute_core_edges(inst):
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return adjacency
+
+
 def brute_core_split(
     inst: Instance,
 ) -> tuple[dict[str, tuple[int, ...]], tuple[tuple[str, ...], ...]]:
@@ -296,7 +307,7 @@ def reference_parse_instance(text: str, *, require_validity: bool = True) -> Ins
             f"line {header_line}: expected a decimal clique count, "
             f"got '{reference_shown(header)}'"
         )
-    # a count longer than the text's kept lines names its line, without int()
+    # a count longer than the text's kept lines cannot match; decided without int()
     if len(header.lstrip("0")) > len(content):
         raise ParseError(
             f"line {header_line}: expected {header.lstrip('0')} clique lines, "
@@ -308,7 +319,7 @@ def reference_parse_instance(text: str, *, require_validity: bool = True) -> Ins
 
     body = content[1:]
     if len(body) != n:
-        raise ParseError(f"expected {n} clique lines, found {len(body)}")
+        raise ParseError(f"line {header_line}: expected {n} clique lines, found {len(body)}")
 
     cliques: list[tuple[str, ...]] = []
     for idx, (lineno, line) in enumerate(body, start=1):

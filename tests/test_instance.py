@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from efl.errors import InvalidInstanceError, ParseError, UnknownVertexError
 from efl.export import serialize_instance
-from efl.generators import gen_dense, gen_disjoint
+from efl.generators import gen_dense, gen_disjoint, gen_random
 from efl.greedy import check_sy1, check_sy2, run_greedy
 from efl.instance import (
     Instance,
@@ -27,6 +27,7 @@ from efl.oracle import theorem_identity
 from support import (
     brute_check_sy1,
     brute_check_sy2,
+    brute_core_adjacency,
     brute_core_edges,
     brute_core_split,
     brute_core_subgraph,
@@ -84,8 +85,9 @@ class TestParse:
         assert inst.vertices == ("only",)
 
     def test_wrong_clique_count(self):
-        with pytest.raises(ParseError, match="expected 3 clique lines, found 2"):
+        with pytest.raises(ParseError) as raised:
             parse_instance("3\na b c\nd e f\n")
+        assert str(raised.value) == "line 1: expected 3 clique lines, found 2"
 
     def test_wrong_clique_size(self):
         with pytest.raises(ParseError, match="clique 2 has 2 tokens, expected 3"):
@@ -257,8 +259,30 @@ class TestCoreSubgraph:
     @settings(max_examples=60)
     @given(inst=instances(max_n=8))
     def test_edges_match_pairwise_incidence_scan(self, inst):
-        core = core_subgraph(inst)
-        assert set(core.edges) == brute_core_edges(inst)
+        _assert_core_graph_matches_brute(inst)
+
+    def test_random_covers_with_vertices_in_three_cliques(self):
+        # extension 60-80 % pushes shared vertices into third and later cliques
+        covers = [
+            gen_random(n, n * (n - 1) // 2, seed, extension)
+            for n in range(4, 15)
+            for extension in (60, 70, 80)
+            for seed in range(6)
+        ]
+        assert max(len(ix) for inst in covers for ix in inst.incidence_map.values()) >= 3
+        for inst in covers:
+            _assert_core_graph_matches_brute(inst)
+
+    def test_dense_covers(self):
+        for n in range(2, 31):
+            _assert_core_graph_matches_brute(gen_dense(n))
+
+
+def _assert_core_graph_matches_brute(inst: Instance) -> None:
+    # exact equality: a pair listed twice or out of order fails
+    core = core_subgraph(inst)
+    assert core.edges == tuple(sorted(brute_core_edges(inst)))
+    assert core.adjacency() == brute_core_adjacency(inst)
 
 
 class TestDegreeProfile:

@@ -85,6 +85,20 @@ def test_dense_51_to_64():
     )
 
 
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (100, "74edaa2685b3c545d3165f49997558fae2dd83cd4c377e1337f117ca80926309"),
+        (150, "ea15f48da4548096b660d78e723240e54df8bb789d0c5ff8218e7168d753bd27"),
+    ],
+    ids=["n100", "n150"],
+)
+def test_dense_large(n, expected):
+    # one cover each, wide enough that the scan's masks span thousands of bits
+    results = [run_matrix_method(gen_dense(n), TRACED)]
+    assert _digest(_engine_parts(results)) == expected
+
+
 def test_dense_51_to_64_greedy():
     results = (run_greedy(gen_dense(n)) for n in range(51, 65))
     assert _digest(_greedy_parts(results)) == (
